@@ -26,11 +26,7 @@ from .pipeline import (
     BatchRequest,
     BatchResult,
     EvalRecord,
-    STable,
-    assemble_F,
     compute_s_tables,
-    compute_Z,
-    realized_divisors,
     run_batch,
 )
 from .special import (
@@ -73,14 +69,11 @@ __all__ = [
     "NodeSum",
     "OpCounter",
     "OracleResult",
-    "STable",
     "Window",
-    "assemble_F",
     "build_coefficient_table",
     "build_node_problem",
     "c_prefactor",
     "character_from_gauss",
-    "compute_Z",
     "compute_s_tables",
     "direct_F",
     "direct_Z",
@@ -100,7 +93,6 @@ __all__ = [
     "oracle_sweep",
     "plan_budget",
     "quad_character",
-    "realized_divisors",
     "run_batch",
     "save_coefficient_table",
     "sieve_factor_window",

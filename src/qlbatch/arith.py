@@ -10,6 +10,7 @@ character tables down to one symbol evaluation per prime.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +23,23 @@ from .errors import DomainError
 FAST_PATH_MIN_Q = 10_000
 
 _SIEVE_BLOCK = 1 << 20  # odd values per segment
+
+_T_MAX = 10.0  # supported heights |t| <= _T_MAX
+
+
+def _check_t(t: float) -> float:
+    """t as a float; DomainError unless it is finite with |t| <= _T_MAX."""
+    t = float(t)
+    if not (math.isfinite(t) and abs(t) <= _T_MAX):
+        raise DomainError(f"t={t!r} lies outside the supported range |t| <= {_T_MAX:g}")
+    return t
+
+
+def _resolve_threads(threads: int) -> int:
+    """Worker count for a thread pool: 0 means every core; negative is refused."""
+    if threads < 0:
+        raise DomainError(f"threads={threads} must be >= 0 (0 = all cores)")
+    return threads or os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q-width", type=int, required=True, help="window width Delta; must satisfy Delta <= Q/2")
     p.add_argument("--t", type=float, default=0.0, help="height t on the critical line (|t| <= 10)")
     p.add_argument("--epsilon", type=float, default=1e-6, help="absolute accuracy target")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for the precompute phase (0 = all cores)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads for the precompute and the oracle (0 = all cores)")
     p.add_argument("--cache", default=None, help=f"coefficient table cache dir (default: ${_ENV_CACHE})")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     p.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -15,4 +15,5 @@ class AccuracyError(ArithmeticError):
 
 
 class ConsistencyError(RuntimeError):
-    """An internal table is missing an entry the assembly stage needs."""
+    """An internal invariant failed: a table lacks an entry recovery needs,
+    or a planned bound misses its budget."""

@@ -24,11 +24,10 @@ from scipy import sparse
 from .arith import Window
 from .counters import OpCounter
 from .errors import AccuracyError, DomainError
-from .taylor import CoefficientTable
+from .taylor import _EPS3_FLOOR, CoefficientTable
 
 # below this work volume the exact direct sum wins over transform setup
 _CROSSOVER_OPS = 1 << 22
-_EPS3_FLOOR = 2.0 ** -48
 _CONVENTIONS = ("sqrt_a", "plain_a")
 
 

@@ -23,15 +23,16 @@ import numpy as np
 from .arith import (
     CharacterSieve,
     Window,
+    _check_t,
     _is_fundamental_odd_positive_int,
+    _resolve_threads,
     jacobi,
     sieve_factor_window,
 )
 from .counters import OpCounter
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .special import _g_kernel_arr, log_gamma, theta_phase
 
-_T_MAX = 10.0
 _CHUNK = 64  # conductors per batched kernel call in sweeps
 
 
@@ -75,8 +76,7 @@ def _certified_tail(q: int, N: int, gamma_abs: float) -> float:
 def _validate_scalar_inputs(q: int, t: float, epsilon: float) -> None:
     if not _is_fundamental_odd_positive_int(q):
         raise DomainError(f"q={q} is not an odd positive fundamental conductor")
-    if abs(t) > _T_MAX:
-        raise DomainError(f"|t|={abs(t):g} exceeds the supported range |t| <= {_T_MAX:g}")
+    _check_t(t)
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon={epsilon!r} must lie in (0, 1)")
 
@@ -114,8 +114,7 @@ def direct_F(
         raise DomainError("direct_F needs either epsilon or an explicit N")
     if not _is_fundamental_odd_positive_int(q):
         raise DomainError(f"q={q} is not an odd positive fundamental conductor")
-    if abs(t) > _T_MAX:
-        raise DomainError(f"|t|={abs(t):g} exceeds the supported range |t| <= {_T_MAX:g}")
+    t = _check_t(t)
     if N is None:
         N, _ = _truncation_order(q, float(epsilon))
     N = int(N)
@@ -157,7 +156,8 @@ def direct_Z(
     Z = 2.0 * (cmath.exp(1j * theta) * F).real
     tail = _certified_tail(q, N, _gamma_abs(t))
     # the planned N always beats its own budget
-    assert tail < eps1
+    if not tail < eps1:
+        raise ConsistencyError(f"certified tail {tail:.3e} at N={N} misses its budget {eps1:.3e}")
     return OracleResult(q=q, t=t, Z=float(Z), N_used=N, tail_bound=tail)
 
 
@@ -177,12 +177,11 @@ def oracle_sweep(
     level of its Jacobi symbols.  Results match per-q direct_Z to roundoff
     and come back sorted by q.
     """
-    t = float(t)
+    t = _check_t(t)
     epsilon = float(epsilon)
-    if abs(t) > _T_MAX:
-        raise DomainError(f"|t|={abs(t):g} exceeds the supported range |t| <= {_T_MAX:g}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon={epsilon!r} must lie in (0, 1)")
+    threads = _resolve_threads(threads)
     if fc_table is None:
         fc_table = sieve_factor_window(window)
     qs = sorted(q for q, fc in fc_table.items() if fc.fundamental)
@@ -222,7 +221,6 @@ def oracle_sweep(
     if threads == 1 or len(blocks) == 1:
         per_block = [run_block(b) for b in blocks]
     else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             per_block = list(pool.map(run_block, blocks))
     return [res for blk in per_block for res in blk]

@@ -7,8 +7,11 @@ recovery phase assembles, for each q, the divisor combination
 
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
-with x = (Q - q)/q, and finally Z = 2 Re[e^{i theta} F].  Everything after
-the S-tables is O(d(q) R) per conductor.
+with x = (Q - q)/q, and finally Z = 2 Re[e^{i theta} F].  The divisor terms
+of the whole window are flat arrays, so recovery is one gather of S-values,
+one segmented sum per conductor and one product with the powers of x:
+O(d(q) R) work per conductor and no per-conductor Python beyond the scalar
+prefactors.
 """
 
 from __future__ import annotations
@@ -24,14 +27,15 @@ import numpy as np
 
 from .arith import (
     FAST_PATH_MIN_Q,
-    FactoredConductor,
     Window,
+    _check_t,
+    _resolve_threads,
     divisor_terms,
     sieve_factor_window,
 )
 from .counters import OpCounter
 from .errors import ConsistencyError, DomainError
-from .multieval import build_node_problem, direct_eval, fast_eval
+from .multieval import _CONVENTIONS, build_node_problem, direct_eval, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
 from .taylor import (
@@ -45,7 +49,6 @@ from .taylor import (
 )
 
 _METHODS = ("fast", "direct", "compare")
-_CONVENTIONS = ("sqrt_a", "plain_a")
 _T_WARN = 1.0
 
 # counter keys whose sum is the precompute work volume
@@ -72,29 +75,7 @@ class BatchRequest:
             raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon={self.epsilon!r} must lie in (0, 1)")
-        if abs(self.t) > 10.0:
-            raise DomainError(f"|t|={abs(self.t):g} exceeds the supported range |t| <= 10")
-
-
-@dataclass(eq=False)
-class STable:
-    """Per-divisor evaluated node sums: a -> (b0, values of shape (R, H))."""
-
-    entries: dict
-    convention: str
-
-    def value_vector(self, a: int, b: int) -> np.ndarray:
-        """The R partial sums S_r(a, b); ConsistencyError if never computed."""
-        try:
-            b0, values = self.entries[a]
-        except KeyError:
-            raise ConsistencyError(f"no S-table entry for divisor a={a}") from None
-        col = b - b0
-        if not 0 <= col < values.shape[1]:
-            raise ConsistencyError(
-                f"argument b={b} outside the grid [{b0}, {b0 + values.shape[1]}) for a={a}"
-            )
-        return values[:, col]
+        _check_t(self.t)
 
 
 @dataclass(frozen=True)
@@ -121,128 +102,128 @@ class BatchResult:
     precompute_s: float
     recovery_s: float
     recovery_ops: dict = field(default_factory=dict)
-    compare_max_dev: float | None = None
-    compare_mean_dev: float | None = None
-    compare_devs: list | None = None
-    compare_refs: list | None = None
+    compare_refs: list | None = None  # oracle Z per record; None unless compared
 
     @property
     def n_characters(self) -> int:
         return len(self.records)
 
     @property
+    def compare_devs(self) -> list | None:
+        if self.compare_refs is None:
+            return None
+        return [abs(rec.Z - ref) for rec, ref in zip(self.records, self.compare_refs)]
+
+    @property
+    def compare_max_dev(self) -> float | None:
+        devs = self.compare_devs
+        return None if devs is None else max(devs, default=0.0)
+
+    @property
+    def compare_mean_dev(self) -> float | None:
+        devs = self.compare_devs
+        return None if devs is None else (statistics.fmean(devs) if devs else 0.0)
+
+    @property
     def precompute_ops(self) -> int:
         return sum(self.counts.get(k, 0) for k in _PRECOMPUTE_KEYS)
 
 
-def realized_divisors(fc_table: dict, N: int) -> list:
-    """Sorted union of squarefree divisors a <= N over fundamental q.
+@dataclass(frozen=True, eq=False)
+class SValues:
+    """Every realized divisor's S-values in one (R, sum H) array.
 
-    Always contains 1: every fundamental conductor realizes the trivial
-    divisor, and an empty window still prices the a=1 node problem.
+    Divisor divisors[i] owns columns offset[i] .. offset[i] + H[i] - 1, which
+    hold S_r(a, b) for b = b0[i] .. b0[i] + H[i] - 1; H[i] = 0 marks a divisor
+    whose node problem is empty.
     """
-    N = int(N)
-    out = {1}
-    for fc in fc_table.values():
-        if not fc.fundamental:
-            continue
-        for term in divisor_terms(fc, N):
-            out.add(term.a)
-    return sorted(out)
+
+    divisors: np.ndarray
+    b0: np.ndarray
+    H: np.ndarray
+    offset: np.ndarray
+    values: np.ndarray
+
+    def columns(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Column of S(a, b) for every pair; ConsistencyError if any is absent."""
+        i = np.searchsorted(self.divisors, a).clip(max=self.divisors.size - 1)
+        missing = (self.divisors[i] != a) | (self.H[i] == 0)
+        if missing.any():
+            raise ConsistencyError(f"no S-values for divisor a={a[missing][0]}")
+        col = b - self.b0[i]
+        outside = (col < 0) | (col >= self.H[i])
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ConsistencyError(
+                f"argument b={b[k]} outside the grid "
+                f"[{self.b0[i[k]]}, {self.b0[i[k]] + self.H[i[k]]}) for a={a[k]}"
+            )
+        return self.offset[i] + col
+
+
+def _divisor_term_arrays(fcs: list, N: int):
+    """Flat int64 arrays (owner, a, sign) of every conductor's divisor terms.
+
+    owner[j] indexes fcs; each conductor's terms are contiguous and start
+    with (1, +1), so no conductor has an empty segment.
+    """
+    per_q = [divisor_terms(fc, N) for fc in fcs]
+    counts = np.fromiter(map(len, per_q), dtype=np.int64, count=len(per_q))
+    flat = [term for terms in per_q for term in terms]
+    a = np.fromiter((term.a for term in flat), dtype=np.int64, count=len(flat))
+    sign = np.fromiter((term.sign for term in flat), dtype=np.int64, count=len(flat))
+    return np.repeat(np.arange(len(fcs), dtype=np.int64), counts), a, sign
 
 
 def compute_s_tables(
     request: BatchRequest,
     table: CoefficientTable,
+    budget: ErrorBudget,
+    divisors: np.ndarray,
     *,
-    budget: ErrorBudget | None = None,
-    divisors: list | None = None,
-    fc_table: dict | None = None,
     counter: OpCounter | None = None,
     threads: int = 1,
     convention: str = "sqrt_a",
-) -> STable:
+) -> SValues:
     """Evaluate every divisor's node problem over its rescaled grid.
 
     method "fast" (and "compare") uses the gridded transform with the
     planned eps3; method "direct" forces the exact-angle reference path.
     threads > 1 evaluates divisors concurrently; results are equal either
-    way because each divisor is independent.
+    way because each divisor is independent and writes its own columns.
     """
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown assembly convention {convention!r}")
-    if budget is None:
-        budget = plan_budget(request.window.Q, request.window.Delta, request.epsilon, request.t)
-    if divisors is None:
-        if fc_table is None:
-            fc_table = sieve_factor_window(request.window, counter)
-        divisors = realized_divisors(fc_table, budget.N)
+    threads = _resolve_threads(threads)
+    win = request.window
+    divisors = np.asarray(divisors, dtype=np.int64)
+    b0 = -(-win.Q // divisors)
+    last = (win.Q + win.Delta - 1) // divisors
+    H = np.where(divisors <= budget.N, last - b0 + 1, 0).clip(min=0)
+    offset = np.concatenate(([0], np.cumsum(H)))
+    values = np.empty((budget.R, int(offset[-1])), dtype=np.complex128)
 
-    def run_one(a: int):
+    def run_one(i: int) -> None:
         built = build_node_problem(
-            a, table, request.window, convention=convention, counter=counter
+            int(divisors[i]), table, win, convention=convention, counter=counter
         )
+        got = (built[1].b0, built[1].H) if built is not None else (b0[i], 0)
+        if got != (b0[i], H[i]):
+            raise ConsistencyError(f"grid of divisor a={divisors[i]} disagrees with the window")
         if built is None:
-            return a, None
+            return
         problem, grid = built
         if request.method == "direct":
-            values = direct_eval(problem, grid, counter)
+            out = direct_eval(problem, grid, counter)
         else:
-            values = fast_eval(problem, grid, budget.epsilon3, counter)
-        return a, (grid.b0, values)
+            out = fast_eval(problem, grid, budget.epsilon3, counter)
+        values[:, offset[i] : offset[i + 1]] = out
 
-    if threads == 1 or len(divisors) <= 1:
-        results = [run_one(a) for a in divisors]
+    if threads == 1 or divisors.size <= 1:
+        for i in range(divisors.size):
+            run_one(i)
     else:
-        workers = threads if threads > 0 else os.cpu_count()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, divisors))
-    entries = {a: entry for a, entry in results if entry is not None}
-    return STable(entries=entries, convention=convention)
-
-
-def assemble_F(
-    q: FactoredConductor,
-    s: STable,
-    budget: ErrorBudget,
-    table: CoefficientTable,
-    *,
-    terms=None,
-    counter: OpCounter | None = None,
-) -> complex:
-    """Recover F(t, chi_q) from the shared S-tables in O(d(q) R) time."""
-    if terms is None:
-        terms = divisor_terms(q, budget.N)
-    R = budget.R
-    acc = np.zeros(R, dtype=np.complex128)
-    comp = np.zeros(R, dtype=np.complex128)
-    for term in terms:
-        b = q.q // term.a
-        # q odd makes every cofactor odd; the quarter-length Gauss identity
-        # behind the S-tables needs that
-        assert b % 2 == 1
-        vec = s.value_vector(term.a, b)
-        if s.convention == "sqrt_a":
-            weight = term.sign * np.sqrt(term.a)
-        else:
-            weight = term.sign * float(term.a)
-        y = weight * vec - comp
-        tot = acc + y
-        comp = (tot - acc) - y
-        acc = tot
-    x = (budget.Q - q.q) / q.q
-    xp = x ** np.arange(R, dtype=np.float64)
-    inner = complex(np.dot(acc, xp))
-    if counter is not None:
-        counter.add("recovery_ops", R * (len(terms) + 2))
-    return complex(c_prefactor(table.t, q.q) * g_prefactor(q.q) * inner)
-
-
-def compute_Z(q, F: complex, t: float) -> float:
-    """Fold the archimedean phase onto F: Z = 2 Re[e^{i theta(t, q)} F]."""
-    qv = q.q if isinstance(q, FactoredConductor) else int(q)
-    theta = theta_phase(t, 0, qv)
-    return 2.0 * (np.exp(1j * theta) * complex(F)).real
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_one, range(divisors.size)))
+    return SValues(divisors=divisors, b0=b0, H=H, offset=offset, values=values)
 
 
 def _load_or_build_table(
@@ -292,37 +273,36 @@ def run_batch(
 
     Small windows (Q below the fast-path threshold) route to the per-q
     oracle and come back labeled method="oracle".  method="compare" runs the
-    fast path and then the oracle over the same window, recording the max
-    and mean absolute deviation.
+    fast path and then the oracle over the same window, keeping the oracle
+    values as compare_refs.
     """
     if convention not in _CONVENTIONS:
         raise DomainError(f"unknown assembly convention {convention!r}")
     if counter is None:
         counter = OpCounter()
     t_start = time.perf_counter()
-    win = request.window
-    if abs(request.t) > _T_WARN:
+    win, t = request.window, request.t
+    if abs(t) > _T_WARN:
         warnings.warn(
-            f"|t|={abs(request.t):g} > 1: the archimedean phase loses accuracy "
+            f"|t|={abs(t):g} > 1: the archimedean phase loses accuracy "
             "away from the central point",
             stacklevel=2,
         )
 
     if win.Q < FAST_PATH_MIN_Q:
-        refs = oracle_sweep(win, request.t, request.epsilon, threads=threads, counter=counter)
+        refs = oracle_sweep(win, t, request.epsilon, threads=threads, counter=counter)
         records = [
             EvalRecord(
                 q=r.q,
                 t=r.t,
                 Z=r.Z,
-                theta=theta_phase(request.t, 0, r.q),
+                theta=theta_phase(t, 0, r.q),
                 error_bound=request.epsilon / 4.0,
                 method="oracle",
             )
             for r in refs
         ]
         wall = time.perf_counter() - t_start
-        is_cmp = request.method == "compare"
         return BatchResult(
             records=records,
             method="oracle",
@@ -331,69 +311,60 @@ def run_batch(
             wall_time_s=wall,
             precompute_s=wall,
             recovery_s=0.0,
-            recovery_ops={},
-            compare_max_dev=0.0 if is_cmp else None,
-            compare_mean_dev=0.0 if is_cmp else None,
-            compare_devs=[0.0] * len(records) if is_cmp else None,
-            compare_refs=[r.Z for r in records] if is_cmp else None,
+            compare_refs=[r.Z for r in refs] if request.method == "compare" else None,
         )
 
-    budget = plan_budget(win.Q, win.Delta, request.epsilon, request.t)
+    budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
     fc_table = sieve_factor_window(win, counter)
-    table = _load_or_build_table(request.t, win.Q, budget, cache_dir, counter)
-    divisors = realized_divisors(fc_table, budget.N)
-    stable = compute_s_tables(
-        request,
-        table,
-        budget=budget,
-        divisors=divisors,
-        counter=counter,
-        threads=threads,
-        convention=convention,
+    table = _load_or_build_table(t, win.Q, budget, cache_dir, counter)
+    qs = np.array(sorted(q for q, fc in fc_table.items() if fc.fundamental), dtype=np.int64)
+    owner, a, sign = _divisor_term_arrays([fc_table[q] for q in qs.tolist()], budget.N)
+    # an empty window still prices the trivial divisor a = 1
+    divisors = np.union1d(a, [1])
+    svals = compute_s_tables(
+        request, table, budget, divisors,
+        counter=counter, threads=threads, convention=convention,
     )
     precompute_s = time.perf_counter() - t_start
 
+    # recovery: gather S_r(a, q/a), sum each conductor's weighted terms, then
+    # apply the Taylor powers of x = (Q - q)/q
     rec_start = time.perf_counter()
+    b = qs[owner] // a
+    # q odd makes every cofactor odd; the quarter-length Gauss identity
+    # behind the S-values needs that
+    if np.any(b % 2 == 0):
+        raise ConsistencyError(f"even cofactor b={b[b % 2 == 0][0]}")
+    weight = sign * (np.sqrt(a) if convention == "sqrt_a" else a)
+    n_terms = np.bincount(owner, minlength=qs.size)
+    starts = np.cumsum(n_terms) - n_terms
+    sums = np.add.reduceat(svals.values[:, svals.columns(a, b)] * weight, starts, axis=1)
+    R = budget.R
+    x = (budget.Q - qs) / qs
+    inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)
+    a_total = np.add.reduceat(a, starts)
+    bounds = 2.0 * budget.epsilon1 + 2.0 * budget.epsilon2 + budget.epsilon3 * R * a_total
+    ops = R * (n_terms + 2) + 8
+    counter.add("recovery_ops", int(ops.sum()))
     label = "fast" if request.method == "compare" else request.method
     records = []
-    recovery_ops = {}
-    for q in sorted(fc_table):
-        fc = fc_table[q]
-        if not fc.fundamental:
-            continue
-        terms = divisor_terms(fc, budget.N)
-        F = assemble_F(fc, stable, budget, table, terms=terms)
-        Z = compute_Z(fc, F, request.t)
-        theta = theta_phase(request.t, 0, q)
-        a_total = sum(term.a for term in terms)
-        bound = (
-            2.0 * budget.epsilon1
-            + 2.0 * budget.epsilon2
-            + budget.epsilon3 * budget.R * a_total
-        )
-        ops = budget.R * (len(terms) + 2) + 8
-        counter.add("recovery_ops", ops)
-        recovery_ops[q] = ops
+    for q, F_inner, bound in zip(qs.tolist(), inner.tolist(), bounds.tolist()):
+        F = complex(c_prefactor(t, q) * g_prefactor(q) * F_inner)
+        theta = theta_phase(t, 0, q)
+        Z = 2.0 * (np.exp(1j * theta) * F).real
         records.append(
-            EvalRecord(q=q, t=request.t, Z=Z, theta=theta, error_bound=bound, method=label)
+            EvalRecord(q=q, t=t, Z=Z, theta=theta, error_bound=bound, method=label)
         )
     recovery_s = time.perf_counter() - rec_start
 
-    compare_max = compare_mean = None
-    compare_devs = compare_refs = None
+    compare_refs = None
     if request.method == "compare":
         refs = oracle_sweep(
-            win, request.t, request.epsilon, threads=threads, counter=counter,
-            fc_table=fc_table,
+            win, t, request.epsilon, threads=threads, counter=counter, fc_table=fc_table
         )
-        if len(refs) != len(records) or any(
-            rec.q != ref.q for rec, ref in zip(records, refs)
-        ):
+        if [ref.q for ref in refs] != qs.tolist():
             raise ConsistencyError("oracle sweep and fast sweep disagree on the window")
-        compare_devs = [abs(rec.Z - ref.Z) for rec, ref in zip(records, refs)]
         compare_refs = [ref.Z for ref in refs]
-        compare_max = max(compare_devs, default=0.0)
-        compare_mean = statistics.fmean(compare_devs) if compare_devs else 0.0
 
     wall = time.perf_counter() - t_start
     return BatchResult(
@@ -404,9 +375,6 @@ def run_batch(
         wall_time_s=wall,
         precompute_s=precompute_s,
         recovery_s=recovery_s,
-        recovery_ops=recovery_ops,
-        compare_max_dev=compare_max,
-        compare_mean_dev=compare_mean,
-        compare_devs=compare_devs,
+        recovery_ops=dict(zip(qs.tolist(), ops.tolist())),
         compare_refs=compare_refs,
     )

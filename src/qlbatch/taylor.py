@@ -19,17 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FAST_PATH_MIN_Q, Window
+from .arith import FAST_PATH_MIN_Q, Window, _check_t
 from .counters import OpCounter
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, ConsistencyError, DomainError
 from .special import _g_rows_arr
 
 # epsilon splits: tail and Taylor truncation each get epsilon/8, multi-eval
 # gets the per-coefficient epsilon3 below; the factor 4 R N sqrt(Q) absorbs
 # term counts and the sqrt(a) assembly weights.
-_T_MAX = 10.0
 _BITS_MAX = 45.0
-_EPS3_FLOOR = 2.0 ** -48
+_EPS3_FLOOR = 2.0 ** -48  # double-precision floor of the transform tolerance
 
 _MAGIC = int.from_bytes(b"QLBCTAB1", "little")
 _VERSION = 1
@@ -62,8 +61,7 @@ def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
         raise BudgetError(f"epsilon={epsilon!r} must lie in (0, 1)")
-    if abs(t) > _T_MAX:
-        raise DomainError(f"|t|={abs(t):g} exceeds the supported range |t| <= {_T_MAX:g}")
+    _check_t(t)
     bits = math.log2(Q / epsilon)
     if bits > _BITS_MAX:
         raise BudgetError(
@@ -81,7 +79,8 @@ def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
             f"2^-48 = {_EPS3_FLOOR:.3e} transform floor; raise epsilon or shrink Q"
         )
     # N clears the Gaussian-width scale, so the tail bound below applies
-    assert N > math.sqrt(2.0 * Q / math.pi)
+    if not N > math.sqrt(2.0 * Q / math.pi):
+        raise ConsistencyError(f"N={N} does not clear the sqrt(2Q/pi) tail-bound scale")
     return ErrorBudget(
         epsilon=epsilon,
         epsilon1=eps1,

@@ -120,6 +120,21 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("q_min", ["101", "10001"])  # oracle and fast routes
+    def test_nan_t_refused(self, q_min, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        rc = main(["eval", "--q-min", q_min, "--q-width", "50", "--t", "nan",
+                   "--out", str(out)])
+        assert "error:" in capsys.readouterr().err
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q_min", ["101", "10001"])
+    def test_negative_threads_refused(self, q_min, capsys):
+        rc = main(["eval", "--q-min", q_min, "--q-width", "50", "--threads", "-1"])
+        assert "threads" in capsys.readouterr().err
+        assert rc == 2
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "z.csv"
         rc = main([

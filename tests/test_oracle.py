@@ -9,6 +9,7 @@ import pytest
 
 import qlbatch.oracle
 from qlbatch import (
+    ConsistencyError,
     DomainError,
     OpCounter,
     Window,
@@ -67,6 +68,19 @@ class TestDirectZ:
             direct_Z(5, 11.0, 1e-6)
         with pytest.raises(DomainError):
             direct_Z(5, 0.0, 0.0)
+
+    def test_rejects_non_finite_t(self):
+        with pytest.raises(DomainError):
+            direct_Z(5, float("nan"), 1e-6)
+        with pytest.raises(DomainError):
+            direct_F(5, float("nan"), 1e-6)
+        with pytest.raises(DomainError):
+            oracle_sweep(Window(101, 50), float("nan"), 1e-6)
+
+    def test_tail_over_budget_is_consistency_error(self, monkeypatch):
+        monkeypatch.setattr(qlbatch.oracle, "_certified_tail", lambda q, N, g: 1.0)
+        with pytest.raises(ConsistencyError, match="budget"):
+            direct_Z(101, 0.0, 1e-6)
 
     def test_counter_records_term_count(self):
         counter = OpCounter()

@@ -1,6 +1,8 @@
 """Batch pipeline: routing, shared-table assembly, bounds, caching."""
 
+import ast
 import dataclasses
+import glob
 import os
 
 import numpy as np
@@ -9,18 +11,22 @@ import pytest
 from qlbatch import (
     BatchRequest,
     ConsistencyError,
+    DivisorTerm,
     DomainError,
     OpCounter,
-    STable,
     Window,
-    compute_Z,
+    build_coefficient_table,
+    c_prefactor,
+    compute_s_tables,
     direct_Z,
     divisor_terms,
+    g_prefactor,
     plan_budget,
-    realized_divisors,
     run_batch,
     sieve_factor_window,
+    theta_phase,
 )
+from qlbatch.pipeline import SValues, _divisor_term_arrays
 
 _WIN = Window(10_000, 32)
 _EPS = 1e-6
@@ -48,47 +54,68 @@ class TestBatchRequest:
         with pytest.raises(DomainError):
             BatchRequest(_WIN, 10.5, 1e-6)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_t(self, t):
+        with pytest.raises(DomainError):
+            BatchRequest(_WIN, t, 1e-6)
+
     def test_frozen(self):
         req = BatchRequest(_WIN, 0.0, 1e-6)
         with pytest.raises(dataclasses.FrozenInstanceError):
             req.t = 1.0
 
 
-class TestRealizedDivisors:
-    def test_empty_table_keeps_trivial_divisor(self):
-        assert realized_divisors({}, 400) == [1]
+class TestDivisorTermArrays:
+    def test_empty_window_keeps_trivial_divisor(self):
+        owner, a, sign = _divisor_term_arrays([], 400)
+        assert owner.size == a.size == sign.size == 0
+        assert np.union1d(a, [1]).tolist() == [1]
 
-    def test_union_over_fundamentals(self):
+    def test_flat_arrays_match_per_conductor_terms(self):
         fc_table = sieve_factor_window(_WIN)
+        fcs = [fc_table[q] for q in sorted(fc_table) if fc_table[q].fundamental]
         N = 400
-        got = realized_divisors(fc_table, N)
-        expect = {1}
-        for fc in fc_table.values():
-            if fc.fundamental:
-                expect.update(t.a for t in divisor_terms(fc, N))
-        assert got == sorted(expect)
-        assert got[0] == 1
-        assert all(a <= N for a in got)
+        owner, a, sign = _divisor_term_arrays(fcs, N)
+        expect = [(i, t.a, t.sign) for i, fc in enumerate(fcs) for t in divisor_terms(fc, N)]
+        assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
+        divisors = np.union1d(a, [1])
+        assert divisors[0] == 1
+        assert all(d <= N for d in divisors)
+        assert set(divisors.tolist()) == {1} | {t[1] for t in expect}
 
 
-class TestSTable:
+def _svals():
+    # divisor 1 owns b in [50, 54), divisor 3 has an empty grid, divisor 5
+    # owns b in [20, 22)
+    values = np.arange(12, dtype=np.complex128).reshape(2, 6)
+    return SValues(
+        divisors=np.array([1, 3, 5]),
+        b0=np.array([50, 17, 20]),
+        H=np.array([4, 0, 2]),
+        offset=np.array([0, 4, 4, 6]),
+        values=values,
+    )
+
+
+class TestSValues:
     def test_missing_divisor(self):
-        s = STable(entries={}, convention="sqrt_a")
-        with pytest.raises(ConsistencyError):
-            s.value_vector(3, 100)
+        with pytest.raises(ConsistencyError, match="a=7"):
+            _svals().columns(np.array([1, 7]), np.array([51, 3]))
+
+    def test_empty_grid_counts_as_missing(self):
+        with pytest.raises(ConsistencyError, match="a=3"):
+            _svals().columns(np.array([3]), np.array([17]))
 
     def test_out_of_grid(self):
-        values = np.ones((2, 4), dtype=np.complex128)
-        s = STable(entries={1: (50, values)}, convention="sqrt_a")
-        with pytest.raises(ConsistencyError):
-            s.value_vector(1, 49)
-        with pytest.raises(ConsistencyError):
-            s.value_vector(1, 54)
+        for b in (49, 54):
+            with pytest.raises(ConsistencyError, match="outside the grid"):
+                _svals().columns(np.array([1]), np.array([b]))
 
     def test_column_lookup(self):
-        values = np.arange(8, dtype=np.complex128).reshape(2, 4)
-        s = STable(entries={1: (50, values)}, convention="sqrt_a")
-        np.testing.assert_array_equal(s.value_vector(1, 52), values[:, 2])
+        s = _svals()
+        cols = s.columns(np.array([1, 5, 1]), np.array([52, 21, 50]))
+        assert cols.tolist() == [2, 5, 0]
+        np.testing.assert_array_equal(s.values[:, cols[0]], [2, 8])
 
 
 class TestOracleRouting:
@@ -128,6 +155,27 @@ class TestFastWindow:
             a_total = sum(t.a for t in terms)
             expect = 2 * b.epsilon1 + 2 * b.epsilon2 + b.epsilon3 * b.R * a_total
             assert rec.error_bound == pytest.approx(expect, rel=1e-12)
+
+    def test_array_recovery_matches_per_conductor_loop(self, cmp_run):
+        # reference: the per-conductor loop over divisor terms, one S-value
+        # column at a time, on the same S-values
+        result, _ = cmp_run
+        b = result.budget
+        request = BatchRequest(_WIN, 0.3, _EPS)
+        table = build_coefficient_table(0.3, _WIN.Q, b.N, b.R)
+        fc_table = sieve_factor_window(_WIN)
+        fcs = {rec.q: fc_table[rec.q] for rec in result.records}
+        divisors = sorted({1} | {t.a for fc in fcs.values() for t in divisor_terms(fc, b.N)})
+        svals = compute_s_tables(request, table, b, divisors)
+        for rec in result.records:
+            acc = np.zeros(b.R, dtype=np.complex128)
+            for term in divisor_terms(fcs[rec.q], b.N):
+                col = svals.columns(np.array([term.a]), np.array([rec.q // term.a]))[0]
+                acc += term.sign * np.sqrt(term.a) * svals.values[:, col]
+            x = (b.Q - rec.q) / rec.q
+            F = c_prefactor(0.3, rec.q) * g_prefactor(rec.q) * np.dot(acc, x ** np.arange(b.R))
+            Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, rec.q)) * F).real
+            assert abs(Z - rec.Z) <= 1e-13, rec.q
 
     def test_recovery_ops_formula(self, cmp_run):
         result, counter = cmp_run
@@ -176,6 +224,16 @@ class TestMethodAgreement:
         four = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=4)
         assert [(r.q, r.Z) for r in one.records] == [(r.q, r.Z) for r in four.records]
 
+    def test_all_cores_matches_one_thread(self):
+        one = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=1)
+        every = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=0)
+        assert [(r.q, r.Z) for r in one.records] == [(r.q, r.Z) for r in every.records]
+
+    @pytest.mark.parametrize("win", [_WIN, Window(101, 50)])
+    def test_negative_threads_rejected(self, win):
+        with pytest.raises(DomainError, match="threads"):
+            run_batch(BatchRequest(win, 0.0, 1e-5), threads=-1)
+
     def test_repeat_runs_identical(self):
         a = run_batch(BatchRequest(_WIN, 0.3, _EPS))
         b = run_batch(BatchRequest(_WIN, 0.3, _EPS))
@@ -223,14 +281,57 @@ class TestConvention:
             run_batch(BatchRequest(_WIN, 0.0, _EPS), convention="cube_a")
 
 
+class TestRecoveryChecks:
+    def test_even_cofactor_rejected(self, monkeypatch):
+        import qlbatch.pipeline as pipeline
+
+        real = pipeline.divisor_terms
+        # a = 2 does not divide an odd q, and q // 2 is even for q = 1 (mod 4)
+        monkeypatch.setattr(
+            pipeline, "divisor_terms", lambda fc, N: real(fc, N) + [DivisorTerm(2, -1)]
+        )
+        with pytest.raises(ConsistencyError, match="even cofactor"):
+            run_batch(BatchRequest(_WIN, 0.0, _EPS))
+
+    def test_window_without_fundamentals(self):
+        # 10003 = 3 (mod 4): nothing to recover, but a = 1 is still priced
+        result = run_batch(BatchRequest(Window(10_003, 1), 0.0, _EPS, method="compare"))
+        assert result.records == [] and result.recovery_ops == {}
+        assert result.compare_max_dev == 0.0 and result.compare_mean_dev == 0.0
+        assert result.counts["node_raw"] > 0
+
+    def test_divisor_terms_run_once_per_conductor(self, monkeypatch):
+        import qlbatch.pipeline as pipeline
+
+        calls = []
+        real = pipeline.divisor_terms
+
+        def counting(fc, N):
+            calls.append(fc.q)
+            return real(fc, N)
+
+        monkeypatch.setattr(pipeline, "divisor_terms", counting)
+        result = run_batch(BatchRequest(_WIN, 0.0, _EPS))
+        assert calls == [r.q for r in result.records]
+
+    def test_source_has_no_assert_statements(self):
+        # invariants must survive python -O, so they are raised, not asserted
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qlbatch")
+        paths = sorted(glob.glob(os.path.join(src, "*.py")))
+        assert paths
+        found = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            found += [
+                f"{os.path.basename(path)}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+        assert found == []
+
+
 class TestMisc:
     def test_large_t_warns(self):
         with pytest.warns(UserWarning, match="archimedean"):
             run_batch(BatchRequest(Window(101, 50), 1.5, 1e-4))
-
-    def test_compute_z_accepts_plain_q(self):
-        fc = sieve_factor_window(Window(10_001, 1))[10_001]
-        from qlbatch import assemble_F  # noqa: F401  (exported surface)
-
-        F = 0.25 - 0.125j
-        assert compute_Z(10_001, F, 0.3) == compute_Z(fc, F, 0.3)

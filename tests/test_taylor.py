@@ -54,8 +54,9 @@ class TestPlanBudget:
             plan_budget(1 << 32, 1 << 31, 2.0 ** -12, 0.0)
 
     def test_rejects_large_t(self):
-        with pytest.raises(DomainError):
-            plan_budget(10_000, 500, 1e-6, 10.5)
+        for t in (10.5, float("nan")):
+            with pytest.raises(DomainError):
+                plan_budget(10_000, 500, 1e-6, t)
 
     def test_rejects_wide_window(self):
         with pytest.raises(DomainError):
