@@ -3,7 +3,8 @@
 Subcommands:
   eval      sweep a window and emit q,t,Z,theta,error_bound,method rows
   compare   sweep with the fast path, recompute with the reference oracle,
-            report deviations; exit 1 on disagreement beyond the bounds
+            report deviations; exit 1 on disagreement beyond the bounds,
+            exit 2 below Q = 10^4, where the oracle serves every value
   scan      sweep a t-grid and report certified sign changes of Z per q
   selftest  run the built-in consistency suites with timings
 

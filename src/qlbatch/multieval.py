@@ -6,11 +6,23 @@ with R stacked coefficient vectors, and asks for
     Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k (b0 + h)),  0 <= h < H.
 
 Small problems go through an exact-angle direct sum.  Large ones are spread
-onto a power-of-two fine grid with a Gaussian window, evaluated by one FFT
-per coefficient row, and deconvolved; the window width and variance are
-chosen so truncation and aliasing each land far below the requested eps3.
-Frequencies stay exact integers (num, den) end to end: every phase used in
-either path is exp(2 pi i (integer mod den) / den).
+onto a power-of-two fine grid of n >= 2H cells with the Gaussian window
+exp(-x^2 / (4 tau)), evaluated by one FFT per coefficient row, and
+deconvolved (the Gaussian gridding of Greengard and Lee).  With the targets
+centred, the largest grid frequency used is xi_m = max(Hc, H-1-Hc)/n <= 1/4,
+and with A = ln(1/eps3) + ln(K+1) + 6 the variance and the half-width come
+from the error analysis alone (_gaussian_params):
+
+    tau = A / (4 pi^2 (1 - 2 xi_m))
+    w   = ceil(sqrt(4 tau (A + 4 pi^2 tau xi_m^2)))
+
+The first makes the aliasing term exp(-4 pi^2 tau (1 - 2 xi_m)) at most
+e^-A; the second makes the truncated tail exp(-w^2 / (4 tau)), after the
+deconvolution gain exp(4 pi^2 tau xi_m^2), at most e^-A.  Each frequency
+spreads onto W = 2w + 1 cells, and all R complex coefficient rows are
+spread by a single sparse product on their float64 view.  Frequencies stay
+exact integers (num, den) end to end: every phase used in either path is
+exp(2 pi i (integer mod den) / den).
 """
 
 from __future__ import annotations
@@ -31,13 +43,44 @@ _CROSSOVER_OPS = 1 << 22
 _CONVENTIONS = ("sqrt_a", "plain_a")
 
 
+def _merge_frequencies(nums, dens, cols, weights, B):
+    """Merge weighted frequency entries into distinct fractions in alpha order.
+
+    Entry j is the frequency nums[j]/dens[j] (any integer over a positive
+    denominator) and adds the real weights[j] times row cols[j] of the
+    C-contiguous complex B to that frequency's row.  Fractions are reduced
+    and folded into [0, 1), equal ones share a row, and rows are numbered by
+    ascending alpha, so the one sparse row-sum (on B's float64 view) already
+    yields the sorted block.  Returns (nums, dens, alphas, merged) with
+    merged a C-contiguous complex (K, R) array.
+    """
+    nums = nums % dens
+    g = np.gcd(nums, dens)  # gcd(0, d) = d folds 0/d to 0/1
+    nums //= g
+    dens = dens // g
+    stride = int(dens.max()) + 1
+    uniq, inv = np.unique(nums * stride + dens, return_inverse=True)
+    nums = uniq // stride
+    dens = uniq % stride
+    alphas = nums / dens
+    order = np.argsort(alphas, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    merge = sparse.coo_array((weights, (rank[inv], cols)), shape=(order.size, B.shape[0]))
+    # duplicate (k, col) entries sum
+    merged = (merge.tocsr() @ B.view(np.float64)).view(np.complex128)
+    return nums[order], dens[order], alphas[order], merged
+
+
 @dataclass(eq=False)
 class NodeSum:
     """K merged rational frequencies with R coefficient vectors.
 
     nums/dens are reduced fractions in [0, 1), sorted by value, pairwise
-    distinct; coeffs has shape (R, K); scale records the largest coefficient
-    magnitude so transform tolerances apply to normalized data.
+    distinct; coeffs has shape (R, K) in either memory order (the builders
+    store it as the transposed view of a (K, R) block); scale records the
+    largest coefficient magnitude so transform tolerances apply to
+    normalized data.
     """
 
     nums: np.ndarray
@@ -59,38 +102,21 @@ class NodeSum:
             raise DomainError("coefficient columns must match the frequency count")
         if np.any(dens <= 0):
             raise DomainError("denominators must be positive")
-        nums = nums % dens
-        g = np.gcd(nums, dens)  # gcd(0, d) = d folds 0/d to 0/1
-        nums = nums // g
-        dens = dens // g
-        stride = int(dens.max()) + 1
-        key = nums * stride + dens
-        uniq, inv = np.unique(key, return_inverse=True)
-        K = int(uniq.size)
-        R = coeffs.shape[0]
-        merged = np.zeros((R, K), dtype=np.complex128)
-        for r in range(R):
-            merged[r] = np.bincount(inv, weights=coeffs[r].real, minlength=K) + 1j * np.bincount(
-                inv, weights=coeffs[r].imag, minlength=K
-            )
-        nums_u = uniq // stride
-        dens_u = uniq % stride
-        alphas = nums_u / dens_u
-        order = np.argsort(alphas, kind="stable")
-        return cls._from_sorted(nums_u[order], dens_u[order], alphas[order], merged[:, order])
+        cols = np.arange(nums.size, dtype=np.int64)
+        B = np.ascontiguousarray(coeffs.T)
+        return cls._from_merged(*_merge_frequencies(nums, dens, cols, np.ones(nums.size), B))
 
     @classmethod
-    def _from_sorted(cls, nums, dens, alphas, coeffs) -> "NodeSum":
-        scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-        if scale == 0.0:
-            scale = 1.0
+    def _from_merged(cls, nums, dens, alphas, merged) -> "NodeSum":
+        """Wrap an alpha-sorted (K, R) block; coeffs is its transposed view."""
+        scale = float(np.max(np.abs(merged))) if merged.size else 0.0
         return cls(
-            nums=np.ascontiguousarray(nums),
-            dens=np.ascontiguousarray(dens),
-            alphas=np.ascontiguousarray(alphas),
-            coeffs=np.ascontiguousarray(coeffs),
+            nums=nums,
+            dens=dens,
+            alphas=alphas,
+            coeffs=merged.T,
             K=int(nums.size),
-            scale=scale,
+            scale=scale if scale != 0.0 else 1.0,
         )
 
 
@@ -124,10 +150,10 @@ def build_node_problem(
 
     Folds the quadratic phase l^2/(4m) over its four-fold symmetry (weights 2
     at l in {0, m}, else 4), merges equal reduced fractions across all
-    m <= N/a via one sparse matrix product, and pre-rotates coefficients by
-    exp(2 pi i alpha b0) so the grid can start at h = 0.  Returns
-    (NodeSum, EvalGrid), or None when the divisor contributes nothing
-    (a > N or the rescaled window is empty).
+    m <= N/a via one sparse matrix product whose rows are already in alpha
+    order, and pre-rotates coefficients in place by exp(2 pi i alpha b0) so
+    the grid can start at h = 0.  Returns (NodeSum, EvalGrid), or None when
+    the divisor contributes nothing (a > N or the rescaled window is empty).
     """
     a = int(a)
     if a < 1:
@@ -154,20 +180,8 @@ def build_node_problem(
     den4 = 4 * m_idx
     res = (ell * ell) % den4
     weight = np.where((ell == 0) | (ell == m_idx), 2.0, 4.0)
-    g = np.gcd(res, den4)
-    num = res // g
-    den = den4 // g
 
-    stride = 4 * N + 1
-    key = num * stride + den
-    uniq, inv = np.unique(key, return_inverse=True)
-    K = int(uniq.size)
-    if counter is not None:
-        counter.add("node_merged", K)
-    num_u = uniq // stride
-    den_u = uniq % stride
-
-    # per-m coefficient column: weight u_m times c_r(t, a m)
+    # per-m coefficient row: weight u_m times c_r(t, a m)
     cols = a * np.arange(1, M + 1, dtype=np.int64) - 1
     base = table.c[:, cols]
     if convention == "sqrt_a":
@@ -175,25 +189,26 @@ def build_node_problem(
     else:
         u = np.ones(M, dtype=np.float64)
     B = np.ascontiguousarray((base * u).T)  # (M, R)
-    W = sparse.coo_array((weight, (inv, m_idx - 1)), shape=(K, M)).tocsr()
-    merged = np.asarray(W @ B)  # (K, R); duplicate (k, m) weights sum in COO
-
-    phase0 = _exact_phase(num_u, den_u, b0)
-    coeffs = np.ascontiguousarray((merged * phase0[:, None]).T)
-
-    alphas = num_u / den_u
-    order = np.argsort(alphas, kind="stable")
-    problem = NodeSum._from_sorted(
-        num_u[order], den_u[order], alphas[order], coeffs[:, order]
-    )
-    return problem, EvalGrid(b0=b0, H=H)
+    nums, dens, alphas, merged = _merge_frequencies(res, den4, m_idx - 1, weight, B)
+    if counter is not None:
+        counter.add("node_merged", int(nums.size))
+    merged *= _exact_phase(nums, dens, b0)[:, None]
+    return NodeSum._from_merged(nums, dens, alphas, merged), EvalGrid(b0=b0, H=H)
 
 
-def _direct_core(p: NodeSum, g: EvalGrid) -> np.ndarray:
+def _output(out: np.ndarray | None, R: int, H: int) -> np.ndarray:
+    """The caller's (R, H) destination, checked, or a fresh one."""
+    if out is None:
+        return np.empty((R, H), dtype=np.complex128)
+    if out.shape != (R, H) or out.dtype != np.complex128:
+        raise DomainError(f"out must be a complex128 array of shape ({R}, {H})")
+    return out
+
+
+def _direct_core(p: NodeSum, g: EvalGrid, out: np.ndarray) -> np.ndarray:
     """Exact-angle direct evaluation, compensated across frequency blocks."""
     R, K = p.coeffs.shape
     H = g.H
-    out = np.empty((R, H), dtype=np.complex128)
     k_block = 1 << 16
     h_chunk = max(1, _CROSSOVER_OPS // max(K, 1))
     nums = p.nums
@@ -218,11 +233,43 @@ def _direct_core(p: NodeSum, g: EvalGrid) -> np.ndarray:
     return out
 
 
-def direct_eval(p: NodeSum, g: EvalGrid, counter: OpCounter | None = None) -> np.ndarray:
-    """Reference evaluation: K*H*R work, every phase from an exact angle."""
+def direct_eval(
+    p: NodeSum,
+    g: EvalGrid,
+    counter: OpCounter | None = None,
+    *,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Reference evaluation: K*H*R work, every phase from an exact angle.
+
+    The (R, H) result is written into out when given (any strides) and
+    returned.
+    """
+    R, K = p.coeffs.shape
+    out = _output(out, R, g.H)
     if counter is not None:
-        counter.add("direct_eval_ops", p.coeffs.shape[1] * g.H * p.coeffs.shape[0])
-    return _direct_core(p, g)
+        counter.add("direct_eval_ops", K * g.H * R)
+    return _direct_core(p, g, out)
+
+
+def _gaussian_params(K: int, H: int, eps3: float) -> tuple:
+    """Half-width w, variance tau and grid size n of the Gaussian gridding.
+
+    n is the smallest power of two with n >= max(2H, 4w+4, 32); tau and w
+    follow the module docstring's rule at xi_m = max(Hc, H-1-Hc)/n, each
+    error term at most e^-A.  A larger n only shrinks xi_m, and with it w,
+    so doubling n until it clears 4w+4 terminates.
+    """
+    A = math.log(1.0 / eps3) + math.log(K + 1.0) + 6.0
+    Hc = H // 2
+    n = 1 << (max(2 * H, 32) - 1).bit_length()
+    while True:
+        xi_m = max(Hc, H - 1 - Hc) / n
+        tau = A / (4.0 * math.pi ** 2 * (1.0 - 2.0 * xi_m))
+        w = math.ceil(math.sqrt(4.0 * tau * (A + 4.0 * math.pi ** 2 * tau * xi_m ** 2)))
+        if n >= 4 * w + 4:
+            return w, tau, n
+        n *= 2
 
 
 def fast_eval(
@@ -231,14 +278,22 @@ def fast_eval(
     eps3: float,
     counter: OpCounter | None = None,
     force: str = "auto",
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gaussian-gridded FFT evaluation with per-value error below eps3*scale.
 
     Small problems (K*H*R under the crossover) fall through to the direct
-    sum.  force="transform"/"direct" pins the path for testing.  Near the
-    2^-48 floor the promise degrades to double-precision roundoff amplified
-    by the deconvolution ratio (about (K/eps3)^(1/8)); the budget planner
-    keeps production tolerances clear of that regime.
+    sum.  force="transform"/"direct" pins the path for testing.  The
+    transform centres the targets on Hc = H//2, takes w and tau from
+    _gaussian_params (W = 2w + 1 taps, variance tau = A/(4 pi^2 (1 - 2 xi_m))),
+    forms the phased coefficients once as a C-contiguous (K, R) complex
+    block, spreads its (K, 2R) float64 view with one sparse (n+2w, K)
+    product, wraps the padding, and runs one FFT along the grid axis.  Near
+    the 2^-48 floor the promise degrades to double-precision roundoff
+    amplified by the deconvolution gain (at most e^(A/8)); the budget
+    planner keeps production tolerances clear of that regime.  The (R, H)
+    result is written into out when given (any strides) and returned.
     """
     eps3 = float(eps3)
     if not eps3 > 0.0:
@@ -252,19 +307,14 @@ def fast_eval(
         raise DomainError(f"unknown path selector {force!r}")
     R, K = p.coeffs.shape
     H = g.H
+    out = _output(out, R, H)
     if force == "direct" or (force == "auto" and K * H * R <= _CROSSOVER_OPS):
         if counter is not None:
             counter.add("fast_eval_ops", K * H * R)
-        return _direct_core(p, g)
+        return _direct_core(p, g, out)
 
-    # spreading width and fine grid size
-    w = math.ceil(math.log(1.0 / eps3))
+    w, tau, n = _gaussian_params(K, H, eps3)
     W = 2 * w + 1
-    n = 1 << (max(2 * H, 4 * w + 4, 32) - 1).bit_length()
-    # variance: large enough to kill aliases at distance n/2, small enough
-    # that the w-wide spreading tail stays below eps3
-    A = math.log(1.0 / eps3) + math.log(K + 1.0) + 6.0
-    tau = min(A / (2.0 * math.pi ** 2), w / (2.0 * math.sqrt(2.0) * math.pi))
     Hc = H // 2
     if counter is not None:
         counter.add("fast_eval_setup_calls", 1)
@@ -273,8 +323,9 @@ def fast_eval(
             K * W * R + R * n * int(math.log2(n)) + R * H + K * R,
         )
 
-    # center targets at Hc so deconvolution ratios stay moderate
-    coeffs = (p.coeffs / p.scale) * _exact_phase(p.nums, p.dens, Hc)[None, :]
+    # centre targets at Hc so deconvolution gains stay moderate
+    coeffs = np.empty((K, R), dtype=np.complex128)
+    np.multiply(p.coeffs.T, (_exact_phase(p.nums, p.dens, Hc) / p.scale)[:, None], out=coeffs)
 
     # nearest fine-grid cell and the exact fractional offset
     t_num = n * p.nums
@@ -282,23 +333,28 @@ def fast_eval(
     delta = (t_num - j0 * p.dens) / p.dens  # in [-1/2, 1/2], exact
     j0 = j0 % n  # wrap alpha -> 1 onto cell 0; circle offset unchanged
 
-    offsets = np.arange(-w, w + 1, dtype=np.float64)
-    gauss = np.exp(-((offsets[None, :] - delta[:, None]) ** 2) / (4.0 * tau))
-    indptr = np.arange(0, (K + 1) * W, W, dtype=np.int64)
-    indices = (j0[:, None] + np.arange(W, dtype=np.int64)).ravel()
-    spread = sparse.csr_array(
-        (gauss.ravel(), indices.astype(np.int32), indptr), shape=(K, n + 2 * w)
+    # column k of the spreading matrix holds the W taps at rows j0 .. j0 + 2w;
+    # its index pointer reaches K*W, which decides the index width
+    itype = np.int32 if K * W < 2 ** 31 else np.int64
+    gauss = np.subtract.outer(delta, np.arange(-w, w + 1, dtype=np.float64))
+    np.square(gauss, out=gauss)
+    np.divide(gauss, -4.0 * tau, out=gauss)
+    np.exp(gauss, out=gauss)
+    rows = np.add.outer(j0.astype(itype), np.arange(W, dtype=itype))
+    spread = sparse.csc_array(
+        (gauss.ravel(), rows.ravel(), np.arange(0, K * W + 1, W, dtype=itype)),
+        shape=(n + 2 * w, K),
     )
-    padded = np.asarray(coeffs.real @ spread) + 1j * np.asarray(coeffs.imag @ spread)
-    core = padded[:, w : w + n].copy()
-    core[:, :w] += padded[:, n + w :]
-    core[:, n - w :] += padded[:, :w]
+    padded = (spread @ coeffs.view(np.float64)).view(np.complex128)  # (n + 2w, R)
+    core = padded[w : w + n]
+    core[:w] += padded[n + w :]
+    core[n - w :] += padded[:w]
 
-    # DFT with the e^{+2 pi i} sign convention
-    U = np.fft.ifft(core, axis=1) * n
+    # DFT with the e^{+2 pi i} sign convention, unnormalized
+    U = np.fft.ifft(core, axis=0, norm="forward")
 
     rel = np.arange(H, dtype=np.int64) - Hc
-    idx = rel % n
     xi = rel / n
     window_hat = 2.0 * math.sqrt(math.pi * tau) * np.exp(-4.0 * math.pi ** 2 * tau * xi * xi)
-    return np.ascontiguousarray(U[:, idx] / window_hat[None, :]) * p.scale
+    out[...] = (U[rel % n] * (p.scale / window_hat)[:, None]).T
+    return out

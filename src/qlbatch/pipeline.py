@@ -189,8 +189,10 @@ def compute_s_tables(
 
     method "fast" (and "compare") uses the gridded transform with the
     planned eps3; method "direct" forces the exact-angle reference path.
-    threads > 1 evaluates divisors concurrently; results are equal either
-    way because each divisor is independent and writes its own columns.
+    Each evaluator writes straight into its divisor's columns of the one
+    S-value array.  threads > 1 evaluates divisors concurrently; results are
+    equal either way because each divisor is independent and writes its own
+    columns.
     """
     threads = _resolve_threads(threads)
     win = request.window
@@ -211,11 +213,11 @@ def compute_s_tables(
         if built is None:
             return
         problem, grid = built
+        out = values[:, offset[i] : offset[i + 1]]
         if request.method == "direct":
-            out = direct_eval(problem, grid, counter)
+            direct_eval(problem, grid, counter, out=out)
         else:
-            out = fast_eval(problem, grid, budget.epsilon3, counter)
-        values[:, offset[i] : offset[i + 1]] = out
+            fast_eval(problem, grid, budget.epsilon3, counter, out=out)
 
     if threads == 1 or divisors.size <= 1:
         for i in range(divisors.size):
@@ -272,9 +274,10 @@ def run_batch(
     """Evaluate Z(t, chi_q) for every fundamental q in the request window.
 
     Small windows (Q below the fast-path threshold) route to the per-q
-    oracle and come back labeled method="oracle".  method="compare" runs the
-    fast path and then the oracle over the same window, keeping the oracle
-    values as compare_refs.
+    oracle and come back labeled method="oracle"; method="compare" on such a
+    window raises DomainError, since there is no fast value to check.
+    method="compare" runs the fast path and then the oracle over the same
+    window, keeping the oracle values as compare_refs.
     """
     if convention not in _CONVENTIONS:
         raise DomainError(f"unknown assembly convention {convention!r}")
@@ -290,6 +293,10 @@ def run_batch(
         )
 
     if win.Q < FAST_PATH_MIN_Q:
+        if request.method == "compare":
+            raise DomainError(
+                f"not compared: below Q={FAST_PATH_MIN_Q} every value comes from the oracle"
+            )
         refs = oracle_sweep(win, t, request.epsilon, threads=threads, counter=counter)
         records = [
             EvalRecord(
@@ -311,7 +318,6 @@ def run_batch(
             wall_time_s=wall,
             precompute_s=wall,
             recovery_s=0.0,
-            compare_refs=[r.Z for r in refs] if request.method == "compare" else None,
         )
 
     budget = plan_budget(win.Q, win.Delta, request.epsilon, t)

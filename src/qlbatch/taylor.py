@@ -14,7 +14,10 @@ O(NR) multiplies.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tempfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +34,8 @@ _BITS_MAX = 45.0
 _EPS3_FLOOR = 2.0 ** -48  # double-precision floor of the transform tolerance
 
 _MAGIC = int.from_bytes(b"QLBCTAB1", "little")
-_VERSION = 1
-_HEADER = struct.Struct("<QQdQQQ")
+_VERSION = 2
+_HEADER = struct.Struct("<QQdQQQI")  # magic, version, t, Q, N, R, payload CRC-32
 
 
 @dataclass(frozen=True)
@@ -178,11 +181,25 @@ def cache_file_name(t: float, Q: int, N: int, R: int) -> str:
 
 
 def save_coefficient_table(table: CoefficientTable, path: str) -> None:
-    """Write a table as a fixed little-endian header plus raw complex rows."""
-    payload = np.ascontiguousarray(table.c, dtype="<c16")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, float(table.t), table.Q, table.N, table.R))
-        fh.write(payload.tobytes())
+    """Write a table as a little-endian header plus raw complex rows.
+
+    The header carries a CRC-32 of the payload.  The bytes go to a temporary
+    file in the target directory that then replaces path in one step, so a
+    reader finds either the previous file or the whole new one.
+    """
+    payload = np.ascontiguousarray(table.c, dtype="<c16").tobytes()
+    head = _HEADER.pack(
+        _MAGIC, _VERSION, float(table.t), table.Q, table.N, table.R, zlib.crc32(payload)
+    )
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(head)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_coefficient_table(path: str) -> CoefficientTable:
@@ -191,7 +208,7 @@ def load_coefficient_table(path: str) -> CoefficientTable:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ValueError("coefficient table file is truncated (short header)")
-        magic, version, t, Q, N, R = _HEADER.unpack(head)
+        magic, version, t, Q, N, R, crc = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ValueError("not a coefficient table file (bad magic)")
         if version != _VERSION:
@@ -200,5 +217,7 @@ def load_coefficient_table(path: str) -> CoefficientTable:
     expected = int(N) * int(R) * 16
     if len(data) != expected:
         raise ValueError("coefficient table file is truncated (short payload)")
+    if zlib.crc32(data) != crc:
+        raise ValueError("coefficient table payload fails its CRC-32 check")
     c = np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(int(R), int(N))
     return CoefficientTable(t=float(t), Q=int(Q), N=int(N), R=int(R), c=c)

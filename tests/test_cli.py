@@ -174,6 +174,14 @@ class TestCompare:
         assert doc["max_dev"] <= 1e-9
         assert len(doc["rows"]) == doc["n_characters"]
 
+    def test_oracle_routed_window_not_compared(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--q-min", "101", "--q-width", "50", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "not compared" in err
+        assert not out.exists()
+
     def test_fault_injection_fails(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         rc = main([

@@ -7,6 +7,7 @@ pre-rotation, the gridded transform) is interior detail behind that contract.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from qlbatch import (
     fast_eval,
     gauss_sum_fast,
 )
+from qlbatch.multieval import _gaussian_params
 
 
 def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:
@@ -141,6 +143,26 @@ class TestBuildNodeProblem:
         with pytest.raises(DomainError):
             build_node_problem(1, small_table, Window(10_000, 5_000), convention="bogus")
 
+    def test_equals_from_fractions_over_raw_fractions(self, small_table):
+        # the builder's merge against the general one, fed every raw
+        # (l^2, 4m) entry with its weight, u_m, c_r(t, a m) and b0 phase
+        window = Window(10_000, 5_000)
+        for a in (1, 4, 13):
+            p, g = build_node_problem(a, small_table, window)
+            M = small_table.N // a
+            m = np.repeat(np.arange(1, M + 1), np.arange(2, M + 2))
+            ell = np.concatenate([np.arange(k + 1) for k in range(1, M + 1)])
+            num = ell * ell
+            den = 4 * m
+            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) / np.sqrt(m)
+            phase = np.exp(2j * math.pi * ((num * (g.b0 % den)) % den) / den)
+            raw = small_table.c[:, a * m - 1] * (weight * phase)
+            ref = NodeSum.from_fractions(num, den, raw)
+            assert np.array_equal(p.nums, ref.nums)
+            assert np.array_equal(p.dens, ref.dens)
+            assert np.max(np.abs(p.coeffs - ref.coeffs)) <= 1e-13 * p.scale
+            assert p.scale == pytest.approx(ref.scale, rel=1e-13)
+
 
 class TestNodeSemantics:
     def test_matches_gauss_sum_route(self):
@@ -208,15 +230,47 @@ class TestDirectEval:
         assert np.allclose(vals, 3.5 - 1.5j, rtol=0, atol=1e-15)
 
 
-class TestFastEval:
-    def _random_problem(self, rng, K, R=3, dmax=1024):
-        dens = rng.integers(1, dmax, size=K)
-        nums = rng.integers(0, 1 << 30, size=K) % dens
-        coeffs = rng.standard_normal((R, K)) + 1j * rng.standard_normal((R, K))
-        return NodeSum.from_fractions(nums, dens, coeffs)
+def _random_problem(rng, K, R=3, dmax=1024):
+    dens = rng.integers(1, dmax, size=K)
+    nums = rng.integers(0, 1 << 30, size=K) % dens
+    coeffs = rng.standard_normal((R, K)) + 1j * rng.standard_normal((R, K))
+    return NodeSum.from_fractions(nums, dens, coeffs)
 
+
+class TestGaussianParams:
+    """The width and variance rule: each error term at most e^-A."""
+
+    def test_error_terms_within_target(self):
+        grid = itertools.product(
+            [1, 50, 3_000, 783_413, 10 ** 7],
+            [1, 16, 17, 300, 511, 512, 513, 100_000],
+            [1e-6, 1e-9, 1e-11, 8.69e-15, 2.0 ** -48],
+        )
+        for K, H, eps3 in grid:
+            w, tau, n = _gaussian_params(K, H, eps3)
+            A = math.log(1.0 / eps3) + math.log(K + 1.0) + 6.0
+            xi_m = max(H // 2, H - 1 - H // 2) / n
+            case = (K, H, eps3, w, tau, n)
+            assert n & (n - 1) == 0, case
+            assert n >= max(2 * H, 4 * w + 4, 32), case
+            assert xi_m <= 0.25, case
+            # log of the aliasing term, and of the truncated tail after the
+            # deconvolution gain
+            aliasing = -4.0 * math.pi ** 2 * tau * (1.0 - 2.0 * xi_m)
+            assert aliasing <= -A * (1.0 - 1e-12), case
+            tail = -(w * w) / (4.0 * tau) + 4.0 * math.pi ** 2 * tau * xi_m ** 2
+            assert tail <= -A, case
+
+    def test_wide_window_trivial_divisor(self):
+        # the a = 1 problem of [2*10^5, 3*10^5) at eps=1e-6: 45 taps, was 67
+        w, tau, n = _gaussian_params(783_413, 100_000, 8.69e-15)
+        assert 2 * w + 1 <= 45
+        assert n == 1 << 18
+
+
+class TestFastEval:
     def test_transform_matches_direct(self, rng):
-        p = self._random_problem(rng, K=900)
+        p = _random_problem(rng, K=900)
         g = EvalGrid(b0=5_000, H=450)
         eps3 = 1e-9
         ref = direct_eval(p, g)
@@ -226,7 +280,7 @@ class TestFastEval:
     def test_transform_tight_eps3(self, rng):
         # 1e-11 is the tightest target where FFT roundoff (amplified by the
         # deconvolution, about e^(A/8)) stays well under eps3 for random data
-        p = self._random_problem(rng, K=700)
+        p = _random_problem(rng, K=700)
         g = EvalGrid(b0=997, H=256)
         eps3 = 1e-11
         ref = direct_eval(p, g)
@@ -234,7 +288,7 @@ class TestFastEval:
         assert np.max(np.abs(got - ref)) <= eps3 * p.scale
 
     def test_small_problem_takes_direct_path(self, rng):
-        p = self._random_problem(rng, K=40)
+        p = _random_problem(rng, K=40)
         g = EvalGrid(b0=100, H=20)
         counter = OpCounter()
         got = fast_eval(p, g, 1e-9, counter=counter)
@@ -243,7 +297,7 @@ class TestFastEval:
         assert np.max(np.abs(got - direct_eval(p, g))) <= 1e-12 * p.scale
 
     def test_forced_transform_counts_setup_once(self, rng):
-        p = self._random_problem(rng, K=300)
+        p = _random_problem(rng, K=300)
         g = EvalGrid(b0=100, H=64)
         counter = OpCounter()
         fast_eval(p, g, 1e-9, counter=counter, force="transform")
@@ -251,7 +305,7 @@ class TestFastEval:
         assert counter.get("fast_eval_ops") > 0
 
     def test_linearity_in_coefficients(self, rng):
-        p = self._random_problem(rng, K=500, R=2)
+        p = _random_problem(rng, K=500, R=2)
         g = EvalGrid(b0=3_000, H=300)
         scaled = NodeSum(
             nums=p.nums,
@@ -280,20 +334,34 @@ class TestFastEval:
         assert np.max(np.abs(v1[:, lo : lo + overlap] - v2[:, :overlap])) <= 2e-10 * p1.scale
 
     def test_eps3_floor_enforced(self, rng):
-        p = self._random_problem(rng, K=10)
+        p = _random_problem(rng, K=10)
         g = EvalGrid(b0=1, H=4)
         with pytest.raises(AccuracyError):
             fast_eval(p, g, 2.0 ** -49)
 
     def test_eps3_must_be_positive(self, rng):
-        p = self._random_problem(rng, K=10)
+        p = _random_problem(rng, K=10)
         with pytest.raises(DomainError):
             fast_eval(p, EvalGrid(b0=1, H=4), 0.0)
 
     def test_unknown_force_rejected(self, rng):
-        p = self._random_problem(rng, K=10)
+        p = _random_problem(rng, K=10)
         with pytest.raises(DomainError):
             fast_eval(p, EvalGrid(b0=1, H=4), 1e-9, force="banana")
+
+    @pytest.mark.parametrize("eps3", [1e-9, 1e-11])
+    @pytest.mark.parametrize(
+        "K, H",
+        [(3_000, 512), (2_000, 777), (1 << 14, 300)],
+        ids=["xi_quarter_edge", "odd_H", "K_2_14"],
+    )
+    def test_transform_matches_direct_at_edges(self, rng, K, H, eps3):
+        # H = 512 puts the outermost target at xi_m = 1/4 of the n = 1024 grid
+        p = _random_problem(rng, K=K, R=2)
+        g = EvalGrid(b0=int(rng.integers(0, 10_000)), H=H)
+        ref = direct_eval(p, g)
+        got = fast_eval(p, g, eps3, force="transform")
+        assert np.max(np.abs(got - ref)) <= eps3 * p.scale
 
     @settings(max_examples=12)
     @given(st.integers(0, 2 ** 31))
@@ -301,12 +369,53 @@ class TestFastEval:
         rng = np.random.default_rng(seed)
         K = int(rng.integers(50, 400))
         H = int(rng.integers(16, 200))
-        p = self._random_problem(rng, K=K, R=2, dmax=512)
+        p = _random_problem(rng, K=K, R=2, dmax=512)
         g = EvalGrid(b0=int(rng.integers(0, 10_000)), H=H)
         eps3 = 10.0 ** rng.uniform(-12, -6)
         ref = direct_eval(p, g)
         got = fast_eval(p, g, eps3, force="transform")
         assert np.max(np.abs(got - ref)) <= eps3 * p.scale
+
+
+class TestOutParameter:
+    """out= receives the same bits the evaluator would return."""
+
+    @pytest.mark.parametrize("path", ["direct_eval", "transform", "fast_direct"])
+    def test_strided_destination_bit_exact(self, rng, path):
+        p = _random_problem(rng, K=600, R=3)
+        g = EvalGrid(b0=4_321, H=257)
+
+        def evaluate(**kw):
+            if path == "direct_eval":
+                return direct_eval(p, g, **kw)
+            force = "transform" if path == "transform" else "direct"
+            return fast_eval(p, g, 1e-10, force=force, **kw)
+
+        ref = evaluate()
+        big = np.full((3, g.H + 9), 7.0 + 7.0j)
+        dest = big[:, 4 : 4 + g.H]
+        got = evaluate(out=dest)
+        assert got is dest
+        assert np.array_equal(big[:, 4 : 4 + g.H], ref)
+        assert np.all(big[:, :4] == 7.0 + 7.0j) and np.all(big[:, 4 + g.H :] == 7.0 + 7.0j)
+
+    def test_either_coefficient_order(self, rng):
+        p = _random_problem(rng, K=600, R=3)
+        g = EvalGrid(b0=99, H=200)
+        c_order = NodeSum(p.nums, p.dens, p.alphas, np.ascontiguousarray(p.coeffs), p.K, p.scale)
+        assert not p.coeffs.flags.c_contiguous  # builders store the transposed view
+        for force in ("transform", "direct"):
+            a = fast_eval(p, g, 1e-10, force=force)
+            b = fast_eval(c_order, g, 1e-10, force=force)
+            assert np.max(np.abs(a - b)) <= 1e-13 * p.scale
+
+    def test_wrong_destination_rejected(self, rng):
+        p = _random_problem(rng, K=50, R=2)
+        g = EvalGrid(b0=1, H=8)
+        with pytest.raises(DomainError):
+            direct_eval(p, g, out=np.empty((2, 7), dtype=np.complex128))
+        with pytest.raises(DomainError):
+            fast_eval(p, g, 1e-9, out=np.empty((2, 8), dtype=np.float64))
 
 
 class TestEvalGrid:

@@ -131,11 +131,9 @@ class TestOracleRouting:
             assert rec.Z == pytest.approx(solo.Z, abs=1e-12)
 
     def test_small_window_compare_fields(self):
-        result = run_batch(BatchRequest(Window(101, 50), 0.0, 1e-5, method="compare"))
-        assert result.compare_max_dev == 0.0
-        assert result.compare_mean_dev == 0.0
-        assert result.compare_devs == [0.0] * result.n_characters
-        assert result.compare_refs == [r.Z for r in result.records]
+        # below the fast-path threshold the oracle would be checked against itself
+        with pytest.raises(DomainError, match="not compared"):
+            run_batch(BatchRequest(Window(101, 50), 0.0, 1e-5, method="compare"))
 
 
 class TestFastWindow:
@@ -267,6 +265,22 @@ class TestCache:
         r2 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache, counter=c)
         assert c.get("cache_misses") == 1
         assert [(a.q, a.Z) for a in r1.records] == [(b.q, b.Z) for b in r2.records]
+
+    def test_flipped_payload_byte_rebuilds(self, tmp_path):
+        cache = str(tmp_path)
+        r1 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache)
+        path = os.path.join(cache, os.listdir(cache)[0])
+        with open(path, "r+b") as fh:
+            fh.seek(-7, os.SEEK_END)
+            byte = fh.read(1)
+            fh.seek(-7, os.SEEK_END)
+            fh.write(bytes([byte[0] ^ 0x01]))
+        c = OpCounter()
+        r2 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache, counter=c)
+        assert c.get("cache_misses") == 1
+        assert c.get("cache_hits") == 0
+        assert [(a.q, a.Z) for a in r1.records] == [(b.q, b.Z) for b in r2.records]
+        assert os.listdir(cache) == [os.path.basename(path)]
 
 
 class TestConvention:

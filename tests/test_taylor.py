@@ -1,7 +1,9 @@
 """Budget planning, certified bounds, coefficient tables, binary cache."""
 
 import math
+import os
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -157,11 +159,40 @@ class TestCacheFormat:
         path = tmp_path / "table.bin"
         save_coefficient_table(table, str(path))
         raw = path.read_bytes()
-        magic, version, t, Q, N, R = struct.unpack_from("<QQdQQQ", raw)
+        magic, version, t, Q, N, R, crc = struct.unpack_from("<QQdQQQI", raw)
+        head = struct.calcsize("<QQdQQQI")
         assert magic == int.from_bytes(b"QLBCTAB1", "little")
-        assert version == 1
+        assert version == 2
         assert (t, Q, N, R) == (0.0, 10_000, 8, 2)
-        assert len(raw) == struct.calcsize("<QQdQQQ") + 8 * 2 * 16
+        assert len(raw) == head + 8 * 2 * 16
+        assert crc == zlib.crc32(raw[head:])
+
+    def test_version_1_file_refused(self, tmp_path):
+        # the checksum-free layout: magic, version 1, t, Q, N, R, payload
+        table = build_coefficient_table(0.0, 10_000, 8, 2)
+        path = tmp_path / "old.bin"
+        magic = int.from_bytes(b"QLBCTAB1", "little")
+        path.write_bytes(
+            struct.pack("<QQdQQQ", magic, 1, 0.0, 10_000, 8, 2) + table.c.astype("<c16").tobytes()
+        )
+        with pytest.raises(ValueError, match="version 1"):
+            load_coefficient_table(str(path))
+
+    def test_flipped_payload_byte_rejected(self, tmp_path):
+        table = build_coefficient_table(0.0, 10_000, 8, 2)
+        path = tmp_path / "flip.bin"
+        save_coefficient_table(table, str(path))
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="CRC-32"):
+            load_coefficient_table(str(path))
+
+    def test_save_leaves_only_the_table(self, tmp_path):
+        table = build_coefficient_table(0.0, 10_000, 8, 2)
+        save_coefficient_table(table, str(tmp_path / "a.bin"))
+        save_coefficient_table(table, str(tmp_path / "a.bin"))  # replace in place
+        assert os.listdir(tmp_path) == ["a.bin"]
 
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
