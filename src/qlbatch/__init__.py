@@ -43,9 +43,7 @@ from .taylor import (
     CoefficientTable,
     ErrorBudget,
     build_coefficient_table,
-    load_coefficient_table,
     plan_budget,
-    save_coefficient_table,
     tail_bound,
     taylor_remainder_bound,
 )
@@ -88,13 +86,11 @@ __all__ = [
     "incomplete_gamma_upper",
     "is_fundamental_odd_positive",
     "jacobi",
-    "load_coefficient_table",
     "log_gamma",
     "oracle_sweep",
     "plan_budget",
     "quad_character",
     "run_batch",
-    "save_coefficient_table",
     "sieve_factor_window",
     "tail_bound",
     "taylor_remainder_bound",

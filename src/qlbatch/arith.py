@@ -35,6 +35,14 @@ def _check_t(t: float) -> float:
     return t
 
 
+def _check_epsilon(epsilon: float) -> float:
+    """epsilon as a float; DomainError unless 0 < epsilon < 1."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon={epsilon!r} must lie in (0, 1)")
+    return epsilon
+
+
 def _resolve_threads(threads: int) -> int:
     """Worker count for a thread pool: 0 means every core; negative is refused."""
     if threads < 0:

@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -27,8 +26,6 @@ import numpy as np
 from .arith import Window
 from .errors import AccuracyError, BudgetError, ConsistencyError, DomainError
 from .pipeline import BatchRequest, run_batch
-
-_ENV_CACHE = "QLF_CACHE_DIR"
 
 
 def _fmt(x: float) -> str:
@@ -41,7 +38,6 @@ def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, default=0.0, help="height t on the critical line (|t| <= 10)")
     p.add_argument("--epsilon", type=float, default=1e-6, help="absolute accuracy target")
     p.add_argument("--threads", type=int, default=1, help="worker threads for the precompute and the oracle (0 = all cores)")
-    p.add_argument("--cache", default=None, help=f"coefficient table cache dir (default: ${_ENV_CACHE})")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -77,10 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self.set_defaults(func=cmd_selftest)
 
     return parser
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache if args.cache is not None else os.environ.get(_ENV_CACHE)
 
 
 def _make_request(args, method: str) -> BatchRequest:
@@ -140,7 +132,7 @@ def _write_records_json(result, request, fh) -> None:
 
 def cmd_eval(args) -> int:
     request = _make_request(args, args.method)
-    result = run_batch(request, threads=args.threads, cache_dir=_cache_dir(args))
+    result = run_batch(request, threads=args.threads)
     with _open_out(args.out) as fh:
         if args.fmt == "csv":
             _write_records_csv(result.records, fh)
@@ -151,12 +143,7 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     request = _make_request(args, "compare")
-    result = run_batch(
-        request,
-        threads=args.threads,
-        cache_dir=_cache_dir(args),
-        convention=args.convention,
-    )
+    result = run_batch(request, threads=args.threads, convention=args.convention)
     tolerances = [r.error_bound + args.epsilon / 4.0 for r in result.records]
     bad = [
         (r.q, dev, tol)
@@ -215,7 +202,7 @@ def cmd_scan(args) -> int:
     qs = None
     for tv in ts:
         request = BatchRequest(window=window, t=tv, epsilon=args.epsilon, method="fast")
-        result = run_batch(request, threads=args.threads, cache_dir=_cache_dir(args))
+        result = run_batch(request, threads=args.threads)
         cur = [r.q for r in result.records]
         if qs is None:
             qs = cur

@@ -289,11 +289,13 @@ def fast_eval(
     _gaussian_params (W = 2w + 1 taps, variance tau = A/(4 pi^2 (1 - 2 xi_m))),
     forms the phased coefficients once as a C-contiguous (K, R) complex
     block, spreads its (K, 2R) float64 view with one sparse (n+2w, K)
-    product, wraps the padding, and runs one FFT along the grid axis.  Near
-    the 2^-48 floor the promise degrades to double-precision roundoff
-    amplified by the deconvolution gain (at most e^(A/8)); the budget
-    planner keeps production tolerances clear of that regime.  The (R, H)
-    result is written into out when given (any strides) and returned.
+    product, wraps the padding, and runs one FFT along the grid axis.  Below
+    eps3 = 1e-12 the promise degrades to double-precision roundoff amplified
+    by the deconvolution gain (at most e^(A/8)): 12 of 73 seeded random
+    problems there exceed eps3*scale, and the planner accepts such targets
+    (eps3 = 8.69e-15 on [2*10^5, 3*10^5) at eps = 1e-6).  Carrying this
+    floor into the certificate is ROADMAP item 2.  The (R, H) result is
+    written into out when given (any strides) and returned.
     """
     eps3 = float(eps3)
     if not eps3 > 0.0:

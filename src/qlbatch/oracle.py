@@ -23,6 +23,7 @@ import numpy as np
 from .arith import (
     CharacterSieve,
     Window,
+    _check_epsilon,
     _check_t,
     _is_fundamental_odd_positive_int,
     _resolve_threads,
@@ -71,14 +72,6 @@ def _certified_tail(q: int, N: int, gamma_abs: float) -> float:
         * math.exp(-math.pi * N * N / q)
         / (math.pi * N ** 3 * gamma_abs)
     )
-
-
-def _validate_scalar_inputs(q: int, t: float, epsilon: float) -> None:
-    if not _is_fundamental_odd_positive_int(q):
-        raise DomainError(f"q={q} is not an odd positive fundamental conductor")
-    _check_t(t)
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon={epsilon!r} must lie in (0, 1)")
 
 
 def _character_values(q: int, N: int) -> np.ndarray:
@@ -148,10 +141,9 @@ def direct_Z(
     """Certified reference Z(t, chi_q) for a single conductor."""
     q = int(q)
     t = float(t)
-    epsilon = float(epsilon)
-    _validate_scalar_inputs(q, t, epsilon)
+    epsilon = _check_epsilon(epsilon)
+    F = direct_F(q, t, epsilon, form="v", counter=counter)  # validates q and t
     N, eps1 = _truncation_order(q, epsilon)
-    F = direct_F(q, t, N=N, form="v", counter=counter)
     theta = theta_phase(t, 0, q)
     Z = 2.0 * (cmath.exp(1j * theta) * F).real
     tail = _certified_tail(q, N, _gamma_abs(t))
@@ -178,9 +170,7 @@ def oracle_sweep(
     and come back sorted by q.
     """
     t = _check_t(t)
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon={epsilon!r} must lie in (0, 1)")
+    epsilon = _check_epsilon(epsilon)
     threads = _resolve_threads(threads)
     if fc_table is None:
         fc_table = sieve_factor_window(window)

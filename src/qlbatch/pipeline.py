@@ -16,7 +16,6 @@ prefactors.
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 import warnings
@@ -28,6 +27,7 @@ import numpy as np
 from .arith import (
     FAST_PATH_MIN_Q,
     Window,
+    _check_epsilon,
     _check_t,
     _resolve_threads,
     divisor_terms,
@@ -38,15 +38,7 @@ from .errors import ConsistencyError, DomainError
 from .multieval import _CONVENTIONS, build_node_problem, direct_eval, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
-from .taylor import (
-    CoefficientTable,
-    ErrorBudget,
-    build_coefficient_table,
-    cache_file_name,
-    load_coefficient_table,
-    plan_budget,
-    save_coefficient_table,
-)
+from .taylor import CoefficientTable, ErrorBudget, build_coefficient_table, plan_budget
 
 _METHODS = ("fast", "direct", "compare")
 _T_WARN = 1.0
@@ -73,8 +65,7 @@ class BatchRequest:
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon={self.epsilon!r} must lie in (0, 1)")
+        _check_epsilon(self.epsilon)
         _check_t(self.t)
 
 
@@ -228,46 +219,10 @@ def compute_s_tables(
     return SValues(divisors=divisors, b0=b0, H=H, offset=offset, values=values)
 
 
-def _load_or_build_table(
-    t: float,
-    Q: int,
-    budget: ErrorBudget,
-    cache_dir: str | None,
-    counter: OpCounter,
-) -> CoefficientTable:
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, cache_file_name(t, Q, budget.N, budget.R))
-        try:
-            table = load_coefficient_table(path)
-            if (
-                table.t == t
-                and table.Q == Q
-                and table.N == budget.N
-                and table.R == budget.R
-            ):
-                counter.add("cache_hits", 1)
-                return table
-        except FileNotFoundError:
-            pass
-        except (ValueError, OSError):
-            pass  # corrupt or foreign file: rebuild below
-        counter.add("cache_misses", 1)
-    table = build_coefficient_table(t, Q, budget.N, budget.R, counter)
-    if path is not None:
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            save_coefficient_table(table, path)
-        except OSError:
-            pass  # cache writes are best effort
-    return table
-
-
 def run_batch(
     request: BatchRequest,
     *,
     threads: int = 1,
-    cache_dir: str | None = None,
     counter: OpCounter | None = None,
     convention: str = "sqrt_a",
 ) -> BatchResult:
@@ -322,7 +277,7 @@ def run_batch(
 
     budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
     fc_table = sieve_factor_window(win, counter)
-    table = _load_or_build_table(t, win.Q, budget, cache_dir, counter)
+    table = build_coefficient_table(t, win.Q, budget.N, budget.R, counter)
     qs = np.array(sorted(q for q, fc in fc_table.items() if fc.fundamental), dtype=np.int64)
     owner, a, sign = _divisor_term_arrays([fc_table[q] for q in qs.tolist()], budget.N)
     # an empty window still prices the trivial divisor a = 1

@@ -14,15 +14,11 @@ O(NR) multiplies.
 from __future__ import annotations
 
 import math
-import os
-import struct
-import tempfile
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FAST_PATH_MIN_Q, Window, _check_t
+from .arith import FAST_PATH_MIN_Q, Window, _check_epsilon, _check_t
 from .counters import OpCounter
 from .errors import BudgetError, ConsistencyError, DomainError
 from .special import _g_rows_arr
@@ -32,10 +28,6 @@ from .special import _g_rows_arr
 # term counts and the sqrt(a) assembly weights.
 _BITS_MAX = 45.0
 _EPS3_FLOOR = 2.0 ** -48  # double-precision floor of the transform tolerance
-
-_MAGIC = int.from_bytes(b"QLBCTAB1", "little")
-_VERSION = 2
-_HEADER = struct.Struct("<QQdQQQI")  # magic, version, t, Q, N, R, payload CRC-32
 
 
 @dataclass(frozen=True)
@@ -57,13 +49,12 @@ def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
 
     Raises BudgetError when the request cannot be met in double precision:
     either log2(Q/epsilon) exceeds 45 bits or the resulting per-coefficient
-    target epsilon3 falls below 2^-48.
+    target epsilon3 falls below 2^-48.  An epsilon outside (0, 1) raises
+    DomainError.
     """
     window = Window(int(Q), int(Delta))  # validates 1 <= Delta <= Q/2
     Q, Delta = window.Q, window.Delta
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < 1.0:
-        raise BudgetError(f"epsilon={epsilon!r} must lie in (0, 1)")
+    epsilon = _check_epsilon(epsilon)
     _check_t(t)
     bits = math.log2(Q / epsilon)
     if bits > _BITS_MAX:
@@ -172,52 +163,3 @@ def build_coefficient_table(
         factor = factor * (-w) / r
         c[r] = rows[r] * factor
     return CoefficientTable(t=t, Q=Q, N=N, R=R, c=c)
-
-
-def cache_file_name(t: float, Q: int, N: int, R: int) -> str:
-    """Stable cache key; t enters through its exact 64-bit pattern."""
-    t_bits = struct.pack("<d", float(t)).hex()
-    return f"ctab-Q{int(Q)}-N{int(N)}-R{int(R)}-t{t_bits}.bin"
-
-
-def save_coefficient_table(table: CoefficientTable, path: str) -> None:
-    """Write a table as a little-endian header plus raw complex rows.
-
-    The header carries a CRC-32 of the payload.  The bytes go to a temporary
-    file in the target directory that then replaces path in one step, so a
-    reader finds either the previous file or the whole new one.
-    """
-    payload = np.ascontiguousarray(table.c, dtype="<c16").tobytes()
-    head = _HEADER.pack(
-        _MAGIC, _VERSION, float(table.t), table.Q, table.N, table.R, zlib.crc32(payload)
-    )
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(head)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_coefficient_table(path: str) -> CoefficientTable:
-    """Read a table written by save_coefficient_table; ValueError on mismatch."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("coefficient table file is truncated (short header)")
-        magic, version, t, Q, N, R, crc = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ValueError("not a coefficient table file (bad magic)")
-        if version != _VERSION:
-            raise ValueError(f"unsupported coefficient table version {version}")
-        data = fh.read()
-    expected = int(N) * int(R) * 16
-    if len(data) != expected:
-        raise ValueError("coefficient table file is truncated (short payload)")
-    if zlib.crc32(data) != crc:
-        raise ValueError("coefficient table payload fails its CRC-32 check")
-    c = np.frombuffer(data, dtype="<c16").astype(np.complex128).reshape(int(R), int(N))
-    return CoefficientTable(t=float(t), Q=int(Q), N=int(N), R=int(R), c=c)

@@ -1,4 +1,4 @@
-"""Command line front end: formats, exit codes, cache plumbing."""
+"""Command line front end: formats, exit codes, no table cache."""
 
 import json
 import os
@@ -225,8 +225,13 @@ class TestScan:
         assert rc == 2
 
 
-class TestCachePlumbing:
-    def test_env_var_supplies_cache_dir(self, tmp_path, capsys, monkeypatch):
+class TestNoTableCache:
+    def test_cache_flag_refused(self, tmp_path, capsys):
+        rc = main(["eval", "--q-min", "10000", "--q-width", "32", "--cache", str(tmp_path)])
+        capsys.readouterr()
+        assert rc == 2
+
+    def test_cache_env_var_ignored(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "env_cache"
         env_dir.mkdir()
         monkeypatch.setenv("QLF_CACHE_DIR", str(env_dir))
@@ -234,23 +239,7 @@ class TestCachePlumbing:
         rc = main(["eval", "--q-min", "10000", "--q-width", "32", "--out", str(out)])
         capsys.readouterr()
         assert rc == 0
-        assert any(name.startswith("ctab-") for name in os.listdir(env_dir))
-
-    def test_flag_overrides_env(self, tmp_path, capsys, monkeypatch):
-        env_dir = tmp_path / "env_cache"
-        flag_dir = tmp_path / "flag_cache"
-        env_dir.mkdir()
-        flag_dir.mkdir()
-        monkeypatch.setenv("QLF_CACHE_DIR", str(env_dir))
-        out = tmp_path / "z.csv"
-        rc = main([
-            "eval", "--q-min", "10000", "--q-width", "32",
-            "--cache", str(flag_dir), "--out", str(out),
-        ])
-        capsys.readouterr()
-        assert rc == 0
         assert os.listdir(env_dir) == []
-        assert any(name.startswith("ctab-") for name in os.listdir(flag_dir))
 
 
 class TestSelftest:

@@ -1,4 +1,4 @@
-"""Batch pipeline: routing, shared-table assembly, bounds, caching."""
+"""Batch pipeline: routing, shared-table assembly, bounds."""
 
 import ast
 import dataclasses
@@ -30,6 +30,18 @@ from qlbatch.pipeline import SValues, _divisor_term_arrays
 
 _WIN = Window(10_000, 32)
 _EPS = 1e-6
+
+
+def _source_trees():
+    """(file name, parsed module) for every src/qlbatch/*.py."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qlbatch")
+    paths = sorted(glob.glob(os.path.join(src, "*.py")))
+    assert paths
+    trees = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            trees.append((os.path.basename(path), ast.parse(fh.read(), filename=path)))
+    return trees
 
 
 @pytest.fixture(scope="module")
@@ -238,51 +250,6 @@ class TestMethodAgreement:
         assert [(r.q, r.Z) for r in a.records] == [(r.q, r.Z) for r in b.records]
 
 
-class TestCache:
-    def test_miss_then_hit(self, tmp_path):
-        cache = str(tmp_path)
-        c1 = OpCounter()
-        r1 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache, counter=c1)
-        assert c1.get("cache_misses") == 1
-        assert c1.get("cache_hits") == 0
-        files = os.listdir(cache)
-        assert len(files) == 1 and files[0].startswith("ctab-")
-
-        c2 = OpCounter()
-        r2 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache, counter=c2)
-        assert c2.get("cache_hits") == 1
-        assert c2.get("cache_misses") == 0
-        assert c2.get("kernel_evals") == 0
-        assert [(a.q, a.Z) for a in r1.records] == [(b.q, b.Z) for b in r2.records]
-
-    def test_corrupt_cache_rebuilds(self, tmp_path):
-        cache = str(tmp_path)
-        r1 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache)
-        name = os.listdir(cache)[0]
-        with open(os.path.join(cache, name), "wb") as fh:
-            fh.write(b"not a table")
-        c = OpCounter()
-        r2 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache, counter=c)
-        assert c.get("cache_misses") == 1
-        assert [(a.q, a.Z) for a in r1.records] == [(b.q, b.Z) for b in r2.records]
-
-    def test_flipped_payload_byte_rebuilds(self, tmp_path):
-        cache = str(tmp_path)
-        r1 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache)
-        path = os.path.join(cache, os.listdir(cache)[0])
-        with open(path, "r+b") as fh:
-            fh.seek(-7, os.SEEK_END)
-            byte = fh.read(1)
-            fh.seek(-7, os.SEEK_END)
-            fh.write(bytes([byte[0] ^ 0x01]))
-        c = OpCounter()
-        r2 = run_batch(BatchRequest(_WIN, 0.3, _EPS), cache_dir=cache, counter=c)
-        assert c.get("cache_misses") == 1
-        assert c.get("cache_hits") == 0
-        assert [(a.q, a.Z) for a in r1.records] == [(b.q, b.Z) for b in r2.records]
-        assert os.listdir(cache) == [os.path.basename(path)]
-
-
 class TestConvention:
     def test_unweighted_convention_breaks_agreement(self):
         result = run_batch(
@@ -330,20 +297,30 @@ class TestRecoveryChecks:
 
     def test_source_has_no_assert_statements(self):
         # invariants must survive python -O, so they are raised, not asserted
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qlbatch")
-        paths = sorted(glob.glob(os.path.join(src, "*.py")))
-        assert paths
-        found = []
-        for path in paths:
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            found += [
-                f"{os.path.basename(path)}:{node.lineno}"
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Assert)
-            ]
+        found = [
+            f"{name}:{node.lineno}"
+            for name, tree in _source_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
         assert found == []
 
+    def test_source_has_no_unused_imports(self):
+        # __init__.py imports are re-exports; __future__ imports switch features
+        found = []
+        for name, tree in _source_trees():
+            if name == "__init__.py":
+                continue
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for stmt in tree.body:
+                if isinstance(stmt, ast.Import):
+                    bound = [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+                elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                    bound = [alias.asname or alias.name for alias in stmt.names]
+                else:
+                    continue
+                found += [f"{name}:{stmt.lineno} {b}" for b in bound if b not in used]
+        assert found == []
 
 class TestMisc:
     def test_large_t_warns(self):

@@ -1,9 +1,6 @@
-"""Budget planning, certified bounds, coefficient tables, binary cache."""
+"""Budget planning, certified bounds, coefficient tables."""
 
 import math
-import os
-import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -15,14 +12,11 @@ from qlbatch import (
     DomainError,
     OpCounter,
     build_coefficient_table,
-    load_coefficient_table,
     plan_budget,
-    save_coefficient_table,
     tail_bound,
     taylor_remainder_bound,
 )
 from qlbatch.special import _g_kernel_arr
-from qlbatch.taylor import cache_file_name
 
 
 class TestPlanBudget:
@@ -43,7 +37,7 @@ class TestPlanBudget:
 
     def test_rejects_epsilon_out_of_range(self):
         for eps in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(BudgetError):
+            with pytest.raises(DomainError):
                 plan_budget(10_000, 500, eps, 0.0)
 
     def test_rejects_forty_five_bit_breach(self):
@@ -143,86 +137,3 @@ class TestCoefficientTable:
         with pytest.raises(DomainError):
             build_coefficient_table(0.0, 10_000, 0, 4)
 
-
-class TestCacheFormat:
-    def test_round_trip_bit_exact(self, tmp_path):
-        table = build_coefficient_table(0.3, 10_000, 40, 5)
-        path = tmp_path / "table.bin"
-        save_coefficient_table(table, str(path))
-        back = load_coefficient_table(str(path))
-        assert (back.t, back.Q, back.N, back.R) == (0.3, 10_000, 40, 5)
-        assert back.c.dtype == np.complex128
-        assert np.array_equal(back.c, table.c)
-
-    def test_header_layout(self, tmp_path):
-        table = build_coefficient_table(0.0, 10_000, 8, 2)
-        path = tmp_path / "table.bin"
-        save_coefficient_table(table, str(path))
-        raw = path.read_bytes()
-        magic, version, t, Q, N, R, crc = struct.unpack_from("<QQdQQQI", raw)
-        head = struct.calcsize("<QQdQQQI")
-        assert magic == int.from_bytes(b"QLBCTAB1", "little")
-        assert version == 2
-        assert (t, Q, N, R) == (0.0, 10_000, 8, 2)
-        assert len(raw) == head + 8 * 2 * 16
-        assert crc == zlib.crc32(raw[head:])
-
-    def test_version_1_file_refused(self, tmp_path):
-        # the checksum-free layout: magic, version 1, t, Q, N, R, payload
-        table = build_coefficient_table(0.0, 10_000, 8, 2)
-        path = tmp_path / "old.bin"
-        magic = int.from_bytes(b"QLBCTAB1", "little")
-        path.write_bytes(
-            struct.pack("<QQdQQQ", magic, 1, 0.0, 10_000, 8, 2) + table.c.astype("<c16").tobytes()
-        )
-        with pytest.raises(ValueError, match="version 1"):
-            load_coefficient_table(str(path))
-
-    def test_flipped_payload_byte_rejected(self, tmp_path):
-        table = build_coefficient_table(0.0, 10_000, 8, 2)
-        path = tmp_path / "flip.bin"
-        save_coefficient_table(table, str(path))
-        raw = bytearray(path.read_bytes())
-        raw[-5] ^= 0x10
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="CRC-32"):
-            load_coefficient_table(str(path))
-
-    def test_save_leaves_only_the_table(self, tmp_path):
-        table = build_coefficient_table(0.0, 10_000, 8, 2)
-        save_coefficient_table(table, str(tmp_path / "a.bin"))
-        save_coefficient_table(table, str(tmp_path / "a.bin"))  # replace in place
-        assert os.listdir(tmp_path) == ["a.bin"]
-
-    def test_truncated_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x00" * 10)
-        with pytest.raises(ValueError):
-            load_coefficient_table(str(path))
-
-    def test_bad_magic_rejected(self, tmp_path):
-        table = build_coefficient_table(0.0, 10_000, 8, 2)
-        path = tmp_path / "bad.bin"
-        save_coefficient_table(table, str(path))
-        raw = bytearray(path.read_bytes())
-        raw[0] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            load_coefficient_table(str(path))
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        table = build_coefficient_table(0.0, 10_000, 8, 2)
-        path = tmp_path / "bad.bin"
-        save_coefficient_table(table, str(path))
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-16])
-        with pytest.raises(ValueError):
-            load_coefficient_table(str(path))
-
-    def test_cache_name_keys_on_t_bits(self):
-        a = cache_file_name(0.0, 10_000, 400, 32)
-        b = cache_file_name(-0.0, 10_000, 400, 32)
-        c = cache_file_name(0.3, 10_000, 400, 32)
-        assert a != b  # signed zero has its own bit pattern
-        assert a != c
-        assert cache_file_name(0.3, 10_000, 400, 32) == c
