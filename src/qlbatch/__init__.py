@@ -9,10 +9,9 @@ provides certified reference values for validation.
 from .arith import (
     CharacterSieve,
     DivisorTerm,
-    FactoredConductor,
+    FactoredWindow,
     Window,
     divisor_terms,
-    is_fundamental_odd_positive,
     jacobi,
     quad_character,
     sieve_factor_window,
@@ -63,7 +62,7 @@ __all__ = [
     "ErrorBudget",
     "EvalGrid",
     "EvalRecord",
-    "FactoredConductor",
+    "FactoredWindow",
     "NodeSum",
     "OpCounter",
     "OracleResult",
@@ -84,7 +83,6 @@ __all__ = [
     "gauss_sum_direct",
     "gauss_sum_fast",
     "incomplete_gamma_upper",
-    "is_fundamental_odd_positive",
     "jacobi",
     "log_gamma",
     "oracle_sweep",

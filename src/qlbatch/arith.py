@@ -72,30 +72,6 @@ class Window:
 
 
 @dataclass(frozen=True)
-class FactoredConductor:
-    """A conductor q with its distinct prime divisors.
-
-    primes multiply to q exactly when squarefree; fundamental means odd,
-    squarefree and q = 1 (mod 4), in which case the character parity is 0.
-    """
-
-    q: int
-    primes: tuple[int, ...]
-    squarefree: bool
-    fundamental: bool
-    parity_class: int = 0
-
-    @property
-    def omega(self) -> int:
-        return len(self.primes)
-
-    @property
-    def divisor_count(self) -> int:
-        # d(q) = 2^omega for squarefree q
-        return 1 << len(self.primes)
-
-
-@dataclass(frozen=True)
 class DivisorTerm:
     """One inclusion-exclusion term: subset product a with sign (-1)^h."""
 
@@ -149,10 +125,6 @@ def quad_character(q: int, n: int) -> int:
     return jacobi(n % q, q)
 
 
-def is_fundamental_odd_positive(fc: FactoredConductor) -> bool:
-    return fc.q >= 1 and fc.q % 2 == 1 and fc.squarefree and fc.q % 4 == 1
-
-
 def _odd_primes_upto(n: int) -> np.ndarray:
     if n < 3:
         return np.empty(0, dtype=np.int64)
@@ -165,9 +137,69 @@ def _odd_primes_upto(n: int) -> np.ndarray:
     return primes[primes % 2 == 1]
 
 
-def sieve_factor_window(
-    window: Window, counter: OpCounter | None = None
-) -> dict[int, FactoredConductor]:
+@dataclass(frozen=True, eq=False)
+class FactoredWindow:
+    """The odd conductors of a window with their distinct primes, as CSR arrays.
+
+    Row i is conductor q[i] (ascending); its distinct primes, ascending, are
+    primes[indptr[i] : indptr[i+1]], and they multiply to q[i] exactly when
+    squarefree[i].  window[q] is the one-row window of conductor q.
+    """
+
+    q: np.ndarray
+    indptr: np.ndarray
+    primes: np.ndarray
+    squarefree: np.ndarray
+
+    @property
+    def fundamental(self) -> np.ndarray:
+        """Mask of the odd fundamental conductors: squarefree and q = 1 (mod 4)."""
+        return self.squarefree & (self.q % 4 == 1)
+
+    def select(self, rows) -> FactoredWindow:
+        """The sub-window of the given rows (a boolean mask or ascending indices)."""
+        lo, hi = self.indptr[:-1][rows], self.indptr[1:][rows]
+        indptr = np.concatenate(([0], np.cumsum(hi - lo)))
+        take = np.repeat(lo - indptr[:-1], hi - lo) + np.arange(indptr[-1])
+        return FactoredWindow(
+            q=self.q[rows], indptr=indptr, primes=self.primes[take],
+            squarefree=self.squarefree[rows],
+        )
+
+    def __getitem__(self, q: int) -> FactoredWindow:
+        i = int(np.searchsorted(self.q, q))
+        if i == self.q.size or self.q[i] != q:
+            raise KeyError(q)
+        return self.select([i])
+
+    def divisor_terms(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat int64 (owner, a, sign): every row's inclusion-exclusion terms.
+
+        owner is the row index, a a product <= N of a subset of the row's
+        primes and sign = (-1)^(subset size).  Terms are grouped by row and
+        ascending in a, so each row starts with (1, +1).  Valid for odd
+        squarefree conductors (the expansion does not need q = 1 mod 4).
+        """
+        if not (np.all(self.squarefree) and np.all(self.q % 2 == 1)):
+            raise DomainError("divisor_terms requires odd squarefree conductors")
+        count = np.diff(self.indptr)
+        owner = np.arange(self.q.size, dtype=np.int64)
+        a = np.ones_like(owner)
+        sign = np.ones_like(owner)
+        for k in range(int(count.max(initial=0))):
+            # extend every term by its row's k-th prime while the product stays <= N
+            j = np.flatnonzero(count[owner] > k)
+            p = self.primes[self.indptr[owner[j]] + k]
+            keep = p <= N // a[j]
+            j, p = j[keep], p[keep]
+            owner = np.concatenate((owner, owner[j]))
+            a = np.concatenate((a, a[j] * p))
+            sign = np.concatenate((sign, -sign[j]))
+        order = np.lexsort((a, owner))
+        return owner[order], a[order], sign[order]
+
+
+def sieve_factor_window(window: Window, counter: OpCounter | None = None) -> FactoredWindow:
     """Factor every odd q in [Q, Q+Delta) by a segmented sieve.
 
     Trial primes run up to sqrt(Q+Delta-1); whatever cofactor survives is
@@ -176,19 +208,18 @@ def sieve_factor_window(
     lo, hi = window.Q, window.Q + window.Delta
     first = lo if lo % 2 == 1 else lo + 1
     qs_all = np.arange(first, hi, 2, dtype=np.int64)
-    out: dict[int, FactoredConductor] = {}
-    if qs_all.size == 0:
-        return out
+    sqfree_all = np.ones(qs_all.size, dtype=bool)
     base_primes = _odd_primes_upto(math.isqrt(int(hi - 1)))
+    # (row, prime) pairs with global row indices
+    idx_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    p_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
 
     for s in range(0, qs_all.size, _SIEVE_BLOCK):
         qs = qs_all[s : s + _SIEVE_BLOCK]
         n_b = qs.size
         lo_b = int(qs[0])
         rem = qs.copy()
-        sqfree = np.ones(n_b, dtype=bool)
-        idx_parts: list[np.ndarray] = []
-        p_parts: list[np.ndarray] = []
+        sqfree = sqfree_all[s : s + n_b]
         for p in base_primes:
             p = int(p)
             m0 = ((lo_b + p - 1) // p) * p
@@ -211,50 +242,32 @@ def sieve_factor_window(
                     r[mask] //= p
                     mask = r % p == 0
                 rem[sub] = r
-            idx_parts.append(ii)
+            idx_parts.append(ii + s)
             p_parts.append(np.full(ii.size, p, dtype=np.int64))
         res_idx = np.nonzero(rem > 1)[0]
         if counter is not None:
             counter.add("sieve_marks", res_idx.size)
-        idx_parts.append(res_idx)
-        p_parts.append(rem[res_idx].copy())
+        idx_parts.append(res_idx + s)
+        p_parts.append(rem[res_idx])
 
-        idx_all = np.concatenate(idx_parts)
-        p_all = np.concatenate(p_parts)
-        order = np.lexsort((p_all, idx_all))
-        idx_all = idx_all[order]
-        p_all = p_all[order]
-        bounds = np.searchsorted(idx_all, np.arange(n_b + 1))
-        for i in range(n_b):
-            q = int(qs[i])
-            ps = tuple(int(x) for x in p_all[bounds[i] : bounds[i + 1]])
-            sf = bool(sqfree[i])
-            out[q] = FactoredConductor(
-                q=q, primes=ps, squarefree=sf, fundamental=sf and q % 4 == 1
-            )
-    return out
+    idx_all = np.concatenate(idx_parts)
+    p_all = np.concatenate(p_parts)
+    order = np.lexsort((p_all, idx_all))
+    indptr = np.searchsorted(idx_all[order], np.arange(qs_all.size + 1))
+    return FactoredWindow(q=qs_all, indptr=indptr, primes=p_all[order], squarefree=sqfree_all)
 
 
-def divisor_terms(fc: FactoredConductor, N: int) -> list[DivisorTerm]:
+def divisor_terms(fc: FactoredWindow, N: int) -> list[DivisorTerm]:
     """All subsets of {P | q : P <= N} with product <= N, as (a, (-1)^h).
 
-    Valid for odd squarefree q (the inclusion-exclusion does not need
-    q = 1 mod 4); always contains (1, +1).
+    fc is the one-row window of q (window[q]); valid for odd squarefree q
+    (the inclusion-exclusion does not need q = 1 mod 4); always contains
+    (1, +1).
     """
-    if not (fc.squarefree and fc.q % 2 == 1):
-        raise DomainError("divisor_terms requires an odd squarefree conductor")
-    N = int(N)
-    small = [p for p in fc.primes if p <= N]
-    terms = [(1, 1)]
-    for p in small:
-        grown = []
-        for a, sign in terms:
-            ap = a * p
-            if ap <= N:
-                grown.append((ap, -sign))
-        terms += grown
-    terms.sort()
-    return [DivisorTerm(a=a, sign=sign) for a, sign in terms]
+    if fc.q.size != 1:
+        raise DomainError(f"divisor_terms takes a one-row window, got {fc.q.size} rows")
+    _, a, sign = fc.divisor_terms(N)
+    return [DivisorTerm(a=ai, sign=si) for ai, si in zip(a.tolist(), sign.tolist())]
 
 
 class CharacterSieve:

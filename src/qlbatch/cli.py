@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .arith import Window
+from .arith import Window, _check_t
 from .errors import AccuracyError, BudgetError, ConsistencyError, DomainError
 from .pipeline import BatchRequest, run_batch
 
@@ -114,6 +114,11 @@ def _write_records_json(result, request, fh) -> None:
             "R": budget.R,
         },
         "counts": result.counts,
+        "timings": {
+            "wall_s": result.wall_time_s,
+            "precompute_s": result.precompute_s,
+            "recovery_s": result.recovery_s,
+        },
         "records": [
             {
                 "q": r.q,
@@ -145,17 +150,12 @@ def cmd_compare(args) -> int:
     request = _make_request(args, "compare")
     result = run_batch(request, threads=args.threads, convention=args.convention)
     tolerances = [r.error_bound + args.epsilon / 4.0 for r in result.records]
-    bad = [
-        (r.q, dev, tol)
-        for r, dev, tol in zip(result.records, result.compare_devs, tolerances)
-        if dev > tol
-    ]
+    rows = list(zip(result.records, result.compare_refs, result.compare_devs, tolerances))
+    bad = [(r.q, dev, tol) for r, _, dev, tol in rows if dev > tol]
     with _open_out(args.out) as fh:
         if args.fmt == "csv":
             fh.write("q,t,Z_fast,Z_reference,abs_dev,tolerance\n")
-            for r, ref, dev, tol in zip(
-                result.records, result.compare_refs, result.compare_devs, tolerances
-            ):
+            for r, ref, dev, tol in rows:
                 fh.write(
                     f"{r.q},{_fmt(r.t)},{_fmt(r.Z)},{_fmt(ref)},{_fmt(dev)},{_fmt(tol)}\n"
                 )
@@ -167,9 +167,7 @@ def cmd_compare(args) -> int:
                 "n_fail": len(bad),
                 "rows": [
                     {"q": r.q, "Z_fast": r.Z, "Z_reference": ref, "abs_dev": dev, "tolerance": tol}
-                    for r, ref, dev, tol in zip(
-                        result.records, result.compare_refs, result.compare_devs, tolerances
-                    )
+                    for r, ref, dev, tol in rows
                 ],
             }
             json.dump(doc, fh, indent=2)
@@ -191,24 +189,22 @@ def cmd_compare(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.t_step <= 0:
-        raise DomainError("--t-step must be positive")
-    if args.t_max < args.t_min:
+    # validate the whole grid before the first sweep runs
+    t_min, t_max = _check_t(args.t_min), _check_t(args.t_max)
+    if not (math.isfinite(args.t_step) and args.t_step > 0):
+        raise DomainError(f"--t-step={args.t_step!r} must be finite and positive")
+    if t_max < t_min:
         raise DomainError("--t-max must be at least --t-min")
-    n_steps = int(math.floor((args.t_max - args.t_min) / args.t_step + 1e-9)) + 1
-    ts = [args.t_min + i * args.t_step for i in range(n_steps)]
+    n_steps = int(math.floor((t_max - t_min) / args.t_step + 1e-9)) + 1
+    ts = [t_min + i * args.t_step for i in range(n_steps)]
     window = Window(args.q_min, args.q_width)
     sweeps = {}
-    qs = None
     for tv in ts:
         request = BatchRequest(window=window, t=tv, epsilon=args.epsilon, method="fast")
         result = run_batch(request, threads=args.threads)
-        cur = [r.q for r in result.records]
-        if qs is None:
-            qs = cur
         sweeps[tv] = {r.q: r.Z for r in result.records}
     rows = []
-    for q in qs or []:
+    for q in sweeps[ts[0]]:
         for t_lo, t_hi in zip(ts, ts[1:]):
             z_lo = sweeps[t_lo][q]
             z_hi = sweeps[t_hi][q]

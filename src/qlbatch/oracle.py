@@ -22,6 +22,7 @@ import numpy as np
 
 from .arith import (
     CharacterSieve,
+    FactoredWindow,
     Window,
     _check_epsilon,
     _check_t,
@@ -160,7 +161,7 @@ def oracle_sweep(
     *,
     threads: int = 1,
     counter: OpCounter | None = None,
-    fc_table=None,
+    fc_table: FactoredWindow | None = None,
 ) -> list[OracleResult]:
     """direct_Z over every fundamental conductor in a window, batched.
 
@@ -174,7 +175,7 @@ def oracle_sweep(
     threads = _resolve_threads(threads)
     if fc_table is None:
         fc_table = sieve_factor_window(window)
-    qs = sorted(q for q, fc in fc_table.items() if fc.fundamental)
+    qs = fc_table.q[fc_table.fundamental].tolist()
     if not qs:
         return []
     N_max, _ = _truncation_order(qs[-1], epsilon)

@@ -7,11 +7,11 @@ recovery phase assembles, for each q, the divisor combination
 
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
-with x = (Q - q)/q, and finally Z = 2 Re[e^{i theta} F].  The divisor terms
-of the whole window are flat arrays, so recovery is one gather of S-values,
-one segmented sum per conductor and one product with the powers of x:
-O(d(q) R) work per conductor and no per-conductor Python beyond the scalar
-prefactors.
+with x = (Q - q)/q, and finally Z = 2 Re[e^{i theta} F].  The factored
+window and its divisor terms are flat arrays, so recovery is one gather of
+S-values, one segmented sum per conductor, one product with the powers of x
+and one array expression for the prefactors: O(d(q) R) work per conductor
+and no per-conductor Python until the output records are built.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .arith import (
     _check_epsilon,
     _check_t,
     _resolve_threads,
-    divisor_terms,
     sieve_factor_window,
 )
 from .counters import OpCounter
@@ -152,20 +151,6 @@ class SValues:
         return self.offset[i] + col
 
 
-def _divisor_term_arrays(fcs: list, N: int):
-    """Flat int64 arrays (owner, a, sign) of every conductor's divisor terms.
-
-    owner[j] indexes fcs; each conductor's terms are contiguous and start
-    with (1, +1), so no conductor has an empty segment.
-    """
-    per_q = [divisor_terms(fc, N) for fc in fcs]
-    counts = np.fromiter(map(len, per_q), dtype=np.int64, count=len(per_q))
-    flat = [term for terms in per_q for term in terms]
-    a = np.fromiter((term.a for term in flat), dtype=np.int64, count=len(flat))
-    sign = np.fromiter((term.sign for term in flat), dtype=np.int64, count=len(flat))
-    return np.repeat(np.arange(len(fcs), dtype=np.int64), counts), a, sign
-
-
 def compute_s_tables(
     request: BatchRequest,
     table: CoefficientTable,
@@ -276,10 +261,11 @@ def run_batch(
         )
 
     budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
-    fc_table = sieve_factor_window(win, counter)
+    factored = sieve_factor_window(win, counter)
     table = build_coefficient_table(t, win.Q, budget.N, budget.R, counter)
-    qs = np.array(sorted(q for q, fc in fc_table.items() if fc.fundamental), dtype=np.int64)
-    owner, a, sign = _divisor_term_arrays([fc_table[q] for q in qs.tolist()], budget.N)
+    fundamental = factored.select(factored.fundamental)
+    qs = fundamental.q
+    owner, a, sign = fundamental.divisor_terms(budget.N)
     # an empty window still prices the trivial divisor a = 1
     divisors = np.union1d(a, [1])
     svals = compute_s_tables(
@@ -288,8 +274,9 @@ def run_batch(
     )
     precompute_s = time.perf_counter() - t_start
 
-    # recovery: gather S_r(a, q/a), sum each conductor's weighted terms, then
-    # apply the Taylor powers of x = (Q - q)/q
+    # recovery: gather S_r(a, q/a), sum each conductor's weighted terms,
+    # apply the Taylor powers of x = (Q - q)/q, then the prefactors and the
+    # rotation, all as arrays over the window
     rec_start = time.perf_counter()
     b = qs[owner] // a
     # q odd makes every cofactor odd; the quarter-length Gauss identity
@@ -303,25 +290,24 @@ def run_batch(
     R = budget.R
     x = (budget.Q - qs) / qs
     inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)
+    F = c_prefactor(t, qs) * g_prefactor(qs) * inner
+    theta = theta_phase(t, 0, qs)
+    Z = 2.0 * (np.exp(1j * theta) * F).real
     a_total = np.add.reduceat(a, starts)
     bounds = 2.0 * budget.epsilon1 + 2.0 * budget.epsilon2 + budget.epsilon3 * R * a_total
     ops = R * (n_terms + 2) + 8
     counter.add("recovery_ops", int(ops.sum()))
     label = "fast" if request.method == "compare" else request.method
-    records = []
-    for q, F_inner, bound in zip(qs.tolist(), inner.tolist(), bounds.tolist()):
-        F = complex(c_prefactor(t, q) * g_prefactor(q) * F_inner)
-        theta = theta_phase(t, 0, q)
-        Z = 2.0 * (np.exp(1j * theta) * F).real
-        records.append(
-            EvalRecord(q=q, t=t, Z=Z, theta=theta, error_bound=bound, method=label)
-        )
+    records = [
+        EvalRecord(q=q, t=t, Z=z, theta=th, error_bound=bound, method=label)
+        for q, z, th, bound in zip(qs.tolist(), Z.tolist(), theta.tolist(), bounds.tolist())
+    ]
     recovery_s = time.perf_counter() - rec_start
 
     compare_refs = None
     if request.method == "compare":
         refs = oracle_sweep(
-            win, t, request.epsilon, threads=threads, counter=counter, fc_table=fc_table
+            win, t, request.epsilon, threads=threads, counter=counter, fc_table=factored
         )
         if [ref.q for ref in refs] != qs.tolist():
             raise ConsistencyError("oracle sweep and fast sweep disagree on the window")

@@ -183,8 +183,8 @@ def weight_v(z: complex, w: float) -> complex:
     return complex(incomplete_gamma_upper(z / 2.0, w) * np.exp(-sc.loggamma(z / 2.0)))
 
 
-def theta_phase(t: float, parity: int, q: float) -> float:
-    """Rotation phase theta(t, parity) for conductor q.
+def theta_phase(t: float, parity: int, q) -> float | np.ndarray:
+    """Rotation phase theta(t, parity) for conductor q (a scalar or an array).
 
     theta = (t/2) log(q/pi) + Im log Gamma((1/2 + parity + i t)/2).  Exact
     for any t; accuracy degrades slowly for |t| >> 1 (no large-t
@@ -192,29 +192,31 @@ def theta_phase(t: float, parity: int, q: float) -> float:
     """
     if parity not in (0, 1):
         raise DomainError("parity must be 0 or 1")
-    if not q >= 1:
+    q = np.asarray(q, dtype=np.float64)
+    if not np.all(q >= 1):
         raise DomainError("theta_phase requires q >= 1")
     t = float(t)
     lg = sc.loggamma((0.5 + parity + 1j * t) / 2.0)
-    return (t / 2.0) * math.log(q / math.pi) + float(lg.imag)
+    return (t / 2.0) * np.log(q / math.pi) + float(lg.imag)
 
 
-def c_prefactor(t: float, q: float) -> complex:
-    """C(t, q) = (pi/q)^(1/4 + it/2) / Gamma(1/4 + it/2)."""
-    if not q >= 1:
+def c_prefactor(t: float, q) -> complex | np.ndarray:
+    """C(t, q) = (pi/q)^(1/4 + it/2) / Gamma(1/4 + it/2), q a scalar or an array."""
+    q = np.asarray(q, dtype=np.float64)
+    if not np.all(q >= 1):
         raise DomainError("c_prefactor requires q >= 1")
     zq = 0.25 + 0.5j * float(t)
-    return complex(np.exp(zq * np.log(math.pi / q) - sc.loggamma(zq)))
+    return np.exp(zq * np.log(math.pi / q) - sc.loggamma(zq))
 
 
-def g_prefactor(q: int) -> complex:
-    """g(q) = exp(pi i q(q-2)/8 - pi i/8) / (2 sqrt 2), q odd.
+def g_prefactor(q) -> complex | np.ndarray:
+    """g(q) = exp(pi i q(q-2)/8 - pi i/8) / (2 sqrt 2), q odd (a scalar or an array).
 
     The exponent is reduced mod 16 in exact integer arithmetic first, so the
     value depends only on q mod 16 with no large-angle error.
     """
-    q = int(q)
-    if q % 2 == 0:
+    r = np.asarray(q, dtype=np.int64) % 16
+    if np.any(r % 2 == 0):
         raise DomainError("g_prefactor requires odd q")
-    phase16 = (q * (q - 2) - 1) % 16
-    return complex(np.exp(1j * math.pi * phase16 / 8.0) / _TWO_SQRT_TWO)
+    phase16 = (r * (r - 2) - 1) % 16
+    return np.exp(1j * math.pi * phase16 / 8.0) / _TWO_SQRT_TWO

@@ -5,26 +5,27 @@ trial division for factorizations and squarefreeness, subset enumeration
 for divisor terms.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qlbatch import (
     CharacterSieve,
     DivisorTerm,
     DomainError,
-    FactoredConductor,
+    FactoredWindow,
     OpCounter,
     Window,
     divisor_terms,
-    is_fundamental_odd_positive,
     jacobi,
     quad_character,
     sieve_factor_window,
 )
+from qlbatch.arith import _SIEVE_BLOCK, _is_fundamental_odd_positive_int
 
 
 def _trial_factor(n: int):
@@ -128,32 +129,49 @@ class TestWindow:
         assert 2 * w.Delta <= w.Q
 
 
+def _trial_window(qs):
+    """FactoredWindow of the given ascending conductors, by trial division."""
+    factors = [_trial_factor(q) for q in qs]
+    primes = [sorted(set(fs)) for fs in factors]
+    return FactoredWindow(
+        q=np.array(qs, dtype=np.int64),
+        indptr=np.cumsum([0] + [len(ps) for ps in primes]),
+        primes=np.array([p for ps in primes for p in ps], dtype=np.int64),
+        squarefree=np.array([len(fs) == len(set(fs)) for fs in factors], dtype=bool),
+    )
+
+
 class TestSieveFactorWindow:
     def test_against_trial_division(self):
-        fc = sieve_factor_window(Window(10_000, 400))
-        assert sorted(fc) == list(range(10_001, 10_400, 2))
-        for q, rec in fc.items():
+        fw = sieve_factor_window(Window(10_000, 400))
+        assert fw.q.tolist() == list(range(10_001, 10_400, 2))
+        assert fw.indptr[0] == 0 and fw.indptr[-1] == fw.primes.size
+        for q in fw.q.tolist():
             fs = _trial_factor(q)
-            assert rec.q == q
-            assert rec.primes == tuple(sorted(set(fs)))
-            assert rec.squarefree == (len(fs) == len(set(fs)))
-            assert rec.fundamental == (rec.squarefree and q % 4 == 1)
-            assert rec.parity_class == 0
+            rec = fw[q]
+            assert rec.q.tolist() == [q]
+            assert tuple(rec.primes) == tuple(sorted(set(fs)))
+            assert rec.squarefree.tolist() == [len(fs) == len(set(fs))]
+            assert rec.fundamental.tolist() == [len(fs) == len(set(fs)) and q % 4 == 1]
 
     def test_small_window(self):
-        fc = sieve_factor_window(Window(3, 1))
-        assert list(fc) == [3]
-        assert fc[3].primes == (3,)
-        assert fc[3].fundamental is False  # 3 = 3 mod 4
+        fw = sieve_factor_window(Window(3, 1))
+        assert fw.q.tolist() == [3]
+        assert tuple(fw[3].primes) == (3,)
+        assert fw[3].fundamental.tolist() == [False]  # 3 = 3 mod 4
+        with pytest.raises(KeyError):
+            fw[5]
 
     def test_block_boundary_crossing(self):
-        # window straddles the sieve's internal block size
+        # q crosses 2^21; the sieve's segments start at the window's first q,
+        # so only a window of more than 2^20 odd q (the property test's large
+        # example) spans two of them
         base = (1 << 20) * 2 + 1 - 64
-        fc = sieve_factor_window(Window(base, 128))
-        for q, rec in fc.items():
+        fw = sieve_factor_window(Window(base, 128))
+        for q in fw.q.tolist():
             fs = _trial_factor(q)
-            assert rec.primes == tuple(sorted(set(fs))), q
-            assert rec.squarefree == (len(fs) == len(set(fs))), q
+            assert tuple(fw[q].primes) == tuple(sorted(set(fs))), q
+            assert fw[q].squarefree.tolist() == [len(fs) == len(set(fs))], q
 
     def test_counter_marks_scale(self):
         c1 = OpCounter()
@@ -163,40 +181,70 @@ class TestSieveFactorWindow:
         assert c2.get("sieve_marks") > c1.get("sieve_marks") > 0
 
     def test_prime_power_flags(self):
-        fc = sieve_factor_window(Window(121, 8))
-        assert fc[121].squarefree is False  # 11^2
-        assert fc[121].fundamental is False
-        assert fc[125].squarefree is False  # 5^3
-        assert fc[127].squarefree is True
+        fw = sieve_factor_window(Window(121, 8))
+        assert fw[121].squarefree.tolist() == [False]  # 11^2
+        assert fw[121].fundamental.tolist() == [False]
+        assert fw[125].squarefree.tolist() == [False]  # 5^3
+        assert fw[127].squarefree.tolist() == [True]
+
+    @given(st.integers(2, 1_000_000), st.integers(1, 600), st.integers(1, 20_000))
+    # no odd conductor at all; 2^20 + 32 odd conductors, the last 32 in a
+    # second sieve block
+    @example(2, 1, 400)
+    @example((1 << 22) + 256, (1 << 21) + 64, 1892)
+    def test_window_and_terms_match_brute_force(self, Q, Delta, N):
+        Delta = min(Delta, Q // 2)
+        win = Window(Q, Delta)
+        fw = sieve_factor_window(win)
+        first = Q | 1
+        assert fw.q.tolist() == list(range(first, Q + Delta, 2))
+        assert fw.indptr.size == fw.q.size + 1 and fw.indptr[-1] == fw.primes.size
+        # every row of a small window; near the ends and the block seams of a
+        # large one
+        rows = np.arange(fw.q.size)
+        if rows.size > 1_000:
+            seams = np.arange(0, rows.size + _SIEVE_BLOCK, _SIEVE_BLOCK)
+            near = (seams[:, None] + np.arange(-40, 40)).ravel()
+            rows = np.unique(near.clip(0, rows.size - 1))
+        sub = fw.select(rows)
+        ref = _trial_window(fw.q[rows].tolist())
+        np.testing.assert_array_equal(sub.q, ref.q)
+        np.testing.assert_array_equal(sub.indptr, ref.indptr)
+        np.testing.assert_array_equal(sub.primes, ref.primes)
+        np.testing.assert_array_equal(sub.squarefree, ref.squarefree)
+        np.testing.assert_array_equal(sub.fundamental, ref.squarefree & (ref.q % 4 == 1))
+
+        sqf = sub.select(sub.squarefree)
+        owner, a, sign = sqf.divisor_terms(N)
+        expect = []
+        for row in range(sqf.q.size):
+            ps = sqf.primes[sqf.indptr[row] : sqf.indptr[row + 1]].tolist()
+            terms = sorted(
+                (math.prod(c), (-1) ** k)
+                for k in range(len(ps) + 1)
+                for c in itertools.combinations(ps, k)
+                if math.prod(c) <= N
+            )
+            expect += [(row, a_, s_) for a_, s_ in terms]
+        assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
 
 
 class TestFundamentality:
     def test_accepts_known_fundamentals(self):
-        for q in (1, 5, 13, 17, 21, 29, 33, 105, 145, 10001):
-            fc = FactoredConductor(
-                q=q,
-                primes=tuple(sorted(set(_trial_factor(q)))) if q > 1 else (),
-                squarefree=True,
-                fundamental=True,
-            )
-            assert is_fundamental_odd_positive(fc)
+        fw = _trial_window([1, 5, 13, 17, 21, 29, 33, 105, 145, 10001])
+        assert fw.fundamental.all()
 
     def test_rejects_wrong_residue_and_squares(self):
-        cases = {
-            3: (True, (3,)),  # 3 mod 4
-            9: (False, (3,)),  # square
-            15: (True, (3, 5)),  # 3 mod 4
-            45: (False, (3, 5)),  # 9 | 45
-        }
-        for q, (sf, primes) in cases.items():
-            fc = FactoredConductor(q=q, primes=primes, squarefree=sf, fundamental=False)
-            assert not is_fundamental_odd_positive(fc)
+        # 3 and 15 are 3 mod 4, 9 is a square, 9 | 45
+        fw = _trial_window([3, 9, 15, 45])
+        assert fw.squarefree.tolist() == [True, False, True, False]
+        assert not fw.fundamental.any()
 
     def test_window_agreement(self):
-        # predicate agrees with the sieve's own flag across a window
-        fc_table = sieve_factor_window(Window(5_001, 600))
-        for q, fc in fc_table.items():
-            assert is_fundamental_odd_positive(fc) == fc.fundamental, q
+        # the sieve's flag agrees with the oracle's independent trial test
+        fw = sieve_factor_window(Window(5_001, 600))
+        for q, flag in zip(fw.q.tolist(), fw.fundamental.tolist()):
+            assert flag == _is_fundamental_odd_positive_int(q), q
 
 
 class TestDivisorTerms:
@@ -238,6 +286,13 @@ class TestDivisorTerms:
         fc = sieve_factor_window(Window(45, 1))[45]
         with pytest.raises(DomainError):
             divisor_terms(fc, 100)
+        with pytest.raises(DomainError):
+            fc.divisor_terms(100)
+
+    def test_rejects_multi_row_window(self):
+        fw = sieve_factor_window(Window(105, 4))  # 105, 107
+        with pytest.raises(DomainError, match="one-row"):
+            divisor_terms(fw, 100)
 
 
 class TestCharacterSieve:

@@ -14,7 +14,7 @@ _SCI = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,}$")
 
 def _fundamentals(Q, Delta):
     table = sieve_factor_window(Window(Q, Delta))
-    return [q for q in sorted(table) if table[q].fundamental]
+    return table.q[table.fundamental].tolist()
 
 
 class TestParsing:
@@ -92,6 +92,19 @@ class TestEvalOutput:
         assert doc["budget"]["R"] >= 1
         assert doc["counts"]["kernel_evals"] > 0
         assert all(r["method"] == "fast" for r in doc["records"])
+
+    def test_json_reports_timings(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        rc = main([
+            "eval", "--q-min", "10000", "--q-width", "32",
+            "--format", "json", "--out", str(out),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        timings = json.loads(out.read_text())["timings"]
+        assert set(timings) == {"wall_s", "precompute_s", "recovery_s"}
+        assert 0.0 < timings["precompute_s"] <= timings["wall_s"]
+        assert 0.0 <= timings["recovery_s"] <= timings["wall_s"]
 
 
 class TestExitCodes:
@@ -222,6 +235,27 @@ class TestScan:
             "--t-min", "0.0", "--t-max", "1.0", "--t-step", "0.0",
         ])
         capsys.readouterr()
+        assert rc == 2
+
+    @pytest.mark.parametrize("t_min,t_max,t_step", [
+        ("0", "1", "nan"),
+        ("0", "1", "inf"),
+        ("nan", "1", "0.5"),
+        ("0", "inf", "4"),
+        ("0", "12", "4"),
+    ])
+    def test_bad_grid_refused_before_any_sweep(self, t_min, t_max, t_step, monkeypatch, capsys):
+        import qlbatch.cli as cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran before the t-grid was validated")
+
+        monkeypatch.setattr(cli, "run_batch", no_sweep)
+        rc = main([
+            "scan", "--q-min", "10001", "--q-width", "64",
+            "--t-min", t_min, "--t-max", t_max, "--t-step", t_step,
+        ])
+        assert "error:" in capsys.readouterr().err
         assert rc == 2
 
 

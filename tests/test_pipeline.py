@@ -11,8 +11,8 @@ import pytest
 from qlbatch import (
     BatchRequest,
     ConsistencyError,
-    DivisorTerm,
     DomainError,
+    FactoredWindow,
     OpCounter,
     Window,
     build_coefficient_table,
@@ -26,7 +26,7 @@ from qlbatch import (
     sieve_factor_window,
     theta_phase,
 )
-from qlbatch.pipeline import SValues, _divisor_term_arrays
+from qlbatch.pipeline import SValues
 
 _WIN = Window(10_000, 32)
 _EPS = 1e-6
@@ -79,16 +79,20 @@ class TestBatchRequest:
 
 class TestDivisorTermArrays:
     def test_empty_window_keeps_trivial_divisor(self):
-        owner, a, sign = _divisor_term_arrays([], 400)
+        owner, a, sign = sieve_factor_window(Window(2, 1)).divisor_terms(400)
         assert owner.size == a.size == sign.size == 0
         assert np.union1d(a, [1]).tolist() == [1]
 
     def test_flat_arrays_match_per_conductor_terms(self):
-        fc_table = sieve_factor_window(_WIN)
-        fcs = [fc_table[q] for q in sorted(fc_table) if fc_table[q].fundamental]
+        fw = sieve_factor_window(_WIN)
+        fundamental = fw.select(fw.fundamental)
         N = 400
-        owner, a, sign = _divisor_term_arrays(fcs, N)
-        expect = [(i, t.a, t.sign) for i, fc in enumerate(fcs) for t in divisor_terms(fc, N)]
+        owner, a, sign = fundamental.divisor_terms(N)
+        expect = [
+            (i, t.a, t.sign)
+            for i, q in enumerate(fundamental.q.tolist())
+            for t in divisor_terms(fw[q], N)
+        ]
         assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
         divisors = np.union1d(a, [1])
         assert divisors[0] == 1
@@ -264,13 +268,16 @@ class TestConvention:
 
 class TestRecoveryChecks:
     def test_even_cofactor_rejected(self, monkeypatch):
-        import qlbatch.pipeline as pipeline
+        real = FactoredWindow.divisor_terms
 
-        real = pipeline.divisor_terms
-        # a = 2 does not divide an odd q, and q // 2 is even for q = 1 (mod 4)
-        monkeypatch.setattr(
-            pipeline, "divisor_terms", lambda fc, N: real(fc, N) + [DivisorTerm(2, -1)]
-        )
+        def with_even_term(self, N):
+            # a = 2 does not divide an odd q, and q // 2 is even for q = 1 (mod 4)
+            owner, a, sign = real(self, N)
+            owner, a, sign = np.append(owner, 0), np.append(a, 2), np.append(sign, -1)
+            order = np.lexsort((a, owner))
+            return owner[order], a[order], sign[order]
+
+        monkeypatch.setattr(FactoredWindow, "divisor_terms", with_even_term)
         with pytest.raises(ConsistencyError, match="even cofactor"):
             run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
@@ -281,19 +288,26 @@ class TestRecoveryChecks:
         assert result.compare_max_dev == 0.0 and result.compare_mean_dev == 0.0
         assert result.counts["node_raw"] > 0
 
-    def test_divisor_terms_run_once_per_conductor(self, monkeypatch):
+    def test_window_routines_run_once_per_batch(self, monkeypatch):
         import qlbatch.pipeline as pipeline
 
         calls = []
-        real = pipeline.divisor_terms
 
-        def counting(fc, N):
-            calls.append(fc.q)
-            return real(fc, N)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "divisor_terms", counting)
-        result = run_batch(BatchRequest(_WIN, 0.0, _EPS))
-        assert calls == [r.q for r in result.records]
+            return wrapper
+
+        monkeypatch.setattr(
+            FactoredWindow, "divisor_terms", counting("divisor_terms", FactoredWindow.divisor_terms)
+        )
+        for name in ("c_prefactor", "g_prefactor", "theta_phase"):
+            monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        result = run_batch(BatchRequest(_WIN, 0.3, _EPS))
+        assert result.n_characters > 1
+        assert sorted(calls) == ["c_prefactor", "divisor_terms", "g_prefactor", "theta_phase"]
 
     def test_source_has_no_assert_statements(self):
         # invariants must survive python -O, so they are raised, not asserted
