@@ -25,7 +25,6 @@ from .pipeline import (
     BatchRequest,
     BatchResult,
     EvalRecord,
-    compute_s_tables,
     run_batch,
 )
 from .special import (
@@ -71,7 +70,6 @@ __all__ = [
     "build_node_problem",
     "c_prefactor",
     "character_from_gauss",
-    "compute_s_tables",
     "direct_F",
     "direct_Z",
     "direct_eval",

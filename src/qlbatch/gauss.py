@@ -44,16 +44,7 @@ def gauss_sum_fast(b: int, m: int) -> complex:
     g_b(2m) = 4 sum_(l<m) exp(pi i b l^2 / (2m)) + 2 (i^m - 1)      b = 1 mod 4
             = 4 sum_(l<m) exp(pi i b l^2 / (2m)) + 2 ((-i)^m - 1)   b = 3 mod 4
     """
-    b = _check_odd_positive(b)
-    m = int(m)
-    if m < 1:
-        raise DomainError("gauss_sum_fast requires m >= 1")
-    den = 4 * m
-    ell = np.arange(m, dtype=np.int64)
-    r = ((b % den) * (ell * ell % den)) % den
-    s = np.exp((2j * math.pi / den) * r).sum()
-    tail = _I_POW[m % 4] if b % 4 == 1 else _NEG_I_POW[m % 4]
-    return complex(4.0 * s + 2.0 * (tail - 1.0))
+    return complex(_gauss_sum_fast_many(b, [int(m)])[0])
 
 
 def _gauss_sum_fast_many(b: int, ms: np.ndarray) -> np.ndarray:

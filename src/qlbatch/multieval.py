@@ -1,9 +1,12 @@
 """Multi-evaluation of sparse nonuniform exponential sums.
 
 A node problem holds K rational frequencies alpha_k = num_k/den_k in [0, 1)
-with R stacked coefficient vectors, and asks for
+with R stacked coefficient vectors, and both evaluators compute
 
-    Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k (b0 + h)),  0 <= h < H.
+    Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k h),  0 <= h < H.
+
+They read only the grid's length H; build_node_problem folds the shift
+exp(2 pi i alpha_k b0) into the coefficients, so Z_r(h) is the sum at b0 + h.
 
 Small problems go through an exact-angle direct sum.  Large ones are spread
 onto a power-of-two fine grid of n >= 2H cells with the Gaussian window
@@ -51,8 +54,8 @@ def _merge_frequencies(nums, dens, cols, weights, B):
     C-contiguous complex B to that frequency's row.  Fractions are reduced
     and folded into [0, 1), equal ones share a row, and rows are numbered by
     ascending alpha, so the one sparse row-sum (on B's float64 view) already
-    yields the sorted block.  Returns (nums, dens, alphas, merged) with
-    merged a C-contiguous complex (K, R) array.
+    yields the sorted block.  Returns (nums, dens, merged) with merged a
+    C-contiguous complex (K, R) array.
     """
     nums = nums % dens
     g = np.gcd(nums, dens)  # gcd(0, d) = d folds 0/d to 0/1
@@ -62,14 +65,13 @@ def _merge_frequencies(nums, dens, cols, weights, B):
     uniq, inv = np.unique(nums * stride + dens, return_inverse=True)
     nums = uniq // stride
     dens = uniq % stride
-    alphas = nums / dens
-    order = np.argsort(alphas, kind="stable")
+    order = np.argsort(nums / dens, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     merge = sparse.coo_array((weights, (rank[inv], cols)), shape=(order.size, B.shape[0]))
     # duplicate (k, col) entries sum
     merged = (merge.tocsr() @ B.view(np.float64)).view(np.complex128)
-    return nums[order], dens[order], alphas[order], merged
+    return nums[order], dens[order], merged
 
 
 @dataclass(eq=False)
@@ -85,7 +87,6 @@ class NodeSum:
 
     nums: np.ndarray
     dens: np.ndarray
-    alphas: np.ndarray
     coeffs: np.ndarray
     K: int
     scale: float
@@ -107,13 +108,12 @@ class NodeSum:
         return cls._from_merged(*_merge_frequencies(nums, dens, cols, np.ones(nums.size), B))
 
     @classmethod
-    def _from_merged(cls, nums, dens, alphas, merged) -> "NodeSum":
+    def _from_merged(cls, nums, dens, merged) -> "NodeSum":
         """Wrap an alpha-sorted (K, R) block; coeffs is its transposed view."""
         scale = float(np.max(np.abs(merged))) if merged.size else 0.0
         return cls(
             nums=nums,
             dens=dens,
-            alphas=alphas,
             coeffs=merged.T,
             K=int(nums.size),
             scale=scale if scale != 0.0 else 1.0,
@@ -122,7 +122,10 @@ class NodeSum:
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Arithmetic progression of target arguments b0, b0+1, ..., b0+H-1."""
+    """Targets b0 .. b0+H-1; the evaluators read only H and return h = 0..H-1.
+
+    build_node_problem has already folded the shift by b0 into the coefficients.
+    """
 
     b0: int
     H: int
@@ -130,6 +133,16 @@ class EvalGrid:
     def __post_init__(self) -> None:
         if self.H < 1:
             raise DomainError("evaluation grid needs H >= 1")
+
+
+def divisor_grid(window: Window, a):
+    """(b0, H): the rescaled arguments b = q/a of the window, b0 .. b0+H-1.
+
+    b0 = ceil(Q/a) and b0 + H - 1 = floor((Q+Delta-1)/a); a is an int or an
+    int64 array, and H < 1 means no multiple of a lies in the window.
+    """
+    b0 = -(-window.Q // a)
+    return b0, (window.Q + window.Delta - 1) // a - b0 + 1
 
 
 def _exact_phase(nums: np.ndarray, dens: np.ndarray, shift: int) -> np.ndarray:
@@ -164,9 +177,7 @@ def build_node_problem(
     if a > N:
         return None
     M = N // a
-    b0 = -(-window.Q // a)
-    last = (window.Q + window.Delta - 1) // a
-    H = last - b0 + 1
+    b0, H = divisor_grid(window, a)
     if H < 1:
         return None
     if counter is not None:
@@ -189,11 +200,11 @@ def build_node_problem(
     else:
         u = np.ones(M, dtype=np.float64)
     B = np.ascontiguousarray((base * u).T)  # (M, R)
-    nums, dens, alphas, merged = _merge_frequencies(res, den4, m_idx - 1, weight, B)
+    nums, dens, merged = _merge_frequencies(res, den4, m_idx - 1, weight, B)
     if counter is not None:
         counter.add("node_merged", int(nums.size))
     merged *= _exact_phase(nums, dens, b0)[:, None]
-    return NodeSum._from_merged(nums, dens, alphas, merged), EvalGrid(b0=b0, H=H)
+    return NodeSum._from_merged(nums, dens, merged), EvalGrid(b0=b0, H=H)
 
 
 def _output(out: np.ndarray | None, R: int, H: int) -> np.ndarray:

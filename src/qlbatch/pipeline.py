@@ -34,10 +34,10 @@ from .arith import (
 )
 from .counters import OpCounter
 from .errors import ConsistencyError, DomainError
-from .multieval import _CONVENTIONS, build_node_problem, direct_eval, fast_eval
+from .multieval import _CONVENTIONS, build_node_problem, direct_eval, divisor_grid, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
-from .taylor import CoefficientTable, ErrorBudget, build_coefficient_table, plan_budget
+from .taylor import ErrorBudget, build_coefficient_table, plan_budget
 
 _METHODS = ("fast", "direct", "compare")
 _T_WARN = 1.0
@@ -119,91 +119,6 @@ class BatchResult:
         return sum(self.counts.get(k, 0) for k in _PRECOMPUTE_KEYS)
 
 
-@dataclass(frozen=True, eq=False)
-class SValues:
-    """Every realized divisor's S-values in one (R, sum H) array.
-
-    Divisor divisors[i] owns columns offset[i] .. offset[i] + H[i] - 1, which
-    hold S_r(a, b) for b = b0[i] .. b0[i] + H[i] - 1; H[i] = 0 marks a divisor
-    whose node problem is empty.
-    """
-
-    divisors: np.ndarray
-    b0: np.ndarray
-    H: np.ndarray
-    offset: np.ndarray
-    values: np.ndarray
-
-    def columns(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Column of S(a, b) for every pair; ConsistencyError if any is absent."""
-        i = np.searchsorted(self.divisors, a).clip(max=self.divisors.size - 1)
-        missing = (self.divisors[i] != a) | (self.H[i] == 0)
-        if missing.any():
-            raise ConsistencyError(f"no S-values for divisor a={a[missing][0]}")
-        col = b - self.b0[i]
-        outside = (col < 0) | (col >= self.H[i])
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise ConsistencyError(
-                f"argument b={b[k]} outside the grid "
-                f"[{self.b0[i[k]]}, {self.b0[i[k]] + self.H[i[k]]}) for a={a[k]}"
-            )
-        return self.offset[i] + col
-
-
-def compute_s_tables(
-    request: BatchRequest,
-    table: CoefficientTable,
-    budget: ErrorBudget,
-    divisors: np.ndarray,
-    *,
-    counter: OpCounter | None = None,
-    threads: int = 1,
-    convention: str = "sqrt_a",
-) -> SValues:
-    """Evaluate every divisor's node problem over its rescaled grid.
-
-    method "fast" (and "compare") uses the gridded transform with the
-    planned eps3; method "direct" forces the exact-angle reference path.
-    Each evaluator writes straight into its divisor's columns of the one
-    S-value array.  threads > 1 evaluates divisors concurrently; results are
-    equal either way because each divisor is independent and writes its own
-    columns.
-    """
-    threads = _resolve_threads(threads)
-    win = request.window
-    divisors = np.asarray(divisors, dtype=np.int64)
-    b0 = -(-win.Q // divisors)
-    last = (win.Q + win.Delta - 1) // divisors
-    H = np.where(divisors <= budget.N, last - b0 + 1, 0).clip(min=0)
-    offset = np.concatenate(([0], np.cumsum(H)))
-    values = np.empty((budget.R, int(offset[-1])), dtype=np.complex128)
-
-    def run_one(i: int) -> None:
-        built = build_node_problem(
-            int(divisors[i]), table, win, convention=convention, counter=counter
-        )
-        got = (built[1].b0, built[1].H) if built is not None else (b0[i], 0)
-        if got != (b0[i], H[i]):
-            raise ConsistencyError(f"grid of divisor a={divisors[i]} disagrees with the window")
-        if built is None:
-            return
-        problem, grid = built
-        out = values[:, offset[i] : offset[i + 1]]
-        if request.method == "direct":
-            direct_eval(problem, grid, counter, out=out)
-        else:
-            fast_eval(problem, grid, budget.epsilon3, counter, out=out)
-
-    if threads == 1 or divisors.size <= 1:
-        for i in range(divisors.size):
-            run_one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(divisors.size)))
-    return SValues(divisors=divisors, b0=b0, H=H, offset=offset, values=values)
-
-
 def run_batch(
     request: BatchRequest,
     *,
@@ -266,27 +181,54 @@ def run_batch(
     fundamental = factored.select(factored.fundamental)
     qs = fundamental.q
     owner, a, sign = fundamental.divisor_terms(budget.N)
-    # an empty window still prices the trivial divisor a = 1
+    # a | q keeps every gather b = q/a inside its divisor's grid, and q odd
+    # then makes every cofactor b odd; the quarter-length Gauss identity
+    # behind the S-values needs that
+    off = qs[owner] % a != 0
+    if off.any():
+        k = int(np.argmax(off))
+        raise ConsistencyError(f"divisor a={a[k]} does not divide q={qs[owner[k]]}")
+
+    # precompute: each realized divisor evaluates its node problem straight
+    # into its own columns of one (R, sum H) S-value array, so the thread
+    # count cannot change the bits; an empty window still prices a = 1
+    threads = _resolve_threads(threads)
     divisors = np.union1d(a, [1])
-    svals = compute_s_tables(
-        request, table, budget, divisors,
-        counter=counter, threads=threads, convention=convention,
-    )
+    b0, H = divisor_grid(win, divisors)
+    offset = np.concatenate(([0], np.cumsum(H)))
+    values = np.empty((budget.R, int(offset[-1])), dtype=np.complex128)
+
+    def run_one(i: int) -> None:
+        built = build_node_problem(
+            int(divisors[i]), table, win, convention=convention, counter=counter
+        )
+        if built is None:
+            raise ConsistencyError(f"divisor a={divisors[i]} has no node problem")
+        problem, grid = built
+        out = values[:, offset[i] : offset[i + 1]]
+        if request.method == "direct":
+            direct_eval(problem, grid, counter, out=out)
+        else:
+            fast_eval(problem, grid, budget.epsilon3, counter, out=out)
+
+    if threads == 1 or divisors.size == 1:
+        for i in range(divisors.size):
+            run_one(i)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_one, range(divisors.size)))
     precompute_s = time.perf_counter() - t_start
 
     # recovery: gather S_r(a, q/a), sum each conductor's weighted terms,
     # apply the Taylor powers of x = (Q - q)/q, then the prefactors and the
     # rotation, all as arrays over the window
     rec_start = time.perf_counter()
-    b = qs[owner] // a
-    # q odd makes every cofactor odd; the quarter-length Gauss identity
-    # behind the S-values needs that
-    if np.any(b % 2 == 0):
-        raise ConsistencyError(f"even cofactor b={b[b % 2 == 0][0]}")
+    d = np.searchsorted(divisors, a)
+    cols = offset[d] + qs[owner] // a - b0[d]
     weight = sign * (np.sqrt(a) if convention == "sqrt_a" else a)
     n_terms = np.bincount(owner, minlength=qs.size)
     starts = np.cumsum(n_terms) - n_terms
-    sums = np.add.reduceat(svals.values[:, svals.columns(a, b)] * weight, starts, axis=1)
+    sums = np.add.reduceat(values[:, cols] * weight, starts, axis=1)
     R = budget.R
     x = (budget.Q - qs) / qs
     inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)

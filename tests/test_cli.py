@@ -243,6 +243,8 @@ class TestScan:
         ("nan", "1", "0.5"),
         ("0", "inf", "4"),
         ("0", "12", "4"),
+        ("0", "1", "1e-9"),
+        ("-10", "10", "5e-324"),
     ])
     def test_bad_grid_refused_before_any_sweep(self, t_min, t_max, t_step, monkeypatch, capsys):
         import qlbatch.cli as cli

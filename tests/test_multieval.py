@@ -28,7 +28,7 @@ from qlbatch import (
     fast_eval,
     gauss_sum_fast,
 )
-from qlbatch.multieval import _gaussian_params
+from qlbatch.multieval import _gaussian_params, divisor_grid
 
 
 def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:
@@ -93,7 +93,7 @@ class TestNodeSumConstruction:
         assert np.all(p.nums >= 0)
         assert np.all(p.nums < p.dens)
         assert np.all(np.gcd(p.nums, p.dens) == np.where(p.nums == 0, p.dens, 1))
-        assert np.all(np.diff(p.alphas) > 0)  # strictly sorted, distinct
+        assert np.all(np.diff(p.nums / p.dens) > 0)  # strictly sorted, distinct
         assert math.fsum(p.coeffs[0].real) == pytest.approx(
             math.fsum(c for row in coeffs for c in row), rel=1e-12
         )
@@ -118,11 +118,13 @@ class TestBuildNodeProblem:
 
     def test_grid_consistency(self, small_table):
         window = Window(10_000, 5_000)
-        for a in (1, 3, 7, 99):
+        divisors = np.array([1, 3, 7, 99])
+        b0s, Hs = divisor_grid(window, divisors)
+        for a, b0, H in zip(divisors.tolist(), b0s.tolist(), Hs.tolist()):
             p, g = build_node_problem(a, small_table, window)
-            assert g.b0 == -(-window.Q // a)
+            assert g.b0 == b0 == -(-window.Q // a)
             last = (window.Q + window.Delta - 1) // a
-            assert g.H == last - g.b0 + 1
+            assert g.H == H == last - g.b0 + 1
 
     def test_raw_node_counter(self, small_table):
         counter = OpCounter()
@@ -310,7 +312,6 @@ class TestFastEval:
         scaled = NodeSum(
             nums=p.nums,
             dens=p.dens,
-            alphas=p.alphas,
             coeffs=2.5 * p.coeffs,
             K=p.K,
             scale=2.5 * p.scale,
@@ -402,7 +403,7 @@ class TestOutParameter:
     def test_either_coefficient_order(self, rng):
         p = _random_problem(rng, K=600, R=3)
         g = EvalGrid(b0=99, H=200)
-        c_order = NodeSum(p.nums, p.dens, p.alphas, np.ascontiguousarray(p.coeffs), p.K, p.scale)
+        c_order = NodeSum(p.nums, p.dens, np.ascontiguousarray(p.coeffs), p.K, p.scale)
         assert not p.coeffs.flags.c_contiguous  # builders store the transposed view
         for force in ("transform", "direct"):
             a = fast_eval(p, g, 1e-10, force=force)
@@ -422,3 +423,13 @@ class TestEvalGrid:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             EvalGrid(b0=5, H=0)
+
+    @pytest.mark.parametrize("force", ["transform", "direct"])
+    def test_evaluators_ignore_grid_start(self, rng, force):
+        # the b0 shift lives in build_node_problem's coefficients, not here
+        p = _random_problem(rng, K=600, R=2)
+        at0, at7 = EvalGrid(b0=0, H=40), EvalGrid(b0=7, H=40)
+        assert np.array_equal(direct_eval(p, at0), direct_eval(p, at7))
+        assert np.array_equal(
+            fast_eval(p, at0, 1e-10, force=force), fast_eval(p, at7, 1e-10, force=force)
+        )

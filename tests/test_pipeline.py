@@ -16,17 +16,17 @@ from qlbatch import (
     OpCounter,
     Window,
     build_coefficient_table,
+    build_node_problem,
     c_prefactor,
-    compute_s_tables,
     direct_Z,
     divisor_terms,
+    fast_eval,
     g_prefactor,
     plan_budget,
     run_batch,
     sieve_factor_window,
     theta_phase,
 )
-from qlbatch.pipeline import SValues
 
 _WIN = Window(10_000, 32)
 _EPS = 1e-6
@@ -100,40 +100,6 @@ class TestDivisorTermArrays:
         assert set(divisors.tolist()) == {1} | {t[1] for t in expect}
 
 
-def _svals():
-    # divisor 1 owns b in [50, 54), divisor 3 has an empty grid, divisor 5
-    # owns b in [20, 22)
-    values = np.arange(12, dtype=np.complex128).reshape(2, 6)
-    return SValues(
-        divisors=np.array([1, 3, 5]),
-        b0=np.array([50, 17, 20]),
-        H=np.array([4, 0, 2]),
-        offset=np.array([0, 4, 4, 6]),
-        values=values,
-    )
-
-
-class TestSValues:
-    def test_missing_divisor(self):
-        with pytest.raises(ConsistencyError, match="a=7"):
-            _svals().columns(np.array([1, 7]), np.array([51, 3]))
-
-    def test_empty_grid_counts_as_missing(self):
-        with pytest.raises(ConsistencyError, match="a=3"):
-            _svals().columns(np.array([3]), np.array([17]))
-
-    def test_out_of_grid(self):
-        for b in (49, 54):
-            with pytest.raises(ConsistencyError, match="outside the grid"):
-                _svals().columns(np.array([1]), np.array([b]))
-
-    def test_column_lookup(self):
-        s = _svals()
-        cols = s.columns(np.array([1, 5, 1]), np.array([52, 21, 50]))
-        assert cols.tolist() == [2, 5, 0]
-        np.testing.assert_array_equal(s.values[:, cols[0]], [2, 8])
-
-
 class TestOracleRouting:
     def test_small_window_goes_to_oracle(self):
         result = run_batch(BatchRequest(Window(101, 50), 0.0, 1e-5))
@@ -171,21 +137,21 @@ class TestFastWindow:
             assert rec.error_bound == pytest.approx(expect, rel=1e-12)
 
     def test_array_recovery_matches_per_conductor_loop(self, cmp_run):
-        # reference: the per-conductor loop over divisor terms, one S-value
-        # column at a time, on the same S-values
+        # reference: the per-conductor loop over divisor terms, with each
+        # divisor's S-values from its own node problem and fast_eval
         result, _ = cmp_run
         b = result.budget
-        request = BatchRequest(_WIN, 0.3, _EPS)
         table = build_coefficient_table(0.3, _WIN.Q, b.N, b.R)
         fc_table = sieve_factor_window(_WIN)
-        fcs = {rec.q: fc_table[rec.q] for rec in result.records}
-        divisors = sorted({1} | {t.a for fc in fcs.values() for t in divisor_terms(fc, b.N)})
-        svals = compute_s_tables(request, table, b, divisors)
+        svals = {}
         for rec in result.records:
             acc = np.zeros(b.R, dtype=np.complex128)
-            for term in divisor_terms(fcs[rec.q], b.N):
-                col = svals.columns(np.array([term.a]), np.array([rec.q // term.a]))[0]
-                acc += term.sign * np.sqrt(term.a) * svals.values[:, col]
+            for term in divisor_terms(fc_table[rec.q], b.N):
+                if term.a not in svals:
+                    p, g = build_node_problem(term.a, table, _WIN)
+                    svals[term.a] = (g.b0, fast_eval(p, g, b.epsilon3))
+                b0, values = svals[term.a]
+                acc += term.sign * np.sqrt(term.a) * values[:, rec.q // term.a - b0]
             x = (b.Q - rec.q) / rec.q
             F = c_prefactor(0.3, rec.q) * g_prefactor(rec.q) * np.dot(acc, x ** np.arange(b.R))
             Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, rec.q)) * F).real
@@ -266,19 +232,32 @@ class TestConvention:
             run_batch(BatchRequest(_WIN, 0.0, _EPS), convention="cube_a")
 
 
+def _with_extra_term(i, a_extra):
+    """FactoredWindow.divisor_terms plus one term: divisor a_extra of conductor i."""
+    real = FactoredWindow.divisor_terms
+
+    def patched(self, N):
+        owner, a, sign = real(self, N)
+        owner, a, sign = np.append(owner, i), np.append(a, a_extra), np.append(sign, -1)
+        order = np.lexsort((a, owner))
+        return owner[order], a[order], sign[order]
+
+    return patched
+
+
 class TestRecoveryChecks:
     def test_even_cofactor_rejected(self, monkeypatch):
-        real = FactoredWindow.divisor_terms
+        # a = 2 does not divide an odd q, and q // 2 is even for q = 1 (mod 4)
+        monkeypatch.setattr(FactoredWindow, "divisor_terms", _with_extra_term(0, 2))
+        with pytest.raises(ConsistencyError, match="a=2 does not divide"):
+            run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
-        def with_even_term(self, N):
-            # a = 2 does not divide an odd q, and q // 2 is even for q = 1 (mod 4)
-            owner, a, sign = real(self, N)
-            owner, a, sign = np.append(owner, 0), np.append(a, 2), np.append(sign, -1)
-            order = np.lexsort((a, owner))
-            return owner[order], a[order], sign[order]
-
-        monkeypatch.setattr(FactoredWindow, "divisor_terms", with_even_term)
-        with pytest.raises(ConsistencyError, match="even cofactor"):
+    def test_non_dividing_odd_term_rejected(self, monkeypatch):
+        # conductor 1 of _WIN is 10005; 7 does not divide it, yet 10005 // 7 =
+        # 1429 is odd and inside divisor 7's grid [1429, 1433], so without the
+        # a | q check the gather would silently read the value for 10003
+        monkeypatch.setattr(FactoredWindow, "divisor_terms", _with_extra_term(1, 7))
+        with pytest.raises(ConsistencyError, match="a=7 does not divide q=10005"):
             run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
     def test_window_without_fundamentals(self):
