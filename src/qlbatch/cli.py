@@ -39,7 +39,6 @@ def _fmt(x: float) -> str:
 def _add_window_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q-min", type=int, required=True, help="window start Q (odd windows only need Q >= 1)")
     p.add_argument("--q-width", type=int, required=True, help="window width Delta; must satisfy Delta <= Q/2")
-    p.add_argument("--t", type=float, default=0.0, help="height t on the critical line (|t| <= 10)")
     p.add_argument("--epsilon", type=float, default=1e-6, help="absolute accuracy target")
     p.add_argument("--threads", type=int, default=1, help="worker threads for the precompute and the oracle (0 = all cores)")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
@@ -54,15 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate Z over one window")
-    _add_window_args(p_eval)
-    p_eval.add_argument("--method", choices=("fast", "direct"), default="fast")
-    p_eval.set_defaults(func=cmd_eval)
-
     p_cmp = sub.add_parser("compare", help="fast path versus reference oracle")
-    _add_window_args(p_cmp)
-    p_cmp.add_argument("--convention", choices=("sqrt_a", "plain_a"), default="sqrt_a",
-                       help=argparse.SUPPRESS)
-    p_cmp.set_defaults(func=cmd_compare)
+    for p, func in ((p_eval, cmd_eval), (p_cmp, cmd_compare)):
+        _add_window_args(p)
+        p.add_argument("--t", type=float, default=0.0, help="height t on the critical line (|t| <= 10)")
+        p.set_defaults(func=func)
 
     p_scan = sub.add_parser("scan", help="certified sign changes of Z over a t-grid")
     _add_window_args(p_scan)
@@ -72,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_self = sub.add_parser("selftest", help="run built-in consistency suites")
-    p_self.add_argument("--convention", choices=("sqrt_a", "plain_a"), default="sqrt_a",
-                        help=argparse.SUPPRESS)
     p_self.set_defaults(func=cmd_selftest)
 
     return parser
@@ -140,7 +133,7 @@ def _write_records_json(result, request, fh) -> None:
 
 
 def cmd_eval(args) -> int:
-    request = _make_request(args, args.method)
+    request = _make_request(args, "fast")
     result = run_batch(request, threads=args.threads)
     with _open_out(args.out) as fh:
         if args.fmt == "csv":
@@ -152,7 +145,7 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     request = _make_request(args, "compare")
-    result = run_batch(request, threads=args.threads, convention=args.convention)
+    result = run_batch(request, threads=args.threads)
     tolerances = [r.error_bound + args.epsilon / 4.0 for r in result.records]
     rows = list(zip(result.records, result.compare_refs, result.compare_devs, tolerances))
     bad = [(r.q, dev, tol) for r, _, dev, tol in rows if dev > tol]
@@ -314,9 +307,9 @@ def _st_multieval_agreement() -> None:
         raise ConsistencyError(f"transform error {worst:.3e} above eps3 * scale")
 
 
-def _st_window_consistency(convention: str) -> None:
+def _st_window_consistency() -> None:
     request = BatchRequest(window=Window(10_000, 32), t=0.3, epsilon=1e-6, method="compare")
-    result = run_batch(request, convention=convention)
+    result = run_batch(request)
     for rec, dev in zip(result.records, result.compare_devs):
         if dev > rec.error_bound + request.epsilon / 4.0:
             raise ConsistencyError(
@@ -330,7 +323,7 @@ def cmd_selftest(args) -> int:
         ("budget-arithmetic", _st_budget_arithmetic),
         ("kernel-bounds", _st_kernel_bounds),
         ("multieval-agreement", _st_multieval_agreement),
-        ("window-consistency", lambda: _st_window_consistency(args.convention)),
+        ("window-consistency", _st_window_consistency),
     ]
     failures = 0
     for name, fn in suites:

@@ -3,10 +3,9 @@
 A node problem holds K rational frequencies alpha_k = num_k/den_k in [0, 1)
 with R stacked coefficient vectors, and both evaluators compute
 
-    Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k h),  0 <= h < H.
+    Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k (b0 + h)),  0 <= h < H,
 
-They read only the grid's length H; build_node_problem folds the shift
-exp(2 pi i alpha_k b0) into the coefficients, so Z_r(h) is the sum at b0 + h.
+at the grid's own arguments b0 .. b0+H-1.
 
 Small problems go through an exact-angle direct sum.  Large ones are spread
 onto a power-of-two fine grid of n >= 2H cells with the Gaussian window
@@ -44,6 +43,8 @@ from .taylor import _EPS3_FLOOR, CoefficientTable
 # below this work volume the exact direct sum wins over transform setup
 _CROSSOVER_OPS = 1 << 22
 _CONVENTIONS = ("sqrt_a", "plain_a")
+# keeps the merge key num*stride + den and every exact angle inside int64
+_MAX_DEN = 1 << 31
 
 
 def _merge_frequencies(nums, dens, cols, weights, B):
@@ -101,8 +102,8 @@ class NodeSum:
             raise DomainError("nums and dens must be matching 1-d arrays")
         if coeffs.shape[1] != nums.size:
             raise DomainError("coefficient columns must match the frequency count")
-        if np.any(dens <= 0):
-            raise DomainError("denominators must be positive")
+        if np.any(dens <= 0) or np.any(dens >= _MAX_DEN):
+            raise DomainError("denominators must lie in [1, 2^31)")
         cols = np.arange(nums.size, dtype=np.int64)
         B = np.ascontiguousarray(coeffs.T)
         return cls._from_merged(*_merge_frequencies(nums, dens, cols, np.ones(nums.size), B))
@@ -122,10 +123,7 @@ class NodeSum:
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Targets b0 .. b0+H-1; the evaluators read only H and return h = 0..H-1.
-
-    build_node_problem has already folded the shift by b0 into the coefficients.
-    """
+    """Targets b0 .. b0+H-1; the evaluators return them as h = 0..H-1."""
 
     b0: int
     H: int
@@ -145,8 +143,11 @@ def divisor_grid(window: Window, a):
     return b0, (window.Q + window.Delta - 1) // a - b0 + 1
 
 
-def _exact_phase(nums: np.ndarray, dens: np.ndarray, shift: int) -> np.ndarray:
-    """exp(2 pi i alpha shift) with the angle reduced in integer arithmetic."""
+def _exact_phase(nums: np.ndarray, dens: np.ndarray, shift) -> np.ndarray:
+    """exp(2 pi i alpha shift) with the angle reduced in integer arithmetic.
+
+    The arguments broadcast; with dens < 2^31 every product stays below 2^62.
+    """
     ang = (nums * (shift % dens)) % dens
     return np.exp((2j * math.pi) * (ang / dens))
 
@@ -164,9 +165,11 @@ def build_node_problem(
     Folds the quadratic phase l^2/(4m) over its four-fold symmetry (weights 2
     at l in {0, m}, else 4), merges equal reduced fractions across all
     m <= N/a via one sparse matrix product whose rows are already in alpha
-    order, and pre-rotates coefficients in place by exp(2 pi i alpha b0) so
-    the grid can start at h = 0.  Returns (NodeSum, EvalGrid), or None when
-    the divisor contributes nothing (a > N or the rescaled window is empty).
+    order.  Row m carries the whole assembly weight u_m = sqrt(a/m), or a
+    under convention="plain_a", so evaluating the problem on its grid gives
+    the divisor's summand sqrt(a) S_r(a, b) at every b = b0 .. b0+H-1.
+    Returns (NodeSum, EvalGrid), or None when the divisor contributes
+    nothing (a > N or the rescaled window is empty).
     """
     a = int(a)
     if a < 1:
@@ -196,14 +199,13 @@ def build_node_problem(
     cols = a * np.arange(1, M + 1, dtype=np.int64) - 1
     base = table.c[:, cols]
     if convention == "sqrt_a":
-        u = 1.0 / np.sqrt(np.arange(1, M + 1, dtype=np.float64))
+        u = np.sqrt(a / np.arange(1, M + 1, dtype=np.float64))
     else:
-        u = np.ones(M, dtype=np.float64)
+        u = np.full(M, float(a))
     B = np.ascontiguousarray((base * u).T)  # (M, R)
     nums, dens, merged = _merge_frequencies(res, den4, m_idx - 1, weight, B)
     if counter is not None:
         counter.add("node_merged", int(nums.size))
-    merged *= _exact_phase(nums, dens, b0)[:, None]
     return NodeSum._from_merged(nums, dens, merged), EvalGrid(b0=b0, H=H)
 
 
@@ -222,19 +224,14 @@ def _direct_core(p: NodeSum, g: EvalGrid, out: np.ndarray) -> np.ndarray:
     H = g.H
     k_block = 1 << 16
     h_chunk = max(1, _CROSSOVER_OPS // max(K, 1))
-    nums = p.nums
-    dens = p.dens
     for h0 in range(0, H, h_chunk):
         h1 = min(h0 + h_chunk, H)
-        hs = np.arange(h0, h1, dtype=np.int64)
+        bs = np.arange(g.b0 + h0, g.b0 + h1, dtype=np.int64)
         acc = np.zeros((R, h1 - h0), dtype=np.complex128)
         comp = np.zeros_like(acc)
         for k0 in range(0, K, k_block):
             k1 = min(k0 + k_block, K)
-            nb = nums[k0:k1, None]
-            db = dens[k0:k1, None]
-            ang = (nb * (hs[None, :] % db)) % db
-            phases = np.exp((2j * math.pi) * (ang / db))
+            phases = _exact_phase(p.nums[k0:k1, None], p.dens[k0:k1, None], bs)
             part = p.coeffs[:, k0:k1] @ phases
             y = part - comp
             tot = acc + y
@@ -296,9 +293,10 @@ def fast_eval(
 
     Small problems (K*H*R under the crossover) fall through to the direct
     sum.  force="transform"/"direct" pins the path for testing.  The
-    transform centres the targets on Hc = H//2, takes w and tau from
-    _gaussian_params (W = 2w + 1 taps, variance tau = A/(4 pi^2 (1 - 2 xi_m))),
-    forms the phased coefficients once as a C-contiguous (K, R) complex
+    transform centres the targets on b0 + Hc with Hc = H//2, takes w and
+    tau from _gaussian_params (W = 2w + 1 taps, variance
+    tau = A/(4 pi^2 (1 - 2 xi_m))), forms the coefficients phased by
+    exp(2 pi i alpha (b0 + Hc)) once as a C-contiguous (K, R) complex
     block, spreads its (K, 2R) float64 view with one sparse (n+2w, K)
     product, wraps the padding, and runs one FFT along the grid axis.  Below
     eps3 = 1e-12 the promise degrades to double-precision roundoff amplified
@@ -336,9 +334,10 @@ def fast_eval(
             K * W * R + R * n * int(math.log2(n)) + R * H + K * R,
         )
 
-    # centre targets at Hc so deconvolution gains stay moderate
+    # centre targets at b0 + Hc so deconvolution gains stay moderate
     coeffs = np.empty((K, R), dtype=np.complex128)
-    np.multiply(p.coeffs.T, (_exact_phase(p.nums, p.dens, Hc) / p.scale)[:, None], out=coeffs)
+    phase = _exact_phase(p.nums, p.dens, g.b0 + Hc)
+    np.multiply(p.coeffs.T, (phase / p.scale)[:, None], out=coeffs)
 
     # nearest fine-grid cell and the exact fractional offset
     t_num = n * p.nums

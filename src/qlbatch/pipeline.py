@@ -2,8 +2,9 @@
 
 One batch run covers every fundamental odd conductor q in [Q, Q+Delta).  The
 precompute phase builds the shared Taylor coefficient table, then evaluates
-one node problem per realized divisor a on the rescaled grid b = q/a; the
-recovery phase assembles, for each q, the divisor combination
+one node problem per realized divisor a on the rescaled grid b = q/a, whose
+values already carry the assembly weight sqrt(a); the recovery phase
+assembles, for each q, the divisor combination
 
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
@@ -219,16 +220,15 @@ def run_batch(
             list(pool.map(run_one, range(divisors.size)))
     precompute_s = time.perf_counter() - t_start
 
-    # recovery: gather S_r(a, q/a), sum each conductor's weighted terms,
+    # recovery: gather sqrt(a) S_r(a, q/a), sum each conductor's signed terms,
     # apply the Taylor powers of x = (Q - q)/q, then the prefactors and the
     # rotation, all as arrays over the window
     rec_start = time.perf_counter()
     d = np.searchsorted(divisors, a)
     cols = offset[d] + qs[owner] // a - b0[d]
-    weight = sign * (np.sqrt(a) if convention == "sqrt_a" else a)
     n_terms = np.bincount(owner, minlength=qs.size)
     starts = np.cumsum(n_terms) - n_terms
-    sums = np.add.reduceat(values[:, cols] * weight, starts, axis=1)
+    sums = np.add.reduceat(values[:, cols] * sign, starts, axis=1)
     R = budget.R
     x = (budget.Q - qs) / qs
     inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)

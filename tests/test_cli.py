@@ -1,12 +1,13 @@
 """Command line front end: formats, exit codes, no table cache."""
 
+import functools
 import json
 import os
 import re
 
 import pytest
 
-from qlbatch import Window, sieve_factor_window
+from qlbatch import Window, run_batch, sieve_factor_window
 from qlbatch.cli import main
 
 _SCI = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,}$")
@@ -195,11 +196,13 @@ class TestCompare:
         assert "not compared" in err
         assert not out.exists()
 
-    def test_fault_injection_fails(self, tmp_path, capsys):
+    def test_fault_injection_fails(self, tmp_path, capsys, monkeypatch):
+        import qlbatch.cli as cli
+
+        monkeypatch.setattr(cli, "run_batch", functools.partial(run_batch, convention="plain_a"))
         out = tmp_path / "cmp.csv"
         rc = main([
-            "compare", "--q-min", "10000", "--q-width", "32",
-            "--convention", "plain_a", "--out", str(out),
+            "compare", "--q-min", "10000", "--q-width", "32", "--out", str(out),
         ])
         captured = capsys.readouterr()
         assert rc == 1
@@ -228,6 +231,21 @@ class TestScan:
             assert float(row[2]) == pytest.approx(float(row[1]) + 0.5)
             assert row[5] in ("0", "1")
         assert any(int(r[0]) == 101 for r in rows)
+
+    def test_height_flag_refused(self, monkeypatch, capsys):
+        # scan takes its heights from the t-grid alone; --t would be ignored
+        import qlbatch.cli as cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran despite the stray --t")
+
+        monkeypatch.setattr(cli, "run_batch", no_sweep)
+        rc = main([
+            "scan", "--q-min", "101", "--q-width", "50", "--t", "nan",
+            "--t-min", "0", "--t-max", "0.5", "--t-step", "0.5",
+        ])
+        capsys.readouterr()
+        assert rc == 2
 
     def test_bad_step_rejected(self, capsys):
         rc = main([
@@ -288,8 +306,11 @@ class TestSelftest:
                      "multieval-agreement", "window-consistency"):
             assert name in out
 
-    def test_fault_injection_reported(self, capsys):
-        rc = main(["selftest", "--convention", "plain_a"])
+    def test_fault_injection_reported(self, capsys, monkeypatch):
+        import qlbatch.cli as cli
+
+        monkeypatch.setattr(cli, "run_batch", functools.partial(run_batch, convention="plain_a"))
+        rc = main(["selftest"])
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL window-consistency" in out

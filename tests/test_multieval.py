@@ -1,9 +1,10 @@
 """Node problems and the two evaluation paths.
 
 The semantic anchor: after build_node_problem, a direct evaluation at an odd
-argument b must reproduce sum_m u_m c_r(t, a m) g_b(2m) with g_b computed by
-the independent Gauss-sum route.  Everything else (merging, folding, phase
-pre-rotation, the gridded transform) is interior detail behind that contract.
+argument b must reproduce sum_m u_m c_r(t, a m) g_b(2m), with the weight
+u_m = sqrt(a/m) and g_b computed by the independent Gauss-sum route.
+Everything else (merging, folding, the gridded transform and its centring
+phase) is interior detail behind that contract.
 """
 
 import cmath
@@ -36,7 +37,7 @@ def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:
     R, K = p.coeffs.shape
     out = np.empty((R, g.H), dtype=np.complex128)
     for h in range(g.H):
-        shift = g.b0 + h - g.b0  # targets are relative: prefold holds b0
+        shift = g.b0 + h
         for r in range(R):
             re = []
             im = []
@@ -76,6 +77,11 @@ class TestNodeSumConstruction:
     def test_rejects_bad_denominator(self):
         with pytest.raises(DomainError):
             NodeSum.from_fractions(nums=[1], dens=[0], coeffs=[[1.0]])
+        # past 2^31 the merge key and the exact angles would wrap in int64
+        d = 2 ** 33 + 1
+        with pytest.raises(DomainError):
+            NodeSum.from_fractions(nums=[d - 5, 3], dens=[d, d], coeffs=[[1.0, 1.0]])
+        assert NodeSum.from_fractions([1], [2 ** 31 - 1], [[1.0]]).dens.tolist() == [2 ** 31 - 1]
 
     @given(
         st.lists(
@@ -109,9 +115,9 @@ class TestBuildNodeProblem:
         assert p.dens.tolist() == [1, 4]
         assert g.b0 == 25
         assert g.H == 13
-        # alpha = 0 carries no prefold phase: coefficient is 2 c_r(t, N)
+        # alpha = 0 at m = 1: coefficient is 2 sqrt(a/1) c_r(t, N) with a = N
         ratio = p.coeffs[:, 0] / small_table.c[:, small_table.N - 1]
-        assert np.allclose(ratio, 2.0, rtol=1e-12)
+        assert np.allclose(ratio, 2.0 * math.sqrt(small_table.N), rtol=1e-12)
 
     def test_oversized_divisor_returns_none(self, small_table):
         assert build_node_problem(small_table.N + 1, small_table, Window(10_000, 5_000)) is None
@@ -147,7 +153,7 @@ class TestBuildNodeProblem:
 
     def test_equals_from_fractions_over_raw_fractions(self, small_table):
         # the builder's merge against the general one, fed every raw
-        # (l^2, 4m) entry with its weight, u_m, c_r(t, a m) and b0 phase
+        # (l^2, 4m) entry with its weight, u_m = sqrt(a/m) and c_r(t, a m)
         window = Window(10_000, 5_000)
         for a in (1, 4, 13):
             p, g = build_node_problem(a, small_table, window)
@@ -156,9 +162,8 @@ class TestBuildNodeProblem:
             ell = np.concatenate([np.arange(k + 1) for k in range(1, M + 1)])
             num = ell * ell
             den = 4 * m
-            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) / np.sqrt(m)
-            phase = np.exp(2j * math.pi * ((num * (g.b0 % den)) % den) / den)
-            raw = small_table.c[:, a * m - 1] * (weight * phase)
+            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m)
+            raw = small_table.c[:, a * m - 1] * weight
             ref = NodeSum.from_fractions(num, den, raw)
             assert np.array_equal(p.nums, ref.nums)
             assert np.array_equal(p.dens, ref.dens)
@@ -168,7 +173,8 @@ class TestBuildNodeProblem:
 
 class TestNodeSemantics:
     def test_matches_gauss_sum_route(self):
-        # dual route: S_r(a, b) must equal sum_m c_r(t, a m)/sqrt(m) g_b(2m)
+        # dual route: the node values at b must equal
+        # sqrt(a) S_r(a, b) = sum_m c_r(t, a m) sqrt(a/m) g_b(2m)
         t, Q, N, R = 0.3, 1_000, 36, 4
         table = build_coefficient_table(t, Q, N, R)
         window = Window(Q, 220)
@@ -182,7 +188,7 @@ class TestNodeSemantics:
                 h = b - g.b0
                 for r in range(R):
                     terms = [
-                        table.c[r, a * m - 1] / math.sqrt(m) * gauss_sum_fast(b, m)
+                        table.c[r, a * m - 1] * math.sqrt(a / m) * gauss_sum_fast(b, m)
                         for m in range(1, M + 1)
                     ]
                     ref = complex(
@@ -192,6 +198,7 @@ class TestNodeSemantics:
                     assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (a, b, r)
 
     def test_plain_a_convention_drops_weights(self):
+        # plain_a replaces u_m = sqrt(a/m) by the flat weight a
         t, Q, N, R = 0.0, 1_000, 24, 2
         table = build_coefficient_table(t, Q, N, R)
         window = Window(Q, 100)
@@ -200,7 +207,7 @@ class TestNodeSemantics:
         M = N // 3
         b = g.b0 + (1 - g.b0 % 2)  # first odd argument
         h = b - g.b0
-        terms = [table.c[0, 3 * m - 1] * gauss_sum_fast(b, m) for m in range(1, M + 1)]
+        terms = [3 * table.c[0, 3 * m - 1] * gauss_sum_fast(b, m) for m in range(1, M + 1)]
         ref = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
         assert abs(values[0, h] - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -321,8 +328,8 @@ class TestFastEval:
         assert np.max(np.abs(b - 2.5 * a)) <= 1e-9 * p.scale
 
     def test_translation_consistency(self, rng):
-        # the same problem on a shifted grid must reproduce overlapping values
-        # up to the phase prefold difference, here checked via direct re-build
+        # the same node problem built for an overlapping window must
+        # reproduce the values at the arguments both grids share
         t, Q, N, R = 0.0, 1_000, 30, 3
         table = build_coefficient_table(t, Q, N, R)
         p1, g1 = build_node_problem(1, table, Window(Q, 200))
@@ -425,11 +432,16 @@ class TestEvalGrid:
             EvalGrid(b0=5, H=0)
 
     @pytest.mark.parametrize("force", ["transform", "direct"])
-    def test_evaluators_ignore_grid_start(self, rng, force):
-        # the b0 shift lives in build_node_problem's coefficients, not here
+    def test_grid_start_equals_prerotation(self, rng, force):
+        # evaluating on b0 .. b0+H-1 equals evaluating the coefficients
+        # rotated by exp(2 pi i alpha b0) on 0 .. H-1
         p = _random_problem(rng, K=600, R=2)
-        at0, at7 = EvalGrid(b0=0, H=40), EvalGrid(b0=7, H=40)
-        assert np.array_equal(direct_eval(p, at0), direct_eval(p, at7))
-        assert np.array_equal(
-            fast_eval(p, at0, 1e-10, force=force), fast_eval(p, at7, 1e-10, force=force)
+        b0 = 987_654_321
+        ang = (p.nums * (b0 % p.dens)) % p.dens
+        rotated = NodeSum(
+            p.nums, p.dens, p.coeffs * np.exp(2j * math.pi * ang / p.dens), p.K, p.scale
         )
+        at_b0, at_0 = EvalGrid(b0=b0, H=40), EvalGrid(b0=0, H=40)
+        got = fast_eval(p, at_b0, 1e-10, force=force)
+        ref = fast_eval(rotated, at_0, 1e-10, force=force)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * p.scale

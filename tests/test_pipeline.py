@@ -138,7 +138,8 @@ class TestFastWindow:
 
     def test_array_recovery_matches_per_conductor_loop(self, cmp_run):
         # reference: the per-conductor loop over divisor terms, with each
-        # divisor's S-values from its own node problem and fast_eval
+        # divisor's weighted S-values sqrt(a) S_r(a, b) from its own node
+        # problem and fast_eval
         result, _ = cmp_run
         b = result.budget
         table = build_coefficient_table(0.3, _WIN.Q, b.N, b.R)
@@ -151,7 +152,7 @@ class TestFastWindow:
                     p, g = build_node_problem(term.a, table, _WIN)
                     svals[term.a] = (g.b0, fast_eval(p, g, b.epsilon3))
                 b0, values = svals[term.a]
-                acc += term.sign * np.sqrt(term.a) * values[:, rec.q // term.a - b0]
+                acc += term.sign * values[:, rec.q // term.a - b0]
             x = (b.Q - rec.q) / rec.q
             F = c_prefactor(0.3, rec.q) * g_prefactor(rec.q) * np.dot(acc, x ** np.arange(b.R))
             Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, rec.q)) * F).real
