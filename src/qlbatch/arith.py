@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,18 @@ def _resolve_threads(threads: int) -> int:
     if threads < 0:
         raise DomainError(f"threads={threads} must be >= 0 (0 = all cores)")
     return threads or os.cpu_count() or 1
+
+
+def _thread_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on a pool of _resolve_threads(threads) workers.
+
+    One worker or at most one item runs serially in the calling thread.
+    """
+    threads = _resolve_threads(threads)
+    if threads == 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)

@@ -197,7 +197,8 @@ def cmd_scan(args) -> int:
     if steps >= _SCAN_MAX_HEIGHTS:
         raise DomainError(f"the t-grid has more than {_SCAN_MAX_HEIGHTS} heights")
     n_steps = int(math.floor(steps)) + 1
-    ts = [t_min + i * args.t_step for i in range(n_steps)]
+    # rounding in t_min + i * step can land the last height past t_max
+    ts = [min(t_min + i * args.t_step, t_max) for i in range(n_steps)]
     window = Window(args.q_min, args.q_width)
     sweeps = {}
     for tv in ts:

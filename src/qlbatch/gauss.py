@@ -39,7 +39,11 @@ def gauss_sum_direct(b: int, n: int) -> complex:
 
 
 def gauss_sum_fast(b: int, m: int) -> complex:
-    """g_b(2m) from the quarter-length identity (production path).
+    """g_b(2m) from the quarter-length identity.
+
+    No module of the sweep imports gauss: this is the reference that
+    selftest and acceptance criteria 2-4 and 6 check the identities behind
+    the node problems against.
 
     g_b(2m) = 4 sum_(l<m) exp(pi i b l^2 / (2m)) + 2 (i^m - 1)      b = 1 mod 4
             = 4 sum_(l<m) exp(pi i b l^2 / (2m)) + 2 ((-i)^m - 1)   b = 3 mod 4

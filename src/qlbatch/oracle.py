@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .arith import (
     _check_t,
     _is_fundamental_odd_positive_int,
     _resolve_threads,
+    _thread_map,
     jacobi,
     sieve_factor_window,
 )
@@ -172,7 +172,7 @@ def oracle_sweep(
     """
     t = _check_t(t)
     epsilon = _check_epsilon(epsilon)
-    threads = _resolve_threads(threads)
+    _resolve_threads(threads)  # refuse a bad count on an empty window too
     if fc_table is None:
         fc_table = sieve_factor_window(window)
     qs = fc_table.q[fc_table.fundamental].tolist()
@@ -209,9 +209,5 @@ def oracle_sweep(
         return out
 
     blocks = [qs[i : i + _CHUNK] for i in range(0, len(qs), _CHUNK)]
-    if threads == 1 or len(blocks) == 1:
-        per_block = [run_block(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_block = list(pool.map(run_block, blocks))
+    per_block = _thread_map(run_block, blocks, threads)
     return [res for blk in per_block for res in blk]

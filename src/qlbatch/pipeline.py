@@ -9,10 +9,11 @@ assembles, for each q, the divisor combination
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
 with x = (Q - q)/q, and finally Z = 2 Re[e^{i theta} F].  The factored
-window and its divisor terms are flat arrays, so recovery is one gather of
-S-values, one segmented sum per conductor, one product with the powers of x
-and one array expression for the prefactors: O(d(q) R) work per conductor
-and no per-conductor Python until the output records are built.
+window and its divisor terms are flat arrays, and each divisor scatters its
+values at b = q/a into the columns of its own terms, so recovery is one
+segmented sum per conductor, one product with the powers of x and one array
+expression for the prefactors: O(d(q) R) work per conductor and no
+per-conductor Python until the output records are built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import statistics
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +30,12 @@ from .arith import (
     Window,
     _check_epsilon,
     _check_t,
-    _resolve_threads,
+    _thread_map,
     sieve_factor_window,
 )
 from .counters import OpCounter
 from .errors import ConsistencyError, DomainError
-from .multieval import _CONVENTIONS, build_node_problem, direct_eval, divisor_grid, fast_eval
+from .multieval import _CONVENTIONS, build_node_problem, direct_eval, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
 from .taylor import ErrorBudget, build_coefficient_table, plan_budget
@@ -182,22 +182,23 @@ def run_batch(
     fundamental = factored.select(factored.fundamental)
     qs = fundamental.q
     owner, a, sign = fundamental.divisor_terms(budget.N)
-    # a | q keeps every gather b = q/a inside its divisor's grid, and q odd
-    # then makes every cofactor b odd; the quarter-length Gauss identity
-    # behind the S-values needs that
-    off = qs[owner] % a != 0
-    if off.any():
-        k = int(np.argmax(off))
+    # a | q keeps every cofactor b = q/a inside its divisor's grid, and q odd
+    # then makes every b odd; the quarter-length Gauss identity behind the
+    # S-values needs that
+    b, rem = np.divmod(qs[owner], a)
+    if rem.any():
+        k = int(np.argmax(rem != 0))
         raise ConsistencyError(f"divisor a={a[k]} does not divide q={qs[owner[k]]}")
 
-    # precompute: each realized divisor evaluates its node problem straight
-    # into its own columns of one (R, sum H) S-value array, so the thread
-    # count cannot change the bits; an empty window still prices a = 1
-    threads = _resolve_threads(threads)
+    # precompute: each realized divisor evaluates its node problem on its
+    # grid and scatters sqrt(a) S_r(a, q/a) into the columns of its own
+    # divisor terms, so the thread count cannot change the bits; an empty
+    # window still prices a = 1
     divisors = np.union1d(a, [1])
-    b0, H = divisor_grid(win, divisors)
-    offset = np.concatenate(([0], np.cumsum(H)))
-    values = np.empty((budget.R, int(offset[-1])), dtype=np.complex128)
+    d = np.searchsorted(divisors, a)
+    by_divisor = np.argsort(d, kind="stable")
+    edges = np.searchsorted(d, np.arange(divisors.size + 1), sorter=by_divisor)
+    terms = np.empty((budget.R, a.size), dtype=np.complex128)
 
     def run_one(i: int) -> None:
         built = build_node_problem(
@@ -206,29 +207,23 @@ def run_batch(
         if built is None:
             raise ConsistencyError(f"divisor a={divisors[i]} has no node problem")
         problem, grid = built
-        out = values[:, offset[i] : offset[i + 1]]
         if request.method == "direct":
-            direct_eval(problem, grid, counter, out=out)
+            values = direct_eval(problem, grid, counter)
         else:
-            fast_eval(problem, grid, budget.epsilon3, counter, out=out)
+            values = fast_eval(problem, grid, budget.epsilon3, counter)
+        cols = by_divisor[edges[i] : edges[i + 1]]
+        terms[:, cols] = values[:, b[cols] - grid.b0]
 
-    if threads == 1 or divisors.size == 1:
-        for i in range(divisors.size):
-            run_one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(divisors.size)))
+    _thread_map(run_one, range(divisors.size), threads)
     precompute_s = time.perf_counter() - t_start
 
-    # recovery: gather sqrt(a) S_r(a, q/a), sum each conductor's signed terms,
-    # apply the Taylor powers of x = (Q - q)/q, then the prefactors and the
-    # rotation, all as arrays over the window
+    # recovery: sum each conductor's signed terms, apply the Taylor powers
+    # of x = (Q - q)/q, then the prefactors and the rotation, all as arrays
+    # over the window
     rec_start = time.perf_counter()
-    d = np.searchsorted(divisors, a)
-    cols = offset[d] + qs[owner] // a - b0[d]
     n_terms = np.bincount(owner, minlength=qs.size)
     starts = np.cumsum(n_terms) - n_terms
-    sums = np.add.reduceat(values[:, cols] * sign, starts, axis=1)
+    sums = np.add.reduceat(terms * sign, starts, axis=1)
     R = budget.R
     x = (budget.Q - qs) / qs
     inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)

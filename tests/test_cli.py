@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import re
+import types
 
 import pytest
 
@@ -246,6 +247,27 @@ class TestScan:
         ])
         capsys.readouterr()
         assert rc == 2
+
+    def test_heights_stay_inside_the_grid(self, monkeypatch, capsys):
+        # -9.9 + 199 * 0.1 rounds to 10.000000000000002, past |t| <= 10
+        import qlbatch.cli as cli
+
+        heights = []
+
+        def record(request, **kwargs):
+            heights.append(request.t)
+            return types.SimpleNamespace(records=[])
+
+        monkeypatch.setattr(cli, "run_batch", record)
+        rc = main([
+            "scan", "--q-min", "10001", "--q-width", "16",
+            "--t-min", "-9.9", "--t-max", "10", "--t-step", "0.1",
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(heights) == 200
+        assert all(-9.9 <= t <= 10.0 for t in heights)
+        assert heights[-1] == 10.0
 
     def test_bad_step_rejected(self, capsys):
         rc = main([

@@ -384,29 +384,6 @@ class TestFastEval:
         got = fast_eval(p, g, eps3, force="transform")
         assert np.max(np.abs(got - ref)) <= eps3 * p.scale
 
-
-class TestOutParameter:
-    """out= receives the same bits the evaluator would return."""
-
-    @pytest.mark.parametrize("path", ["direct_eval", "transform", "fast_direct"])
-    def test_strided_destination_bit_exact(self, rng, path):
-        p = _random_problem(rng, K=600, R=3)
-        g = EvalGrid(b0=4_321, H=257)
-
-        def evaluate(**kw):
-            if path == "direct_eval":
-                return direct_eval(p, g, **kw)
-            force = "transform" if path == "transform" else "direct"
-            return fast_eval(p, g, 1e-10, force=force, **kw)
-
-        ref = evaluate()
-        big = np.full((3, g.H + 9), 7.0 + 7.0j)
-        dest = big[:, 4 : 4 + g.H]
-        got = evaluate(out=dest)
-        assert got is dest
-        assert np.array_equal(big[:, 4 : 4 + g.H], ref)
-        assert np.all(big[:, :4] == 7.0 + 7.0j) and np.all(big[:, 4 + g.H :] == 7.0 + 7.0j)
-
     def test_either_coefficient_order(self, rng):
         p = _random_problem(rng, K=600, R=3)
         g = EvalGrid(b0=99, H=200)
@@ -416,14 +393,6 @@ class TestOutParameter:
             a = fast_eval(p, g, 1e-10, force=force)
             b = fast_eval(c_order, g, 1e-10, force=force)
             assert np.max(np.abs(a - b)) <= 1e-13 * p.scale
-
-    def test_wrong_destination_rejected(self, rng):
-        p = _random_problem(rng, K=50, R=2)
-        g = EvalGrid(b0=1, H=8)
-        with pytest.raises(DomainError):
-            direct_eval(p, g, out=np.empty((2, 7), dtype=np.complex128))
-        with pytest.raises(DomainError):
-            fast_eval(p, g, 1e-9, out=np.empty((2, 8), dtype=np.float64))
 
 
 class TestEvalGrid:

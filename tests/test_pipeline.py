@@ -200,9 +200,10 @@ class TestMethodAgreement:
             # transform roundoff
             assert abs(rf.Z - rd.Z) <= 1e-9, rf.q
 
-    def test_thread_count_does_not_change_bits(self):
-        one = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=1)
-        four = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=4)
+    @pytest.mark.parametrize("method", ["fast", "direct"])
+    def test_thread_count_does_not_change_bits(self, method):
+        one = run_batch(BatchRequest(_WIN, 0.3, _EPS, method), threads=1)
+        four = run_batch(BatchRequest(_WIN, 0.3, _EPS, method), threads=4)
         assert [(r.q, r.Z) for r in one.records] == [(r.q, r.Z) for r in four.records]
 
     def test_all_cores_matches_one_thread(self):
