@@ -25,6 +25,7 @@ from .pipeline import (
     BatchRequest,
     BatchResult,
     EvalRecord,
+    compare_with_oracle,
     run_batch,
 )
 from .special import (
@@ -70,6 +71,7 @@ __all__ = [
     "build_node_problem",
     "c_prefactor",
     "character_from_gauss",
+    "compare_with_oracle",
     "direct_F",
     "direct_Z",
     "direct_eval",

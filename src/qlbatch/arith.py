@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .counters import OpCounter
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 
 # Conductors below this route to the per-character oracle.
 FAST_PATH_MIN_Q = 10_000
@@ -26,6 +26,7 @@ FAST_PATH_MIN_Q = 10_000
 _SIEVE_BLOCK = 1 << 20  # odd values per segment
 
 _T_MAX = 10.0  # supported heights |t| <= _T_MAX
+_BITS_MAX = 45.0  # largest log2(q/epsilon) a double-precision value certifies
 
 
 def _check_t(t: float) -> float:
@@ -41,6 +42,19 @@ def _check_epsilon(epsilon: float) -> float:
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon={epsilon!r} must lie in (0, 1)")
+    return epsilon
+
+
+def _check_precision(q: int, epsilon: float) -> float:
+    """_check_epsilon, then BudgetError if log2(q/epsilon) > _BITS_MAX: a finer
+    target is below what double precision certifies, on either route."""
+    epsilon = _check_epsilon(epsilon)
+    bits = math.log2(q / epsilon)
+    if bits > _BITS_MAX:
+        raise BudgetError(
+            f"log2(Q/epsilon) = {bits:.2f} exceeds the {_BITS_MAX:.0f}-bit "
+            "double-precision budget; raise epsilon or shrink Q"
+        )
     return epsilon
 
 

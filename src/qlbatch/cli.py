@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import Window, _check_t
 from .errors import AccuracyError, BudgetError, ConsistencyError, DomainError
-from .pipeline import BatchRequest, run_batch
+from .pipeline import BatchRequest, compare_with_oracle, run_batch
 
 # each scan height is a full window sweep (0.8-1.1 s for 4096 conductors near
 # 10^5 on a 2-vCPU Xeon VM), so a longer grid is refused, not run
@@ -72,9 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_request(args, method: str) -> BatchRequest:
+def _make_request(args) -> BatchRequest:
     window = Window(args.q_min, args.q_width)
-    return BatchRequest(window=window, t=args.t, epsilon=args.epsilon, method=method)
+    return BatchRequest(window=window, t=args.t, epsilon=args.epsilon)
 
 
 @contextlib.contextmanager
@@ -94,8 +94,8 @@ def _write_records_csv(records, fh) -> None:
         )
 
 
-def _write_records_json(result, request, fh) -> None:
-    budget = result.budget
+def _write_records_json(result, fh) -> None:
+    request, budget = result.request, result.budget
     doc = {
         "window": {"Q": request.window.Q, "Delta": request.window.Delta},
         "t": request.t,
@@ -116,38 +116,27 @@ def _write_records_json(result, request, fh) -> None:
             "precompute_s": result.precompute_s,
             "recovery_s": result.recovery_s,
         },
-        "records": [
-            {
-                "q": r.q,
-                "t": r.t,
-                "Z": r.Z,
-                "theta": r.theta,
-                "error_bound": r.error_bound,
-                "method": r.method,
-            }
-            for r in result.records
-        ],
+        # an EvalRecord's fields, in order: q, t, Z, theta, error_bound, method
+        "records": [vars(r) for r in result.records],
     }
     json.dump(doc, fh, indent=2)
     fh.write("\n")
 
 
 def cmd_eval(args) -> int:
-    request = _make_request(args, "fast")
-    result = run_batch(request, threads=args.threads)
+    result = run_batch(_make_request(args), threads=args.threads)
     with _open_out(args.out) as fh:
         if args.fmt == "csv":
             _write_records_csv(result.records, fh)
         else:
-            _write_records_json(result, request, fh)
+            _write_records_json(result, fh)
     return 0
 
 
 def cmd_compare(args) -> int:
-    request = _make_request(args, "compare")
-    result = run_batch(request, threads=args.threads)
-    tolerances = [r.error_bound + args.epsilon / 4.0 for r in result.records]
-    rows = list(zip(result.records, result.compare_refs, result.compare_devs, tolerances))
+    result = run_batch(_make_request(args), threads=args.threads)
+    cmp = compare_with_oracle(result, threads=args.threads)
+    rows = list(zip(result.records, cmp.refs, cmp.devs, cmp.tolerances))
     bad = [(r.q, dev, tol) for r, _, dev, tol in rows if dev > tol]
     with _open_out(args.out) as fh:
         if args.fmt == "csv":
@@ -159,8 +148,8 @@ def cmd_compare(args) -> int:
         else:
             doc = {
                 "n_characters": result.n_characters,
-                "max_dev": result.compare_max_dev,
-                "mean_dev": result.compare_mean_dev,
+                "max_dev": cmp.max_dev,
+                "mean_dev": cmp.mean_dev,
                 "n_fail": len(bad),
                 "rows": [
                     {"q": r.q, "Z_fast": r.Z, "Z_reference": ref, "abs_dev": dev, "tolerance": tol}
@@ -170,8 +159,8 @@ def cmd_compare(args) -> int:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     print(
-        f"compared {result.n_characters} conductors: max_dev={result.compare_max_dev:.3e} "
-        f"mean_dev={result.compare_mean_dev:.3e}",
+        f"compared {result.n_characters} conductors: max_dev={cmp.max_dev:.3e} "
+        f"mean_dev={cmp.mean_dev:.3e}",
         file=sys.stderr,
     )
     if bad:
@@ -202,7 +191,7 @@ def cmd_scan(args) -> int:
     window = Window(args.q_min, args.q_width)
     sweeps = {}
     for tv in ts:
-        request = BatchRequest(window=window, t=tv, epsilon=args.epsilon, method="fast")
+        request = BatchRequest(window=window, t=tv, epsilon=args.epsilon)
         result = run_batch(request, threads=args.threads)
         sweeps[tv] = {r.q: r.Z for r in result.records}
     rows = []
@@ -309,10 +298,10 @@ def _st_multieval_agreement() -> None:
 
 
 def _st_window_consistency() -> None:
-    request = BatchRequest(window=Window(10_000, 32), t=0.3, epsilon=1e-6, method="compare")
-    result = run_batch(request)
-    for rec, dev in zip(result.records, result.compare_devs):
-        if dev > rec.error_bound + request.epsilon / 4.0:
+    result = run_batch(BatchRequest(window=Window(10_000, 32), t=0.3, epsilon=1e-6))
+    cmp = compare_with_oracle(result)
+    for rec, dev, tol in zip(result.records, cmp.devs, cmp.tolerances):
+        if dev > tol:
             raise ConsistencyError(
                 f"fast path deviates from the oracle at q={rec.q}: {dev:.3e}"
             )

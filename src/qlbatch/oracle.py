@@ -21,9 +21,9 @@ import numpy as np
 
 from .arith import (
     CharacterSieve,
-    FactoredWindow,
     Window,
     _check_epsilon,
+    _check_precision,
     _check_t,
     _is_fundamental_odd_positive_int,
     _resolve_threads,
@@ -50,15 +50,11 @@ class OracleResult:
 
 
 def _truncation_order(q: int, epsilon: float) -> tuple[int, float]:
-    """Smallest N whose tail budget epsilon/8 is met for conductor q."""
-    eps1 = epsilon / 8.0
+    """Smallest N whose tail budget epsilon/8 is met for conductor q; an
+    epsilon past the _check_precision budget raises BudgetError first."""
+    eps1 = _check_precision(q, epsilon) / 8.0
     N = math.ceil(math.sqrt((2.0 * q / math.pi) * math.log(q / eps1)))
     return max(N, 1), eps1
-
-
-def _gamma_abs(t: float) -> float:
-    """|Gamma(1/4 + it/2)|, the normalization entering the tail bound."""
-    return math.exp(log_gamma(0.25 + 0.5j * t).real)
 
 
 def _certified_tail(q: int, N: int, gamma_abs: float) -> float:
@@ -139,15 +135,15 @@ def direct_Z(
     *,
     counter: OpCounter | None = None,
 ) -> OracleResult:
-    """Certified reference Z(t, chi_q) for a single conductor."""
+    """Certified reference Z(t, chi_q) for a single conductor; BudgetError
+    when log2(q/epsilon) exceeds the double-precision budget."""
     q = int(q)
     t = float(t)
-    epsilon = _check_epsilon(epsilon)
-    F = direct_F(q, t, epsilon, form="v", counter=counter)  # validates q and t
+    F = direct_F(q, t, epsilon, form="v", counter=counter)  # validates q, t, epsilon
     N, eps1 = _truncation_order(q, epsilon)
     theta = theta_phase(t, 0, q)
     Z = 2.0 * (cmath.exp(1j * theta) * F).real
-    tail = _certified_tail(q, N, _gamma_abs(t))
+    tail = _certified_tail(q, N, math.exp(log_gamma(0.25 + 0.5j * t).real))
     # the planned N always beats its own budget
     if not tail < eps1:
         raise ConsistencyError(f"certified tail {tail:.3e} at N={N} misses its budget {eps1:.3e}")
@@ -161,21 +157,20 @@ def oracle_sweep(
     *,
     threads: int = 1,
     counter: OpCounter | None = None,
-    fc_table: FactoredWindow | None = None,
 ) -> list[OracleResult]:
     """direct_Z over every fundamental conductor in a window, batched.
 
     Shares one character sieve across the window and concatenates kernel
     arguments over blocks of conductors, which keeps the per-q cost at the
     level of its Jacobi symbols.  Results match per-q direct_Z to roundoff
-    and come back sorted by q.
+    and come back sorted by q; an epsilon past the precision budget at the
+    largest q raises BudgetError before the first block.
     """
     t = _check_t(t)
     epsilon = _check_epsilon(epsilon)
     _resolve_threads(threads)  # refuse a bad count on an empty window too
-    if fc_table is None:
-        fc_table = sieve_factor_window(window)
-    qs = fc_table.q[fc_table.fundamental].tolist()
+    factored = sieve_factor_window(window)
+    qs = factored.q[factored.fundamental].tolist()
     if not qs:
         return []
     N_max, _ = _truncation_order(qs[-1], epsilon)

@@ -13,7 +13,8 @@ window and its divisor terms are flat arrays, and each divisor scatters its
 values at b = q/a into the columns of its own terms, so recovery is one
 segmented sum per conductor, one product with the powers of x and one array
 expression for the prefactors: O(d(q) R) work per conductor and no
-per-conductor Python until the output records are built.
+per-conductor Python until the output records are built.  run_batch only
+computes; checking a sweep against the oracle is compare_with_oracle.
 """
 
 from __future__ import annotations
@@ -28,19 +29,18 @@ import numpy as np
 from .arith import (
     FAST_PATH_MIN_Q,
     Window,
-    _check_epsilon,
+    _check_precision,
     _check_t,
     _thread_map,
     sieve_factor_window,
 )
 from .counters import OpCounter
 from .errors import ConsistencyError, DomainError
-from .multieval import _CONVENTIONS, build_node_problem, direct_eval, fast_eval
+from .multieval import _CONVENTIONS, build_node_problem, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
 from .taylor import ErrorBudget, build_coefficient_table, plan_budget
 
-_METHODS = ("fast", "direct", "compare")
 _T_WARN = 1.0
 
 # counter keys whose sum is the precompute work volume
@@ -48,25 +48,25 @@ _PRECOMPUTE_KEYS = (
     "sieve_marks",
     "kernel_evals",
     "fast_eval_ops",
-    "direct_eval_ops",
     "node_raw",
 )
 
 
 @dataclass(frozen=True)
 class BatchRequest:
-    """One window sweep: conductors in [Q, Q+Delta) at a fixed t."""
+    """One window sweep: conductors in [Q, Q+Delta) at a fixed t.
+
+    Validated here, before either route runs: DomainError for t or epsilon
+    out of range, BudgetError past the log2(Q/epsilon) <= 45 budget.
+    """
 
     window: Window
     t: float
     epsilon: float
-    method: str = "fast"
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise DomainError(f"method must be one of {_METHODS}, got {self.method!r}")
-        _check_epsilon(self.epsilon)
         _check_t(self.t)
+        _check_precision(self.window.Q, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,10 @@ class EvalRecord:
 
 @dataclass(eq=False)
 class BatchResult:
-    """Records plus the budget, counters and phase timings of one run."""
+    """The request answered, its records, the route taken ("fast" or
+    "oracle"), and the budget, counters and phase timings of the run."""
 
+    request: BatchRequest
     records: list
     method: str
     budget: ErrorBudget | None
@@ -93,27 +95,10 @@ class BatchResult:
     precompute_s: float
     recovery_s: float
     recovery_ops: dict = field(default_factory=dict)
-    compare_refs: list | None = None  # oracle Z per record; None unless compared
 
     @property
     def n_characters(self) -> int:
         return len(self.records)
-
-    @property
-    def compare_devs(self) -> list | None:
-        if self.compare_refs is None:
-            return None
-        return [abs(rec.Z - ref) for rec, ref in zip(self.records, self.compare_refs)]
-
-    @property
-    def compare_max_dev(self) -> float | None:
-        devs = self.compare_devs
-        return None if devs is None else max(devs, default=0.0)
-
-    @property
-    def compare_mean_dev(self) -> float | None:
-        devs = self.compare_devs
-        return None if devs is None else (statistics.fmean(devs) if devs else 0.0)
 
     @property
     def precompute_ops(self) -> int:
@@ -129,11 +114,10 @@ def run_batch(
 ) -> BatchResult:
     """Evaluate Z(t, chi_q) for every fundamental q in the request window.
 
-    Small windows (Q below the fast-path threshold) route to the per-q
-    oracle and come back labeled method="oracle"; method="compare" on such a
-    window raises DomainError, since there is no fast value to check.
-    method="compare" runs the fast path and then the oracle over the same
-    window, keeping the oracle values as compare_refs.
+    Windows with Q at or above the fast-path threshold take the amortized
+    fast path and come back labeled method="fast"; smaller ones route to the
+    per-q oracle and come back labeled method="oracle".  Checking a fast
+    sweep against the oracle is the separate compare_with_oracle step.
     """
     if convention not in _CONVENTIONS:
         raise DomainError(f"unknown assembly convention {convention!r}")
@@ -149,10 +133,6 @@ def run_batch(
         )
 
     if win.Q < FAST_PATH_MIN_Q:
-        if request.method == "compare":
-            raise DomainError(
-                f"not compared: below Q={FAST_PATH_MIN_Q} every value comes from the oracle"
-            )
         refs = oracle_sweep(win, t, request.epsilon, threads=threads, counter=counter)
         records = [
             EvalRecord(
@@ -167,6 +147,7 @@ def run_batch(
         ]
         wall = time.perf_counter() - t_start
         return BatchResult(
+            request=request,
             records=records,
             method="oracle",
             budget=None,
@@ -207,10 +188,7 @@ def run_batch(
         if built is None:
             raise ConsistencyError(f"divisor a={divisors[i]} has no node problem")
         problem, grid = built
-        if request.method == "direct":
-            values = direct_eval(problem, grid, counter)
-        else:
-            values = fast_eval(problem, grid, budget.epsilon3, counter)
+        values = fast_eval(problem, grid, budget.epsilon3, counter)
         cols = by_divisor[edges[i] : edges[i + 1]]
         terms[:, cols] = values[:, b[cols] - grid.b0]
 
@@ -234,31 +212,56 @@ def run_batch(
     bounds = 2.0 * budget.epsilon1 + 2.0 * budget.epsilon2 + budget.epsilon3 * R * a_total
     ops = R * (n_terms + 2) + 8
     counter.add("recovery_ops", int(ops.sum()))
-    label = "fast" if request.method == "compare" else request.method
     records = [
-        EvalRecord(q=q, t=t, Z=z, theta=th, error_bound=bound, method=label)
+        EvalRecord(q=q, t=t, Z=z, theta=th, error_bound=bound, method="fast")
         for q, z, th, bound in zip(qs.tolist(), Z.tolist(), theta.tolist(), bounds.tolist())
     ]
     recovery_s = time.perf_counter() - rec_start
-
-    compare_refs = None
-    if request.method == "compare":
-        refs = oracle_sweep(
-            win, t, request.epsilon, threads=threads, counter=counter, fc_table=factored
-        )
-        if [ref.q for ref in refs] != qs.tolist():
-            raise ConsistencyError("oracle sweep and fast sweep disagree on the window")
-        compare_refs = [ref.Z for ref in refs]
-
-    wall = time.perf_counter() - t_start
     return BatchResult(
+        request=request,
         records=records,
-        method=request.method,
+        method="fast",
         budget=budget,
         counts=counter.as_dict(),
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - t_start,
         precompute_s=precompute_s,
         recovery_s=recovery_s,
         recovery_ops=dict(zip(qs.tolist(), ops.tolist())),
-        compare_refs=compare_refs,
+    )
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """A fast sweep against the oracle: per-record lists and the summary."""
+
+    refs: list  # oracle Z
+    devs: list  # |Z - oracle Z|
+    tolerances: list  # error_bound + epsilon/4
+    max_dev: float
+    mean_dev: float
+
+
+def compare_with_oracle(result: BatchResult, *, threads: int = 1) -> Comparison:
+    """Recompute a fast sweep's window with oracle_sweep and compare.
+
+    A record agrees when its deviation stays within its error_bound plus the
+    oracle's own epsilon/4.  DomainError for an oracle-routed result, whose
+    values would be checked against themselves; ConsistencyError when the
+    two sweeps disagree on the window's conductors.
+    """
+    request = result.request
+    if result.method == "oracle":
+        raise DomainError(
+            f"not compared: below Q={FAST_PATH_MIN_Q} every value comes from the oracle"
+        )
+    refs = oracle_sweep(request.window, request.t, request.epsilon, threads=threads)
+    if [ref.q for ref in refs] != [rec.q for rec in result.records]:
+        raise ConsistencyError("oracle sweep and fast sweep disagree on the window")
+    devs = [abs(rec.Z - ref.Z) for rec, ref in zip(result.records, refs)]
+    return Comparison(
+        refs=[ref.Z for ref in refs],
+        devs=devs,
+        tolerances=[rec.error_bound + request.epsilon / 4.0 for rec in result.records],
+        max_dev=max(devs, default=0.0),
+        mean_dev=statistics.fmean(devs) if devs else 0.0,
     )

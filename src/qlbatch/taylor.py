@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FAST_PATH_MIN_Q, Window, _check_epsilon, _check_t
+from .arith import FAST_PATH_MIN_Q, Window, _check_precision, _check_t
 from .counters import OpCounter
 from .errors import BudgetError, ConsistencyError, DomainError
 from .special import _g_rows_arr
@@ -26,7 +26,6 @@ from .special import _g_rows_arr
 # epsilon splits: tail and Taylor truncation each get epsilon/8, multi-eval
 # gets the per-coefficient epsilon3 below; the factor 4 R N sqrt(Q) absorbs
 # term counts and the sqrt(a) assembly weights.
-_BITS_MAX = 45.0
 _EPS3_FLOOR = 2.0 ** -48  # double-precision floor of the transform tolerance
 
 
@@ -54,14 +53,8 @@ def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
     """
     window = Window(int(Q), int(Delta))  # validates 1 <= Delta <= Q/2
     Q, Delta = window.Q, window.Delta
-    epsilon = _check_epsilon(epsilon)
     _check_t(t)
-    bits = math.log2(Q / epsilon)
-    if bits > _BITS_MAX:
-        raise BudgetError(
-            f"log2(Q/epsilon) = {bits:.2f} exceeds the {_BITS_MAX:.0f}-bit "
-            "double-precision budget; raise epsilon or shrink Q"
-        )
+    epsilon = _check_precision(Q, epsilon)
     eps1 = epsilon / 8.0
     eps2 = epsilon / 8.0
     N = math.ceil(math.sqrt((2.0 * Q / math.pi) * math.log(Q / eps1)))

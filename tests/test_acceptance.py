@@ -22,6 +22,7 @@ from qlbatch import (
     build_coefficient_table,
     c_prefactor,
     character_from_gauss,
+    compare_with_oracle,
     direct_F,
     direct_eval,
     divisor_terms,
@@ -67,11 +68,12 @@ def test_criterion_01_end_to_end_window_accuracy():
     worst = 0.0
     n_chars = 0
     for t in (0.0, 0.3, 1.0):
-        result = run_batch(BatchRequest(Window(_Q, _DELTA), t, _EPS, method="compare"))
+        result = run_batch(BatchRequest(Window(_Q, _DELTA), t, _EPS))
+        cmp = compare_with_oracle(result)
         n_chars = result.n_characters
         assert n_chars > 900
-        assert result.compare_max_dev < _EPS, t
-        worst = max(worst, result.compare_max_dev)
+        assert cmp.max_dev < _EPS, t
+        worst = max(worst, cmp.max_dev)
     print(
         f"criterion 01 PASS: max |Z_fast - Z_oracle| = {worst:.3e} < 1e-06 "
         f"over {n_chars} conductors x 3 heights"
@@ -351,13 +353,13 @@ def test_criterion_12_convention_adjudication():
     sig = inspect.signature(run_batch)
     assert sig.parameters["convention"].default == "sqrt_a"
     win = Window(_Q, 64)
-    kept = run_batch(BatchRequest(win, 0.0, _EPS, method="compare"))
-    lost = run_batch(
-        BatchRequest(win, 0.0, _EPS, method="compare"), convention="plain_a"
+    kept = compare_with_oracle(run_batch(BatchRequest(win, 0.0, _EPS)))
+    lost = compare_with_oracle(
+        run_batch(BatchRequest(win, 0.0, _EPS), convention="plain_a")
     )
-    assert kept.compare_max_dev < _EPS
-    assert lost.compare_max_dev > 1e-2
+    assert kept.max_dev < _EPS
+    assert lost.max_dev > 1e-2
     print(
-        f"criterion 12 PASS: default sqrt_a dev {kept.compare_max_dev:.3e} < 1e-06; "
-        f"plain_a dev {lost.compare_max_dev:.3e} documented as losing convention"
+        f"criterion 12 PASS: default sqrt_a dev {kept.max_dev:.3e} < 1e-06; "
+        f"plain_a dev {lost.max_dev:.3e} documented as losing convention"
     )

@@ -125,6 +125,17 @@ class TestExitCodes:
         assert rc == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("q_min,eps", [("101", "1e-17"), ("5001", "5e-324")])
+    def test_precision_breach_on_oracle_route(self, q_min, eps, tmp_path, capsys):
+        # the fast route's log2(Q/epsilon) <= 45 rule holds on the oracle
+        # route too, before any sweep: no sub-ulp certificates, no traceback
+        out = tmp_path / "z.csv"
+        rc = main(["eval", "--q-min", q_min, "--q-width", "50", "--epsilon", eps,
+                   "--out", str(out)])
+        assert "45-bit" in capsys.readouterr().err
+        assert rc == 3
+        assert not out.exists()
+
     def test_epsilon_out_of_range(self, capsys):
         rc = main(["eval", "--q-min", "101", "--q-width", "50", "--epsilon", "1.5"])
         capsys.readouterr()

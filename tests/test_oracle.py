@@ -9,6 +9,7 @@ import pytest
 
 import qlbatch.oracle
 from qlbatch import (
+    BudgetError,
     ConsistencyError,
     DomainError,
     OpCounter,
@@ -77,6 +78,14 @@ class TestDirectZ:
         with pytest.raises(DomainError):
             oracle_sweep(Window(101, 50), float("nan"), 1e-6)
 
+    def test_rejects_precision_beyond_double(self):
+        # log2(101/1e-17) = 63 bits: an error_bound of 2.5e-18 would sit
+        # below the ulp of Z = 0.54 and certify nothing
+        with pytest.raises(BudgetError, match="45-bit"):
+            direct_Z(101, 0.0, 1e-17)
+        with pytest.raises(BudgetError, match="45-bit"):
+            direct_F(101, 0.0, 1e-17)
+
     def test_tail_over_budget_is_consistency_error(self, monkeypatch):
         monkeypatch.setattr(qlbatch.oracle, "_certified_tail", lambda q, N, g: 1.0)
         with pytest.raises(ConsistencyError, match="budget"):
@@ -142,6 +151,11 @@ class TestOracleSweep:
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             assert (ra.q, ra.Z) == (rb.q, rb.Z)
+
+    def test_rejects_precision_beyond_double(self):
+        # epsilon/8 would underflow to 0 and the truncation order divide by it
+        with pytest.raises(BudgetError, match="45-bit"):
+            oracle_sweep(Window(5001, 50), 0.0, 5e-324)
 
     def test_counter_totals_term_counts(self):
         counter = OpCounter()

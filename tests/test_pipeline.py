@@ -10,6 +10,7 @@ import pytest
 
 from qlbatch import (
     BatchRequest,
+    BudgetError,
     ConsistencyError,
     DomainError,
     FactoredWindow,
@@ -18,10 +19,12 @@ from qlbatch import (
     build_coefficient_table,
     build_node_problem,
     c_prefactor,
+    compare_with_oracle,
     direct_Z,
     divisor_terms,
     fast_eval,
     g_prefactor,
+    oracle_sweep,
     plan_budget,
     run_batch,
     sieve_factor_window,
@@ -47,15 +50,27 @@ def _source_trees():
 @pytest.fixture(scope="module")
 def cmp_run():
     counter = OpCounter()
-    request = BatchRequest(_WIN, 0.3, _EPS, method="compare")
-    result = run_batch(request, counter=counter)
+    result = run_batch(BatchRequest(_WIN, 0.3, _EPS), counter=counter)
     return result, counter
 
 
+@pytest.fixture(scope="module")
+def comparison(cmp_run):
+    return compare_with_oracle(cmp_run[0])
+
+
 class TestBatchRequest:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(DomainError):
-            BatchRequest(_WIN, 0.0, 1e-6, method="exact")
+    def test_fields_are_window_t_epsilon(self):
+        names = [f.name for f in dataclasses.fields(BatchRequest)]
+        assert names == ["window", "t", "epsilon"]
+
+    @pytest.mark.parametrize("win,eps", [(Window(101, 50), 1e-17), (Window(5001, 50), 5e-324),
+                                         (_WIN, 1e-10)])
+    def test_rejects_precision_breach(self, win, eps):
+        # log2(Q/epsilon) > 45 on either route: 63 bits, an infinite
+        # quotient, and 46.5 bits on the fast route
+        with pytest.raises(BudgetError, match="45-bit"):
+            BatchRequest(win, 0.0, eps)
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-3, 2.0])
     def test_rejects_bad_epsilon(self, eps):
@@ -114,15 +129,16 @@ class TestOracleRouting:
 
     def test_small_window_compare_fields(self):
         # below the fast-path threshold the oracle would be checked against itself
+        result = run_batch(BatchRequest(Window(101, 50), 0.0, 1e-5))
         with pytest.raises(DomainError, match="not compared"):
-            run_batch(BatchRequest(Window(101, 50), 0.0, 1e-5, method="compare"))
+            compare_with_oracle(result)
 
 
 class TestFastWindow:
-    def test_every_deviation_within_bounds(self, cmp_run):
+    def test_every_deviation_within_bounds(self, cmp_run, comparison):
         result, _ = cmp_run
         assert result.n_characters > 0
-        for rec, dev in zip(result.records, result.compare_devs):
+        for rec, dev in zip(result.records, comparison.devs):
             assert dev <= rec.error_bound + _EPS / 4.0, rec.q
 
     def test_error_bound_formula(self, cmp_run):
@@ -169,18 +185,24 @@ class TestFastWindow:
             assert result.recovery_ops[rec.q] == b.R * (len(terms) + 2) + 8
         assert counter.get("recovery_ops") == sum(result.recovery_ops.values())
 
-    def test_compare_summaries_match_devs(self, cmp_run):
+    def test_compare_summaries_match_devs(self, cmp_run, comparison):
         result, _ = cmp_run
-        assert result.compare_max_dev == max(result.compare_devs)
-        assert result.compare_mean_dev == pytest.approx(
-            sum(result.compare_devs) / len(result.compare_devs)
+        assert comparison.max_dev == max(comparison.devs)
+        assert comparison.mean_dev == pytest.approx(
+            sum(comparison.devs) / len(comparison.devs)
         )
-        assert len(result.compare_refs) == result.n_characters
+        assert len(comparison.refs) == result.n_characters
+        for rec, ref, dev, tol in zip(
+            result.records, comparison.refs, comparison.devs, comparison.tolerances
+        ):
+            assert dev == abs(rec.Z - ref)
+            assert tol == rec.error_bound + _EPS / 4.0
 
     def test_budget_echoes_planner(self, cmp_run):
         result, _ = cmp_run
+        assert result.request == BatchRequest(_WIN, 0.3, _EPS)
         assert result.budget == plan_budget(_WIN.Q, _WIN.Delta, _EPS, 0.3)
-        assert result.records[0].method == "fast"
+        assert result.method == result.records[0].method == "fast"
 
     def test_precompute_ops_positive(self, cmp_run):
         result, _ = cmp_run
@@ -190,20 +212,19 @@ class TestFastWindow:
 
 
 class TestMethodAgreement:
-    def test_direct_matches_fast(self):
-        fast = run_batch(BatchRequest(_WIN, 0.0, _EPS, method="fast"))
-        direct = run_batch(BatchRequest(_WIN, 0.0, _EPS, method="direct"))
-        assert [r.q for r in fast.records] == [r.q for r in direct.records]
-        for rf, rd in zip(fast.records, direct.records):
-            assert rd.method == "direct"
-            # both sides carry the same budget slack; they differ only in
-            # transform roundoff
-            assert abs(rf.Z - rd.Z) <= 1e-9, rf.q
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_matches_oracle_per_conductor(self, t):
+        # measured 1.8e-11 at t=0 and 1.1e-11 at t=0.3, about 750x inside
+        # the record tolerance error_bound + eps/4 = 7.5e-7
+        fast = run_batch(BatchRequest(_WIN, t, _EPS))
+        refs = oracle_sweep(_WIN, t, _EPS)
+        assert [r.q for r in fast.records] == [r.q for r in refs]
+        for rec, ref in zip(fast.records, refs):
+            assert abs(rec.Z - ref.Z) <= 1e-9, rec.q
 
-    @pytest.mark.parametrize("method", ["fast", "direct"])
-    def test_thread_count_does_not_change_bits(self, method):
-        one = run_batch(BatchRequest(_WIN, 0.3, _EPS, method), threads=1)
-        four = run_batch(BatchRequest(_WIN, 0.3, _EPS, method), threads=4)
+    def test_thread_count_does_not_change_bits(self):
+        one = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=1)
+        four = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=4)
         assert [(r.q, r.Z) for r in one.records] == [(r.q, r.Z) for r in four.records]
 
     def test_all_cores_matches_one_thread(self):
@@ -224,10 +245,8 @@ class TestMethodAgreement:
 
 class TestConvention:
     def test_unweighted_convention_breaks_agreement(self):
-        result = run_batch(
-            BatchRequest(_WIN, 0.0, _EPS, method="compare"), convention="plain_a"
-        )
-        assert result.compare_max_dev > 1e-3
+        result = run_batch(BatchRequest(_WIN, 0.0, _EPS), convention="plain_a")
+        assert compare_with_oracle(result).max_dev > 1e-3
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(DomainError):
@@ -264,9 +283,10 @@ class TestRecoveryChecks:
 
     def test_window_without_fundamentals(self):
         # 10003 = 3 (mod 4): nothing to recover, but a = 1 is still priced
-        result = run_batch(BatchRequest(Window(10_003, 1), 0.0, _EPS, method="compare"))
+        result = run_batch(BatchRequest(Window(10_003, 1), 0.0, _EPS))
         assert result.records == [] and result.recovery_ops == {}
-        assert result.compare_max_dev == 0.0 and result.compare_mean_dev == 0.0
+        cmp = compare_with_oracle(result)
+        assert cmp.max_dev == 0.0 and cmp.mean_dev == 0.0
         assert result.counts["node_raw"] > 0
 
     def test_window_routines_run_once_per_batch(self, monkeypatch):
@@ -316,6 +336,28 @@ class TestRecoveryChecks:
                     continue
                 found += [f"{name}:{stmt.lineno} {b}" for b in bound if b not in used]
         assert found == []
+
+
+class TestCompareStep:
+    def test_dropped_record_is_a_window_disagreement(self, cmp_run):
+        result, _ = cmp_run
+        short = dataclasses.replace(result, records=result.records[:-1])
+        with pytest.raises(ConsistencyError, match="disagree on the window"):
+            compare_with_oracle(short)
+
+    def test_dropped_oracle_conductor_is_a_window_disagreement(self, cmp_run, monkeypatch):
+        import qlbatch.pipeline as pipeline
+
+        def drop_first(*args, **kwargs):
+            return oracle_sweep(*args, **kwargs)[1:]
+
+        monkeypatch.setattr(pipeline, "oracle_sweep", drop_first)
+        with pytest.raises(ConsistencyError, match="disagree on the window"):
+            compare_with_oracle(cmp_run[0])
+
+    def test_threads_do_not_change_the_comparison(self, cmp_run, comparison):
+        assert compare_with_oracle(cmp_run[0], threads=2) == comparison
+
 
 class TestMisc:
     def test_large_t_warns(self):
