@@ -98,14 +98,6 @@ class Window:
             )
 
 
-@dataclass(frozen=True)
-class DivisorTerm:
-    """One inclusion-exclusion term: subset product a with sign (-1)^h."""
-
-    a: int
-    sign: int
-
-
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1, by binary reduction."""
     a = int(a)
@@ -282,19 +274,6 @@ def sieve_factor_window(window: Window, counter: OpCounter | None = None) -> Fac
     order = np.lexsort((p_all, idx_all))
     indptr = np.searchsorted(idx_all[order], np.arange(qs_all.size + 1))
     return FactoredWindow(q=qs_all, indptr=indptr, primes=p_all[order], squarefree=sqfree_all)
-
-
-def divisor_terms(fc: FactoredWindow, N: int) -> list[DivisorTerm]:
-    """All subsets of {P | q : P <= N} with product <= N, as (a, (-1)^h).
-
-    fc is the one-row window of q (window[q]); valid for odd squarefree q
-    (the inclusion-exclusion does not need q = 1 mod 4); always contains
-    (1, +1).
-    """
-    if fc.q.size != 1:
-        raise DomainError(f"divisor_terms takes a one-row window, got {fc.q.size} rows")
-    _, a, sign = fc.divisor_terms(N)
-    return [DivisorTerm(a=ai, sign=si) for ai, si in zip(a.tolist(), sign.tolist())]
 
 
 class CharacterSieve:

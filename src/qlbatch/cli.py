@@ -86,12 +86,17 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_records_csv(records, fh) -> None:
+def _rows(result):
+    """(q, Z, theta, error_bound) per conductor, as Python scalars."""
+    return zip(result.q.tolist(), result.Z.tolist(), result.theta.tolist(),
+               result.error_bound.tolist())
+
+
+def _write_records_csv(result, fh) -> None:
+    t, method = _fmt(result.request.t), result.method
     fh.write("q,t,Z,theta,error_bound,method\n")
-    for r in records:
-        fh.write(
-            f"{r.q},{_fmt(r.t)},{_fmt(r.Z)},{_fmt(r.theta)},{_fmt(r.error_bound)},{r.method}\n"
-        )
+    for q, z, theta, bound in _rows(result):
+        fh.write(f"{q},{t},{_fmt(z)},{_fmt(theta)},{_fmt(bound)},{method}\n")
 
 
 def _write_records_json(result, fh) -> None:
@@ -116,8 +121,11 @@ def _write_records_json(result, fh) -> None:
             "precompute_s": result.precompute_s,
             "recovery_s": result.recovery_s,
         },
-        # an EvalRecord's fields, in order: q, t, Z, theta, error_bound, method
-        "records": [vars(r) for r in result.records],
+        "records": [
+            {"q": q, "t": request.t, "Z": z, "theta": theta, "error_bound": bound,
+             "method": result.method}
+            for q, z, theta, bound in _rows(result)
+        ],
     }
     json.dump(doc, fh, indent=2)
     fh.write("\n")
@@ -127,7 +135,7 @@ def cmd_eval(args) -> int:
     result = run_batch(_make_request(args), threads=args.threads)
     with _open_out(args.out) as fh:
         if args.fmt == "csv":
-            _write_records_csv(result.records, fh)
+            _write_records_csv(result, fh)
         else:
             _write_records_json(result, fh)
     return 0
@@ -136,24 +144,24 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     result = run_batch(_make_request(args), threads=args.threads)
     cmp = compare_with_oracle(result, threads=args.threads)
-    rows = list(zip(result.records, cmp.refs, cmp.devs, cmp.tolerances))
-    bad = [(r.q, dev, tol) for r, _, dev, tol in rows if dev > tol]
+    bad = np.flatnonzero(cmp.devs > cmp.tolerances)
+    rows = list(zip(result.q.tolist(), result.Z.tolist(), cmp.refs.tolist(),
+                    cmp.devs.tolist(), cmp.tolerances.tolist()))
     with _open_out(args.out) as fh:
         if args.fmt == "csv":
+            t = _fmt(result.request.t)
             fh.write("q,t,Z_fast,Z_reference,abs_dev,tolerance\n")
-            for r, ref, dev, tol in rows:
-                fh.write(
-                    f"{r.q},{_fmt(r.t)},{_fmt(r.Z)},{_fmt(ref)},{_fmt(dev)},{_fmt(tol)}\n"
-                )
+            for q, z, ref, dev, tol in rows:
+                fh.write(f"{q},{t},{_fmt(z)},{_fmt(ref)},{_fmt(dev)},{_fmt(tol)}\n")
         else:
             doc = {
                 "n_characters": result.n_characters,
                 "max_dev": cmp.max_dev,
                 "mean_dev": cmp.mean_dev,
-                "n_fail": len(bad),
+                "n_fail": bad.size,
                 "rows": [
-                    {"q": r.q, "Z_fast": r.Z, "Z_reference": ref, "abs_dev": dev, "tolerance": tol}
-                    for r, ref, dev, tol in rows
+                    {"q": q, "Z_fast": z, "Z_reference": ref, "abs_dev": dev, "tolerance": tol}
+                    for q, z, ref, dev, tol in rows
                 ],
             }
             json.dump(doc, fh, indent=2)
@@ -163,11 +171,11 @@ def cmd_compare(args) -> int:
         f"mean_dev={cmp.mean_dev:.3e}",
         file=sys.stderr,
     )
-    if bad:
-        worst = max(bad, key=lambda row: row[1])
+    if bad.size:
+        q, _, _, dev, tol = rows[bad[np.argmax(cmp.devs[bad])]]
         print(
-            f"FAIL: {len(bad)} conductors beyond tolerance, worst q={worst[0]} "
-            f"dev={worst[1]:.3e} tol={worst[2]:.3e}",
+            f"FAIL: {bad.size} conductors beyond tolerance, worst q={q} "
+            f"dev={dev:.3e} tol={tol:.3e}",
             file=sys.stderr,
         )
         return 1
@@ -189,31 +197,31 @@ def cmd_scan(args) -> int:
     # rounding in t_min + i * step can land the last height past t_max
     ts = [min(t_min + i * args.t_step, t_max) for i in range(n_steps)]
     window = Window(args.q_min, args.q_width)
-    sweeps = {}
+    sweeps = []
     for tv in ts:
         request = BatchRequest(window=window, t=tv, epsilon=args.epsilon)
         result = run_batch(request, threads=args.threads)
-        sweeps[tv] = {r.q: r.Z for r in result.records}
-    rows = []
-    for q in sweeps[ts[0]]:
-        for t_lo, t_hi in zip(ts, ts[1:]):
-            z_lo = sweeps[t_lo][q]
-            z_hi = sweeps[t_hi][q]
-            if z_lo == 0.0 or z_hi == 0.0 or (z_lo > 0) == (z_hi > 0):
-                continue
-            certified = abs(z_lo) > 2.0 * args.epsilon and abs(z_hi) > 2.0 * args.epsilon
-            rows.append((q, t_lo, t_hi, z_lo, z_hi, int(certified)))
+        sweeps.append(result.Z)
+    # Z[i, k] is conductor i at height ts[k]; bracket j is [ts[j], ts[j+1]]
+    Z = np.array(sweeps).T
+    lo, hi = Z[:, :-1], Z[:, 1:]
+    flip = (lo != 0.0) & (hi != 0.0) & ((lo > 0) != (hi > 0))
+    certified = (np.abs(lo) > 2.0 * args.epsilon) & (np.abs(hi) > 2.0 * args.epsilon)
+    i, j = np.nonzero(flip)  # conductor-major, heights ascending
+    t_grid = np.array(ts)
+    rows = list(zip(result.q[i].tolist(), t_grid[j].tolist(), t_grid[j + 1].tolist(),
+                    lo[i, j].tolist(), hi[i, j].tolist(), certified[i, j].tolist()))
     with _open_out(args.out) as fh:
         if args.fmt == "csv":
             fh.write("q,t_lo,t_hi,Z_lo,Z_hi,certified\n")
             for q, t_lo, t_hi, z_lo, z_hi, cert in rows:
                 fh.write(
-                    f"{q},{_fmt(t_lo)},{_fmt(t_hi)},{_fmt(z_lo)},{_fmt(z_hi)},{cert}\n"
+                    f"{q},{_fmt(t_lo)},{_fmt(t_hi)},{_fmt(z_lo)},{_fmt(z_hi)},{int(cert)}\n"
                 )
         else:
             doc = [
                 {"q": q, "t_lo": t_lo, "t_hi": t_hi, "Z_lo": z_lo, "Z_hi": z_hi,
-                 "certified": bool(cert)}
+                 "certified": cert}
                 for q, t_lo, t_hi, z_lo, z_hi, cert in rows
             ]
             json.dump(doc, fh, indent=2)
@@ -300,11 +308,12 @@ def _st_multieval_agreement() -> None:
 def _st_window_consistency() -> None:
     result = run_batch(BatchRequest(window=Window(10_000, 32), t=0.3, epsilon=1e-6))
     cmp = compare_with_oracle(result)
-    for rec, dev, tol in zip(result.records, cmp.devs, cmp.tolerances):
-        if dev > tol:
-            raise ConsistencyError(
-                f"fast path deviates from the oracle at q={rec.q}: {dev:.3e}"
-            )
+    bad = np.flatnonzero(cmp.devs > cmp.tolerances)
+    if bad.size:
+        k = bad[0]
+        raise ConsistencyError(
+            f"fast path deviates from the oracle at q={result.q[k]}: {cmp.devs[k]:.3e}"
+        )
 
 
 def cmd_selftest(args) -> int:

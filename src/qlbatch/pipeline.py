@@ -13,16 +13,17 @@ window and its divisor terms are flat arrays, and each divisor scatters its
 values at b = q/a into the columns of its own terms, so recovery is one
 segmented sum per conductor, one product with the powers of x and one array
 expression for the prefactors: O(d(q) R) work per conductor and no
-per-conductor Python until the output records are built.  run_batch only
-computes; checking a sweep against the oracle is compare_with_oracle.
+per-conductor Python; the result keeps those arrays as its columns.
+run_batch only computes; checking a sweep against the oracle is
+compare_with_oracle.
 """
 
 from __future__ import annotations
 
-import statistics
+import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +58,8 @@ class BatchRequest:
     """One window sweep: conductors in [Q, Q+Delta) at a fixed t.
 
     Validated here, before either route runs: DomainError for t or epsilon
-    out of range, BudgetError past the log2(Q/epsilon) <= 45 budget.
+    out of range, BudgetError past the log2(Q/epsilon) <= 45 budget.  t and
+    epsilon are stored as the floats that passed.
     """
 
     window: Window
@@ -65,44 +67,50 @@ class BatchRequest:
     epsilon: float
 
     def __post_init__(self) -> None:
-        _check_t(self.t)
-        _check_precision(self.window.Q, self.epsilon)
-
-
-@dataclass(frozen=True)
-class EvalRecord:
-    """One output row of a batch run."""
-
-    q: int
-    t: float
-    Z: float
-    theta: float
-    error_bound: float
-    method: str
+        object.__setattr__(self, "t", _check_t(self.t))
+        object.__setattr__(self, "epsilon", _check_precision(self.window.Q, self.epsilon))
 
 
 @dataclass(eq=False)
 class BatchResult:
-    """The request answered, its records, the route taken ("fast" or
-    "oracle"), and the budget, counters and phase timings of the run."""
+    """The request answered, the route taken ("fast" or "oracle"), one column
+    per conductor field, and the budget, counters and phase timings of the run.
+
+    The columns are aligned with q (int64, ascending): Z, theta and
+    error_bound (float64) and recovery_ops (int64, zero on the oracle route).
+    """
 
     request: BatchRequest
-    records: list
     method: str
+    q: np.ndarray
+    Z: np.ndarray
+    theta: np.ndarray
+    error_bound: np.ndarray
+    recovery_ops: np.ndarray
     budget: ErrorBudget | None
     counts: dict
     wall_time_s: float
     precompute_s: float
     recovery_s: float
-    recovery_ops: dict = field(default_factory=dict)
 
     @property
     def n_characters(self) -> int:
-        return len(self.records)
+        return self.q.size
 
     @property
     def precompute_ops(self) -> int:
         return sum(self.counts.get(k, 0) for k in _PRECOMPUTE_KEYS)
+
+
+def _oracle_columns(
+    request: BatchRequest, threads: int, counter: OpCounter | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q, Z) of oracle_sweep over the request, as int64 and float64 arrays."""
+    refs = oracle_sweep(request.window, request.t, request.epsilon, threads=threads, counter=counter)
+    return (
+        np.array([r.q for r in refs], dtype=np.int64),
+        np.array([r.Z for r in refs], dtype=np.float64),
+    )
 
 
 def run_batch(
@@ -133,23 +141,17 @@ def run_batch(
         )
 
     if win.Q < FAST_PATH_MIN_Q:
-        refs = oracle_sweep(win, t, request.epsilon, threads=threads, counter=counter)
-        records = [
-            EvalRecord(
-                q=r.q,
-                t=r.t,
-                Z=r.Z,
-                theta=theta_phase(t, 0, r.q),
-                error_bound=request.epsilon / 4.0,
-                method="oracle",
-            )
-            for r in refs
-        ]
+        qs, Z = _oracle_columns(request, threads, counter)
+        theta = theta_phase(t, 0, qs)
         wall = time.perf_counter() - t_start
         return BatchResult(
             request=request,
-            records=records,
             method="oracle",
+            q=qs,
+            Z=Z,
+            theta=theta,
+            error_bound=np.full(qs.size, request.epsilon / 4.0),
+            recovery_ops=np.zeros_like(qs),
             budget=None,
             counts=counter.as_dict(),
             wall_time_s=wall,
@@ -212,31 +214,31 @@ def run_batch(
     bounds = 2.0 * budget.epsilon1 + 2.0 * budget.epsilon2 + budget.epsilon3 * R * a_total
     ops = R * (n_terms + 2) + 8
     counter.add("recovery_ops", int(ops.sum()))
-    records = [
-        EvalRecord(q=q, t=t, Z=z, theta=th, error_bound=bound, method="fast")
-        for q, z, th, bound in zip(qs.tolist(), Z.tolist(), theta.tolist(), bounds.tolist())
-    ]
     recovery_s = time.perf_counter() - rec_start
     return BatchResult(
         request=request,
-        records=records,
         method="fast",
+        q=qs,
+        Z=Z,
+        theta=theta,
+        error_bound=bounds,
+        recovery_ops=ops,
         budget=budget,
         counts=counter.as_dict(),
         wall_time_s=time.perf_counter() - t_start,
         precompute_s=precompute_s,
         recovery_s=recovery_s,
-        recovery_ops=dict(zip(qs.tolist(), ops.tolist())),
     )
 
 
 @dataclass(frozen=True)
 class Comparison:
-    """A fast sweep against the oracle: per-record lists and the summary."""
+    """A fast sweep against the oracle: columns aligned with the result's q,
+    and the summary."""
 
-    refs: list  # oracle Z
-    devs: list  # |Z - oracle Z|
-    tolerances: list  # error_bound + epsilon/4
+    refs: np.ndarray  # oracle Z
+    devs: np.ndarray  # |Z - oracle Z|
+    tolerances: np.ndarray  # error_bound + epsilon/4
     max_dev: float
     mean_dev: float
 
@@ -244,24 +246,24 @@ class Comparison:
 def compare_with_oracle(result: BatchResult, *, threads: int = 1) -> Comparison:
     """Recompute a fast sweep's window with oracle_sweep and compare.
 
-    A record agrees when its deviation stays within its error_bound plus the
-    oracle's own epsilon/4.  DomainError for an oracle-routed result, whose
-    values would be checked against themselves; ConsistencyError when the
-    two sweeps disagree on the window's conductors.
+    A conductor agrees when its deviation stays within its error_bound plus
+    the oracle's own epsilon/4.  DomainError for an oracle-routed result,
+    whose values would be checked against themselves; ConsistencyError when
+    the two sweeps disagree on the window's conductors.
     """
     request = result.request
     if result.method == "oracle":
         raise DomainError(
             f"not compared: below Q={FAST_PATH_MIN_Q} every value comes from the oracle"
         )
-    refs = oracle_sweep(request.window, request.t, request.epsilon, threads=threads)
-    if [ref.q for ref in refs] != [rec.q for rec in result.records]:
+    ref_q, refs = _oracle_columns(request, threads)
+    if not np.array_equal(ref_q, result.q):
         raise ConsistencyError("oracle sweep and fast sweep disagree on the window")
-    devs = [abs(rec.Z - ref.Z) for rec, ref in zip(result.records, refs)]
+    devs = np.abs(result.Z - refs)
     return Comparison(
-        refs=[ref.Z for ref in refs],
+        refs=refs,
         devs=devs,
-        tolerances=[rec.error_bound + request.epsilon / 4.0 for rec in result.records],
-        max_dev=max(devs, default=0.0),
-        mean_dev=statistics.fmean(devs) if devs else 0.0,
+        tolerances=result.error_bound + request.epsilon / 4.0,
+        max_dev=float(devs.max(initial=0.0)),
+        mean_dev=math.fsum(devs) / devs.size if devs.size else 0.0,
     )

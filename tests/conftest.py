@@ -21,13 +21,13 @@ def rng():
 
 @pytest.fixture(scope="session")
 def small_budget():
-    from qlbatch import plan_budget
+    from qlbatch.taylor import plan_budget
 
     return plan_budget(10_000, 5_000, 1e-6, 0.0)
 
 
 @pytest.fixture(scope="session")
 def small_table(small_budget):
-    from qlbatch import build_coefficient_table
+    from qlbatch.taylor import build_coefficient_table
 
     return build_coefficient_table(0.0, 10_000, small_budget.N, small_budget.R)

@@ -12,35 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from qlbatch import (
-    BatchRequest,
-    EvalGrid,
-    NodeSum,
-    OpCounter,
-    CharacterSieve,
-    Window,
-    build_coefficient_table,
-    c_prefactor,
+from qlbatch import BatchRequest, OpCounter, Window, compare_with_oracle, oracle_sweep, run_batch
+from qlbatch.arith import CharacterSieve, _is_fundamental_odd_positive_int, sieve_factor_window
+from qlbatch.gauss import (
+    _gauss_sum_fast_many,
     character_from_gauss,
-    compare_with_oracle,
-    direct_F,
-    direct_eval,
-    divisor_terms,
-    fast_eval,
-    g_derivative_row,
-    g_prefactor,
     gauss_sum_direct,
     gauss_sum_fast,
-    oracle_sweep,
-    plan_budget,
-    run_batch,
-    sieve_factor_window,
-    tail_bound,
-    taylor_remainder_bound,
-    weight_v,
 )
-from qlbatch.arith import _is_fundamental_odd_positive_int
-from qlbatch.gauss import _gauss_sum_fast_many
+from qlbatch.multieval import EvalGrid, NodeSum, direct_eval, fast_eval
+from qlbatch.oracle import direct_F
+from qlbatch.special import c_prefactor, g_derivative_row, g_prefactor, weight_v
+from qlbatch.taylor import build_coefficient_table, plan_budget, tail_bound, taylor_remainder_bound
 
 _Q = 10_000
 _DELTA = 4_999
@@ -164,13 +147,14 @@ def _series_inner(q, t, table, R_use, x):
     """R_use-term Taylor reconstruction of F without the batch machinery."""
     fc = sieve_factor_window(Window(q, 1))[q]
     acc = np.zeros(R_use, dtype=np.complex128)
-    for term in divisor_terms(fc, table.N):
-        b = q // term.a
-        M = table.N // term.a
+    _, a_terms, signs = fc.divisor_terms(table.N)
+    for a, sign in zip(a_terms.tolist(), signs.tolist()):
+        b = q // a
+        M = table.N // a
         m = np.arange(1, M + 1)
         gs = _gauss_sum_fast_many(b, m)
-        block = table.c[:R_use, term.a * m - 1]
-        acc += (term.sign * math.sqrt(term.a)) * (block * (gs / np.sqrt(m))).sum(axis=1)
+        block = table.c[:R_use, a * m - 1]
+        acc += (sign * math.sqrt(a)) * (block * (gs / np.sqrt(m))).sum(axis=1)
     xp = x ** np.arange(R_use, dtype=np.float64)
     return complex(c_prefactor(t, q) * g_prefactor(q) * np.dot(acc, xp))
 
@@ -297,7 +281,7 @@ def test_criterion_09_amortized_scaling():
         works.append(result.precompute_ops)
         fc_table = sieve_factor_window(win)
         R = result.budget.R
-        for q, ops in result.recovery_ops.items():
+        for q, ops in zip(result.q, result.recovery_ops):
             d = 2 ** len(fc_table[q].primes)
             rec_c = max(rec_c, ops / (d * R))
     ratios = [hi / lo for lo, hi in zip(works, works[1:])]
@@ -318,9 +302,9 @@ def test_criterion_10_amortized_speedup():
     direct_wall = time.perf_counter() - t0
     assert len(refs) == result.n_characters
     spot = 0.0
-    for rec, ref in list(zip(result.records, refs))[::100]:
-        assert rec.q == ref.q
-        spot = max(spot, abs(rec.Z - ref.Z))
+    for q, z, ref in list(zip(result.q, result.Z, refs))[::100]:
+        assert q == ref.q
+        spot = max(spot, abs(z - ref.Z))
     assert spot < _EPS
     ratio = direct_wall / result.wall_time_s
     assert ratio > 1.0
@@ -337,9 +321,9 @@ def test_criterion_11_evenness_in_t():
     minus = run_batch(BatchRequest(Window(_Q, 128), -t, _EPS))
     assert plus.n_characters >= 20
     worst = 0.0
-    for rp, rm in zip(plus.records, minus.records):
-        assert rp.q == rm.q
-        worst = max(worst, abs(rp.Z - rm.Z))
+    for qp, qm, zp, zm in zip(plus.q, minus.q, plus.Z, minus.Z):
+        assert qp == qm
+        worst = max(worst, abs(zp - zm))
     assert worst < 2 * _EPS
     print(
         f"criterion 11 PASS: max |Z(t) - Z(-t)| = {worst:.3e} < 2e-06 "

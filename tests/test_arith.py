@@ -13,19 +13,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qlbatch import (
+from qlbatch import DomainError, OpCounter, Window
+from qlbatch.arith import (
     CharacterSieve,
-    DivisorTerm,
-    DomainError,
     FactoredWindow,
-    OpCounter,
-    Window,
-    divisor_terms,
+    _SIEVE_BLOCK,
+    _is_fundamental_odd_positive_int,
     jacobi,
     quad_character,
     sieve_factor_window,
 )
-from qlbatch.arith import _SIEVE_BLOCK, _is_fundamental_odd_positive_int
 
 
 def _trial_factor(n: int):
@@ -247,52 +244,37 @@ class TestFundamentality:
             assert flag == _is_fundamental_odd_positive_int(q), q
 
 
+def _terms(q, N):
+    """(a, sign) of conductor q's divisor terms, from its one-row window."""
+    _, a, sign = sieve_factor_window(Window(q, 1))[q].divisor_terms(N)
+    return list(zip(a.tolist(), sign.tolist()))
+
+
 class TestDivisorTerms:
     def test_example_structure(self):
-        fc = sieve_factor_window(Window(15, 1))[15]
-        terms = divisor_terms(fc, 100)
-        assert terms == [
-            DivisorTerm(a=1, sign=1),
-            DivisorTerm(a=3, sign=-1),
-            DivisorTerm(a=5, sign=-1),
-            DivisorTerm(a=15, sign=1),
-        ]
+        assert _terms(15, 100) == [(1, 1), (3, -1), (5, -1), (15, 1)]
 
     def test_mobius_signs(self):
-        fc = sieve_factor_window(Window(105, 1))[105]
-        terms = divisor_terms(fc, 1000)
-        for term in terms:
-            omega = len(_trial_factor(term.a))
-            assert term.sign == (-1) ** omega
+        for a, sign in _terms(105, 1000):
+            omega = len(_trial_factor(a))
+            assert sign == (-1) ** omega
 
     def test_cap_prunes(self):
-        fc = sieve_factor_window(Window(105, 1))[105]
-        terms = divisor_terms(fc, 20)
-        assert [t.a for t in terms] == [1, 3, 5, 7, 15]
+        assert [a for a, _ in _terms(105, 20)] == [1, 3, 5, 7, 15]
 
     def test_leading_term_always_trivial(self):
         for q in (5, 21, 145, 1155):
-            fc = sieve_factor_window(Window(q, 1))[q]
-            terms = divisor_terms(fc, 10_000)
-            assert terms[0] == DivisorTerm(a=1, sign=1)
-            assert [t.a for t in terms] == sorted(t.a for t in terms)
+            terms = _terms(q, 10_000)
+            assert terms[0] == (1, 1)
+            assert [a for a, _ in terms] == sorted(a for a, _ in terms)
 
     def test_full_divisor_count(self):
-        fc = sieve_factor_window(Window(1155, 1))[1155]  # 3*5*7*11
-        terms = divisor_terms(fc, 10_000)
-        assert len(terms) == 16
+        assert len(_terms(1155, 10_000)) == 16  # 3*5*7*11
 
     def test_rejects_non_squarefree(self):
         fc = sieve_factor_window(Window(45, 1))[45]
         with pytest.raises(DomainError):
-            divisor_terms(fc, 100)
-        with pytest.raises(DomainError):
             fc.divisor_terms(100)
-
-    def test_rejects_multi_row_window(self):
-        fw = sieve_factor_window(Window(105, 4))  # 105, 107
-        with pytest.raises(DomainError, match="one-row"):
-            divisor_terms(fw, 100)
 
 
 class TestCharacterSieve:

@@ -6,9 +6,11 @@ import os
 import re
 import types
 
+import numpy as np
 import pytest
 
-from qlbatch import Window, run_batch, sieve_factor_window
+from qlbatch import Window, run_batch
+from qlbatch.arith import sieve_factor_window
 from qlbatch.cli import main
 
 _SCI = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,}$")
@@ -267,7 +269,7 @@ class TestScan:
 
         def record(request, **kwargs):
             heights.append(request.t)
-            return types.SimpleNamespace(records=[])
+            return types.SimpleNamespace(q=np.empty(0, dtype=np.int64), Z=np.empty(0))
 
         monkeypatch.setattr(cli, "run_batch", record)
         rc = main([
@@ -279,6 +281,43 @@ class TestScan:
         assert len(heights) == 200
         assert all(-9.9 <= t <= 10.0 for t in heights)
         assert heights[-1] == 10.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sign_change_rows(self, fmt, tmp_path, monkeypatch, capsys):
+        # crafted Z per height for q = 10001 and 10005 at the default epsilon 1e-6:
+        # an exact zero is no bracket, |Z| = 2 epsilon is written uncertified
+        import qlbatch.cli as cli
+
+        edge = 2.0 * 1e-6
+        columns = {0.0: [0.0, 1.0], 0.5: [1.0, -0.5], 1.0: [-edge, 0.25]}
+
+        def crafted(request, **kwargs):
+            return types.SimpleNamespace(q=np.array([10_001, 10_005], dtype=np.int64),
+                                         Z=np.array(columns[request.t]))
+
+        monkeypatch.setattr(cli, "run_batch", crafted)
+        out = tmp_path / f"scan.{fmt}"
+        rc = main([
+            "scan", "--q-min", "10001", "--q-width", "16", "--t-min", "0",
+            "--t-max", "1", "--t-step", "0.5", "--format", fmt, "--out", str(out),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        expect = [
+            (10_001, 0.5, 1.0, 1.0, -edge, False),
+            (10_005, 0.0, 0.5, 1.0, -0.5, True),
+            (10_005, 0.5, 1.0, -0.5, 0.25, True),
+        ]
+        if fmt == "csv":
+            lines = out.read_text().splitlines()
+            assert lines[0] == "q,t_lo,t_hi,Z_lo,Z_hi,certified"
+            rows = [ln.split(",") for ln in lines[1:]]
+            found = [(int(r[0]), *map(float, r[1:5]), r[5] == "1") for r in rows]
+            assert all(r[5] in ("0", "1") for r in rows)
+        else:
+            found = [(r["q"], r["t_lo"], r["t_hi"], r["Z_lo"], r["Z_hi"], r["certified"])
+                     for r in json.loads(out.read_text())]
+        assert found == expect
 
     def test_bad_step_rejected(self, capsys):
         rc = main([

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlbatch import (
-    DomainError,
+from qlbatch import DomainError
+from qlbatch.arith import quad_character
+from qlbatch.gauss import (
+    _gauss_sum_fast_many,
     character_from_gauss,
     gauss_sum_direct,
     gauss_sum_fast,
-    quad_character,
 )
-from qlbatch.gauss import _gauss_sum_fast_many
 
 
 def _exact_angle_sum(b: int, n: int) -> complex:

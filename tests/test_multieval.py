@@ -16,20 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlbatch import (
-    AccuracyError,
-    DomainError,
+from qlbatch import AccuracyError, DomainError, OpCounter, Window
+from qlbatch.gauss import gauss_sum_fast
+from qlbatch.multieval import (
     EvalGrid,
     NodeSum,
-    OpCounter,
-    Window,
-    build_coefficient_table,
+    _gaussian_params,
     build_node_problem,
     direct_eval,
+    divisor_grid,
     fast_eval,
-    gauss_sum_fast,
 )
-from qlbatch.multieval import _gaussian_params, divisor_grid
+from qlbatch.taylor import build_coefficient_table
 
 
 def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:

@@ -14,10 +14,10 @@ from qlbatch import (
     DomainError,
     OpCounter,
     Window,
-    direct_F,
     direct_Z,
     oracle_sweep,
 )
+from qlbatch.oracle import direct_F
 
 # (q, t, Z) frozen from a 50-digit mpmath evaluation of the smoothed sum,
 # entirely outside this package

@@ -13,23 +13,17 @@ from qlbatch import (
     BudgetError,
     ConsistencyError,
     DomainError,
-    FactoredWindow,
     OpCounter,
     Window,
-    build_coefficient_table,
-    build_node_problem,
-    c_prefactor,
     compare_with_oracle,
     direct_Z,
-    divisor_terms,
-    fast_eval,
-    g_prefactor,
     oracle_sweep,
-    plan_budget,
     run_batch,
-    sieve_factor_window,
-    theta_phase,
 )
+from qlbatch.arith import FactoredWindow, sieve_factor_window
+from qlbatch.multieval import build_node_problem, fast_eval
+from qlbatch.special import c_prefactor, g_prefactor, theta_phase
+from qlbatch.taylor import build_coefficient_table, plan_budget
 
 _WIN = Window(10_000, 32)
 _EPS = 1e-6
@@ -74,7 +68,7 @@ class TestBatchRequest:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -1e-3, 2.0])
     def test_rejects_bad_epsilon(self, eps):
-        with pytest.raises((DomainError, Exception)):
+        with pytest.raises(DomainError):
             BatchRequest(_WIN, 0.0, eps)
 
     def test_rejects_large_t(self):
@@ -91,6 +85,15 @@ class TestBatchRequest:
         with pytest.raises(dataclasses.FrozenInstanceError):
             req.t = 1.0
 
+    @pytest.mark.parametrize("win", [Window(101, 50), _WIN])  # oracle and fast routes
+    @pytest.mark.parametrize("t,eps", [("0.3", 1e-5), (True, 1e-5), (np.float32(0.3), 1e-5),
+                                       (0.0, "1e-5"), (0.0, np.float32(1e-5))])
+    def test_stores_validated_floats(self, win, t, eps):
+        result = run_batch(BatchRequest(win, t, eps), threads=1)
+        assert type(result.request.t) is float and result.request.t == float(t)
+        assert type(result.request.epsilon) is float and result.request.epsilon == float(eps)
+        assert result.n_characters > 0
+
 
 class TestDivisorTermArrays:
     def test_empty_window_keeps_trivial_divisor(self):
@@ -104,9 +107,9 @@ class TestDivisorTermArrays:
         N = 400
         owner, a, sign = fundamental.divisor_terms(N)
         expect = [
-            (i, t.a, t.sign)
+            (i, a_, s_)
             for i, q in enumerate(fundamental.q.tolist())
-            for t in divisor_terms(fw[q], N)
+            for _, a_, s_ in zip(*(col.tolist() for col in fw[q].divisor_terms(N)))
         ]
         assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
         divisors = np.union1d(a, [1])
@@ -115,17 +118,31 @@ class TestDivisorTermArrays:
         assert set(divisors.tolist()) == {1} | {t[1] for t in expect}
 
 
+class TestColumns:
+    # oracle route, fast route, and a fast window without fundamentals
+    @pytest.mark.parametrize("win", [Window(101, 50), _WIN, Window(10_003, 1)])
+    def test_columns_align_with_q(self, win):
+        counter = OpCounter()
+        result = run_batch(BatchRequest(win, 0.3, 1e-5), counter=counter)
+        assert result.q.dtype == result.recovery_ops.dtype == np.int64
+        for col in (result.Z, result.theta, result.error_bound):
+            assert col.dtype == np.float64
+        sizes = {c.size for c in (result.Z, result.theta, result.error_bound, result.recovery_ops)}
+        assert sizes == {result.q.size} == {result.n_characters}
+        assert np.all(np.diff(result.q) > 0)
+        assert counter.get("recovery_ops") == result.recovery_ops.sum()
+
+
 class TestOracleRouting:
     def test_small_window_goes_to_oracle(self):
         result = run_batch(BatchRequest(Window(101, 50), 0.0, 1e-5))
         assert result.method == "oracle"
         assert result.budget is None
         assert result.n_characters > 0
-        for rec in result.records:
-            assert rec.method == "oracle"
-            assert rec.error_bound == 1e-5 / 4.0
-            solo = direct_Z(rec.q, 0.0, 1e-5)
-            assert rec.Z == pytest.approx(solo.Z, abs=1e-12)
+        assert np.all(result.error_bound == 1e-5 / 4.0)
+        assert np.all(result.recovery_ops == 0)
+        for q, z in zip(result.q.tolist(), result.Z.tolist()):
+            assert z == pytest.approx(direct_Z(q, 0.0, 1e-5).Z, abs=1e-12)
 
     def test_small_window_compare_fields(self):
         # below the fast-path threshold the oracle would be checked against itself
@@ -138,19 +155,15 @@ class TestFastWindow:
     def test_every_deviation_within_bounds(self, cmp_run, comparison):
         result, _ = cmp_run
         assert result.n_characters > 0
-        for rec, dev in zip(result.records, comparison.devs):
-            assert dev <= rec.error_bound + _EPS / 4.0, rec.q
+        assert np.all(comparison.devs <= result.error_bound + _EPS / 4.0)
 
     def test_error_bound_formula(self, cmp_run):
         result, _ = cmp_run
         b = result.budget
-        for rec in result.records:
-            terms = divisor_terms(
-                sieve_factor_window(Window(rec.q, 1))[rec.q], b.N
-            )
-            a_total = sum(t.a for t in terms)
-            expect = 2 * b.epsilon1 + 2 * b.epsilon2 + b.epsilon3 * b.R * a_total
-            assert rec.error_bound == pytest.approx(expect, rel=1e-12)
+        for q, bound in zip(result.q.tolist(), result.error_bound.tolist()):
+            _, a, _ = sieve_factor_window(Window(q, 1))[q].divisor_terms(b.N)
+            expect = 2 * b.epsilon1 + 2 * b.epsilon2 + b.epsilon3 * b.R * a.sum()
+            assert bound == pytest.approx(expect, rel=1e-12)
 
     def test_array_recovery_matches_per_conductor_loop(self, cmp_run):
         # reference: the per-conductor loop over divisor terms, with each
@@ -161,29 +174,27 @@ class TestFastWindow:
         table = build_coefficient_table(0.3, _WIN.Q, b.N, b.R)
         fc_table = sieve_factor_window(_WIN)
         svals = {}
-        for rec in result.records:
+        for q, z in zip(result.q.tolist(), result.Z.tolist()):
             acc = np.zeros(b.R, dtype=np.complex128)
-            for term in divisor_terms(fc_table[rec.q], b.N):
-                if term.a not in svals:
-                    p, g = build_node_problem(term.a, table, _WIN)
-                    svals[term.a] = (g.b0, fast_eval(p, g, b.epsilon3))
-                b0, values = svals[term.a]
-                acc += term.sign * values[:, rec.q // term.a - b0]
-            x = (b.Q - rec.q) / rec.q
-            F = c_prefactor(0.3, rec.q) * g_prefactor(rec.q) * np.dot(acc, x ** np.arange(b.R))
-            Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, rec.q)) * F).real
-            assert abs(Z - rec.Z) <= 1e-13, rec.q
+            _, a_terms, signs = fc_table[q].divisor_terms(b.N)
+            for a, sign in zip(a_terms.tolist(), signs.tolist()):
+                if a not in svals:
+                    p, g = build_node_problem(a, table, _WIN)
+                    svals[a] = (g.b0, fast_eval(p, g, b.epsilon3))
+                b0, values = svals[a]
+                acc += sign * values[:, q // a - b0]
+            x = (b.Q - q) / q
+            F = c_prefactor(0.3, q) * g_prefactor(q) * np.dot(acc, x ** np.arange(b.R))
+            Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, q)) * F).real
+            assert abs(Z - z) <= 1e-13, q
 
     def test_recovery_ops_formula(self, cmp_run):
         result, counter = cmp_run
         b = result.budget
-        assert set(result.recovery_ops) == {r.q for r in result.records}
-        for rec in result.records:
-            terms = divisor_terms(
-                sieve_factor_window(Window(rec.q, 1))[rec.q], b.N
-            )
-            assert result.recovery_ops[rec.q] == b.R * (len(terms) + 2) + 8
-        assert counter.get("recovery_ops") == sum(result.recovery_ops.values())
+        for q, ops in zip(result.q.tolist(), result.recovery_ops.tolist()):
+            _, a, _ = sieve_factor_window(Window(q, 1))[q].divisor_terms(b.N)
+            assert ops == b.R * (a.size + 2) + 8
+        assert counter.get("recovery_ops") == result.recovery_ops.sum()
 
     def test_compare_summaries_match_devs(self, cmp_run, comparison):
         result, _ = cmp_run
@@ -192,17 +203,17 @@ class TestFastWindow:
             sum(comparison.devs) / len(comparison.devs)
         )
         assert len(comparison.refs) == result.n_characters
-        for rec, ref, dev, tol in zip(
-            result.records, comparison.refs, comparison.devs, comparison.tolerances
+        for z, bound, ref, dev, tol in zip(
+            result.Z, result.error_bound, comparison.refs, comparison.devs, comparison.tolerances
         ):
-            assert dev == abs(rec.Z - ref)
-            assert tol == rec.error_bound + _EPS / 4.0
+            assert dev == abs(z - ref)
+            assert tol == bound + _EPS / 4.0
 
     def test_budget_echoes_planner(self, cmp_run):
         result, _ = cmp_run
         assert result.request == BatchRequest(_WIN, 0.3, _EPS)
         assert result.budget == plan_budget(_WIN.Q, _WIN.Delta, _EPS, 0.3)
-        assert result.method == result.records[0].method == "fast"
+        assert result.method == "fast"
 
     def test_precompute_ops_positive(self, cmp_run):
         result, _ = cmp_run
@@ -218,19 +229,19 @@ class TestMethodAgreement:
         # the record tolerance error_bound + eps/4 = 7.5e-7
         fast = run_batch(BatchRequest(_WIN, t, _EPS))
         refs = oracle_sweep(_WIN, t, _EPS)
-        assert [r.q for r in fast.records] == [r.q for r in refs]
-        for rec, ref in zip(fast.records, refs):
-            assert abs(rec.Z - ref.Z) <= 1e-9, rec.q
+        assert fast.q.tolist() == [r.q for r in refs]
+        for q, z, ref in zip(fast.q.tolist(), fast.Z.tolist(), refs):
+            assert abs(z - ref.Z) <= 1e-9, q
 
     def test_thread_count_does_not_change_bits(self):
         one = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=1)
         four = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=4)
-        assert [(r.q, r.Z) for r in one.records] == [(r.q, r.Z) for r in four.records]
+        assert np.array_equal(one.q, four.q) and np.array_equal(one.Z, four.Z)
 
     def test_all_cores_matches_one_thread(self):
         one = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=1)
         every = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=0)
-        assert [(r.q, r.Z) for r in one.records] == [(r.q, r.Z) for r in every.records]
+        assert np.array_equal(one.q, every.q) and np.array_equal(one.Z, every.Z)
 
     @pytest.mark.parametrize("win", [_WIN, Window(101, 50)])
     def test_negative_threads_rejected(self, win):
@@ -240,7 +251,7 @@ class TestMethodAgreement:
     def test_repeat_runs_identical(self):
         a = run_batch(BatchRequest(_WIN, 0.3, _EPS))
         b = run_batch(BatchRequest(_WIN, 0.3, _EPS))
-        assert [(r.q, r.Z) for r in a.records] == [(r.q, r.Z) for r in b.records]
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.Z, b.Z)
 
 
 class TestConvention:
@@ -284,7 +295,7 @@ class TestRecoveryChecks:
     def test_window_without_fundamentals(self):
         # 10003 = 3 (mod 4): nothing to recover, but a = 1 is still priced
         result = run_batch(BatchRequest(Window(10_003, 1), 0.0, _EPS))
-        assert result.records == [] and result.recovery_ops == {}
+        assert result.q.size == result.recovery_ops.size == 0
         cmp = compare_with_oracle(result)
         assert cmp.max_dev == 0.0 and cmp.mean_dev == 0.0
         assert result.counts["node_raw"] > 0
@@ -341,7 +352,7 @@ class TestRecoveryChecks:
 class TestCompareStep:
     def test_dropped_record_is_a_window_disagreement(self, cmp_run):
         result, _ = cmp_run
-        short = dataclasses.replace(result, records=result.records[:-1])
+        short = dataclasses.replace(result, q=result.q[:-1])
         with pytest.raises(ConsistencyError, match="disagree on the window"):
             compare_with_oracle(short)
 
@@ -356,7 +367,9 @@ class TestCompareStep:
             compare_with_oracle(cmp_run[0])
 
     def test_threads_do_not_change_the_comparison(self, cmp_run, comparison):
-        assert compare_with_oracle(cmp_run[0], threads=2) == comparison
+        again = compare_with_oracle(cmp_run[0], threads=2)
+        for f in dataclasses.fields(comparison):
+            assert np.array_equal(getattr(again, f.name), getattr(comparison, f.name)), f.name
 
 
 class TestMisc:

@@ -13,8 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qlbatch import (
-    DomainError,
+from qlbatch import DomainError
+from qlbatch.special import (
+    _g_kernel_arr,
     g_derivative_row,
     g_kernel,
     g_prefactor,
@@ -23,7 +24,6 @@ from qlbatch import (
     theta_phase,
     weight_v,
 )
-from qlbatch.special import _g_kernel_arr
 
 # (Re z, Im z, w, G_z(w)) frozen from mpmath.gammainc at 40 digits
 _G_REFERENCE = [
@@ -259,7 +259,7 @@ class TestPrefactors:
 
     def test_c_prefactor_pi_cancellation(self):
         # at q = pi the prefactor collapses to 1/Gamma(1/4 + it/2)
-        from qlbatch import c_prefactor
+        from qlbatch.special import c_prefactor
 
         t = 0.4
         val = c_prefactor(t, math.pi)
@@ -267,7 +267,7 @@ class TestPrefactors:
 
     def test_c_prefactor_magnitude_growth(self):
         # |C(0, q)| = (pi/q)^(1/4) / Gamma(1/4)
-        from qlbatch import c_prefactor
+        from qlbatch.special import c_prefactor
 
         for q in (5.0, 10007.0):
             expect = (math.pi / q) ** 0.25 / math.gamma(0.25)

@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlbatch import (
-    BudgetError,
-    DomainError,
-    OpCounter,
-    build_coefficient_table,
-    plan_budget,
-    tail_bound,
-    taylor_remainder_bound,
-)
+from qlbatch import BudgetError, DomainError, OpCounter
 from qlbatch.special import _g_kernel_arr
+from qlbatch.taylor import build_coefficient_table, plan_budget, tail_bound, taylor_remainder_bound
 
 
 class TestPlanBudget:
