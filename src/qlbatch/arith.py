@@ -20,9 +20,6 @@ import numpy as np
 from .counters import OpCounter
 from .errors import BudgetError, DomainError
 
-# Conductors below this route to the per-character oracle.
-FAST_PATH_MIN_Q = 10_000
-
 _SIEVE_BLOCK = 1 << 20  # odd values per segment
 
 _T_MAX = 10.0  # supported heights |t| <= _T_MAX
@@ -47,7 +44,7 @@ def _check_epsilon(epsilon: float) -> float:
 
 def _check_precision(q: int, epsilon: float) -> float:
     """_check_epsilon, then BudgetError if log2(q/epsilon) > _BITS_MAX: a finer
-    target is below what double precision certifies, on either route."""
+    target is below what double precision certifies."""
     epsilon = _check_epsilon(epsilon)
     bits = math.log2(q / epsilon)
     if bits > _BITS_MAX:

@@ -1,10 +1,9 @@
 """Command line front end.
 
 Subcommands:
-  eval      sweep a window and emit q,t,Z,theta,error_bound,method rows
+  eval      sweep a window and emit q,t,Z,theta,error_bound rows
   compare   sweep with the fast path, recompute with the reference oracle,
-            report deviations; exit 1 on disagreement beyond the bounds,
-            exit 2 below Q = 10^4, where the oracle serves every value
+            report deviations; exit 1 on disagreement beyond the bounds
   scan      sweep a t-grid and report certified sign changes of Z per q
   selftest  run the built-in consistency suites with timings
 
@@ -93,10 +92,10 @@ def _rows(result):
 
 
 def _write_records_csv(result, fh) -> None:
-    t, method = _fmt(result.request.t), result.method
-    fh.write("q,t,Z,theta,error_bound,method\n")
+    t = _fmt(result.request.t)
+    fh.write("q,t,Z,theta,error_bound\n")
     for q, z, theta, bound in _rows(result):
-        fh.write(f"{q},{t},{_fmt(z)},{_fmt(theta)},{_fmt(bound)},{method}\n")
+        fh.write(f"{q},{t},{_fmt(z)},{_fmt(theta)},{_fmt(bound)}\n")
 
 
 def _write_records_json(result, fh) -> None:
@@ -105,10 +104,7 @@ def _write_records_json(result, fh) -> None:
         "window": {"Q": request.window.Q, "Delta": request.window.Delta},
         "t": request.t,
         "epsilon": request.epsilon,
-        "method": result.method,
-        "budget": None
-        if budget is None
-        else {
+        "budget": {
             "epsilon1": budget.epsilon1,
             "epsilon2": budget.epsilon2,
             "epsilon3": budget.epsilon3,
@@ -122,8 +118,7 @@ def _write_records_json(result, fh) -> None:
             "recovery_s": result.recovery_s,
         },
         "records": [
-            {"q": q, "t": request.t, "Z": z, "theta": theta, "error_bound": bound,
-             "method": result.method}
+            {"q": q, "t": request.t, "Z": z, "theta": theta, "error_bound": bound}
             for q, z, theta, bound in _rows(result)
         ],
     }

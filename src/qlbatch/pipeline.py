@@ -14,8 +14,9 @@ values at b = q/a into the columns of its own terms, so recovery is one
 segmented sum per conductor, one product with the powers of x and one array
 expression for the prefactors: O(d(q) R) work per conductor and no
 per-conductor Python; the result keeps those arrays as its columns.
-run_batch only computes; checking a sweep against the oracle is
-compare_with_oracle.
+Every window takes this route, whatever its size: the cost argument needs a
+large window, correctness does not.  run_batch only computes; checking a
+sweep against the per-conductor oracle is compare_with_oracle.
 """
 
 from __future__ import annotations
@@ -27,17 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (
-    FAST_PATH_MIN_Q,
-    Window,
-    _check_precision,
-    _check_t,
-    _thread_map,
-    sieve_factor_window,
-)
+from .arith import Window, _check_precision, _check_t, _thread_map, sieve_factor_window
 from .counters import OpCounter
-from .errors import ConsistencyError, DomainError
-from .multieval import _CONVENTIONS, build_node_problem, fast_eval
+from .errors import ConsistencyError
+from .multieval import build_node_problem, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
 from .taylor import ErrorBudget, build_coefficient_table, plan_budget
@@ -57,7 +51,7 @@ _PRECOMPUTE_KEYS = (
 class BatchRequest:
     """One window sweep: conductors in [Q, Q+Delta) at a fixed t.
 
-    Validated here, before either route runs: DomainError for t or epsilon
+    Validated here, before any sweep runs: DomainError for t or epsilon
     out of range, BudgetError past the log2(Q/epsilon) <= 45 budget.  t and
     epsilon are stored as the floats that passed.
     """
@@ -73,21 +67,20 @@ class BatchRequest:
 
 @dataclass(eq=False)
 class BatchResult:
-    """The request answered, the route taken ("fast" or "oracle"), one column
-    per conductor field, and the budget, counters and phase timings of the run.
+    """The request answered, one column per conductor field, and the planned
+    budget, counters and phase timings of the run.
 
     The columns are aligned with q (int64, ascending): Z, theta and
-    error_bound (float64) and recovery_ops (int64, zero on the oracle route).
+    error_bound (float64) and recovery_ops (int64).
     """
 
     request: BatchRequest
-    method: str
     q: np.ndarray
     Z: np.ndarray
     theta: np.ndarray
     error_bound: np.ndarray
     recovery_ops: np.ndarray
-    budget: ErrorBudget | None
+    budget: ErrorBudget
     counts: dict
     wall_time_s: float
     precompute_s: float
@@ -102,17 +95,6 @@ class BatchResult:
         return sum(self.counts.get(k, 0) for k in _PRECOMPUTE_KEYS)
 
 
-def _oracle_columns(
-    request: BatchRequest, threads: int, counter: OpCounter | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(q, Z) of oracle_sweep over the request, as int64 and float64 arrays."""
-    refs = oracle_sweep(request.window, request.t, request.epsilon, threads=threads, counter=counter)
-    return (
-        np.array([r.q for r in refs], dtype=np.int64),
-        np.array([r.Z for r in refs], dtype=np.float64),
-    )
-
-
 def run_batch(
     request: BatchRequest,
     *,
@@ -122,13 +104,12 @@ def run_batch(
 ) -> BatchResult:
     """Evaluate Z(t, chi_q) for every fundamental q in the request window.
 
-    Windows with Q at or above the fast-path threshold take the amortized
-    fast path and come back labeled method="fast"; smaller ones route to the
-    per-q oracle and come back labeled method="oracle".  Checking a fast
-    sweep against the oracle is the separate compare_with_oracle step.
+    Every window takes the amortized fast path, and each record carries the
+    error_bound of the planned budget.  An unknown convention raises
+    DomainError from the a = 1 node problem, which every window prices.
+    Checking the sweep against the oracle is the separate
+    compare_with_oracle step.
     """
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown assembly convention {convention!r}")
     if counter is None:
         counter = OpCounter()
     t_start = time.perf_counter()
@@ -138,25 +119,6 @@ def run_batch(
             f"|t|={abs(t):g} > 1: the archimedean phase loses accuracy "
             "away from the central point",
             stacklevel=2,
-        )
-
-    if win.Q < FAST_PATH_MIN_Q:
-        qs, Z = _oracle_columns(request, threads, counter)
-        theta = theta_phase(t, 0, qs)
-        wall = time.perf_counter() - t_start
-        return BatchResult(
-            request=request,
-            method="oracle",
-            q=qs,
-            Z=Z,
-            theta=theta,
-            error_bound=np.full(qs.size, request.epsilon / 4.0),
-            recovery_ops=np.zeros_like(qs),
-            budget=None,
-            counts=counter.as_dict(),
-            wall_time_s=wall,
-            precompute_s=wall,
-            recovery_s=0.0,
         )
 
     budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
@@ -217,7 +179,6 @@ def run_batch(
     recovery_s = time.perf_counter() - rec_start
     return BatchResult(
         request=request,
-        method="fast",
         q=qs,
         Z=Z,
         theta=theta,
@@ -233,8 +194,8 @@ def run_batch(
 
 @dataclass(frozen=True)
 class Comparison:
-    """A fast sweep against the oracle: columns aligned with the result's q,
-    and the summary."""
+    """A sweep against the oracle: columns aligned with the result's q, and
+    the summary."""
 
     refs: np.ndarray  # oracle Z
     devs: np.ndarray  # |Z - oracle Z|
@@ -244,19 +205,16 @@ class Comparison:
 
 
 def compare_with_oracle(result: BatchResult, *, threads: int = 1) -> Comparison:
-    """Recompute a fast sweep's window with oracle_sweep and compare.
+    """Recompute a sweep's window with oracle_sweep and compare.
 
     A conductor agrees when its deviation stays within its error_bound plus
-    the oracle's own epsilon/4.  DomainError for an oracle-routed result,
-    whose values would be checked against themselves; ConsistencyError when
-    the two sweeps disagree on the window's conductors.
+    the oracle's own epsilon/4.  ConsistencyError when the two sweeps
+    disagree on the window's conductors.
     """
     request = result.request
-    if result.method == "oracle":
-        raise DomainError(
-            f"not compared: below Q={FAST_PATH_MIN_Q} every value comes from the oracle"
-        )
-    ref_q, refs = _oracle_columns(request, threads)
+    oracle = oracle_sweep(request.window, request.t, request.epsilon, threads=threads)
+    ref_q = np.array([r.q for r in oracle], dtype=np.int64)
+    refs = np.array([r.Z for r in oracle], dtype=np.float64)
     if not np.array_equal(ref_q, result.q):
         raise ConsistencyError("oracle sweep and fast sweep disagree on the window")
     devs = np.abs(result.Z - refs)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FAST_PATH_MIN_Q, Window, _check_precision, _check_t
+from .arith import Window, _check_precision, _check_t
 from .counters import OpCounter
 from .errors import BudgetError, ConsistencyError, DomainError
 from .special import _g_rows_arr
@@ -84,8 +84,6 @@ def tail_bound(N: int, Q: int) -> float:
     """Certified bound on the dropped n > N tail, uniform over the window."""
     N = int(N)
     Q = int(Q)
-    if Q < FAST_PATH_MIN_Q:
-        raise DomainError(f"tail bound is calibrated for Q >= {FAST_PATH_MIN_Q}")
     if not N > math.sqrt(2.0 * Q / math.pi):
         raise DomainError("tail bound requires N > sqrt(2Q/pi)")
     amp = (2.0 * Q / math.pi) ** 1.75

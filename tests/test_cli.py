@@ -51,20 +51,19 @@ class TestEvalOutput:
         capsys.readouterr()
         assert rc == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "q,t,Z,theta,error_bound,method"
+        assert lines[0] == "q,t,Z,theta,error_bound"
         body = [ln.split(",") for ln in lines[1:]]
         assert [int(row[0]) for row in body] == _fundamentals(101, 50)
         for row in body:
-            assert len(row) == 6
-            for cell in row[1:5]:
+            assert len(row) == 5
+            for cell in row[1:]:
                 assert _SCI.match(cell), cell
-            assert row[5] == "oracle"
 
     def test_default_stream_is_stdout(self, capsys):
         rc = main(["eval", "--q-min", "101", "--q-width", "50", "--epsilon", "1e-4"])
         captured = capsys.readouterr()
         assert rc == 0
-        assert captured.out.startswith("q,t,Z,theta,error_bound,method\n")
+        assert captured.out.startswith("q,t,Z,theta,error_bound\n")
 
     def test_json_oracle_window(self, tmp_path, capsys):
         out = tmp_path / "z.json"
@@ -77,10 +76,13 @@ class TestEvalOutput:
         doc = json.loads(out.read_text())
         assert doc["window"] == {"Q": 101, "Delta": 50}
         assert doc["t"] == 0.3
-        assert doc["method"] == "oracle"
-        assert doc["budget"] is None
-        assert [r["q"] for r in doc["records"]] == _fundamentals(101, 50)
-        assert all(r["error_bound"] == 1e-5 / 4.0 for r in doc["records"])
+        assert doc["budget"]["N"] >= 1 and doc["budget"]["R"] >= 1
+        assert doc["counts"]["kernel_evals"] > 0
+        records = doc["records"]
+        assert [r["q"] for r in records] == _fundamentals(101, 50)
+        assert all(set(r) == {"q", "t", "Z", "theta", "error_bound"} for r in records)
+        # each record carries its budget's bound, not a flat eps/4
+        assert all(0.0 < r["error_bound"] != 1e-5 / 4.0 for r in records)
 
     def test_json_fast_window_reports_budget(self, tmp_path, capsys):
         out = tmp_path / "z.json"
@@ -91,11 +93,10 @@ class TestEvalOutput:
         capsys.readouterr()
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["method"] == "fast"
         assert doc["budget"]["N"] == 400
         assert doc["budget"]["R"] >= 1
         assert doc["counts"]["kernel_evals"] > 0
-        assert all(r["method"] == "fast" for r in doc["records"])
+        assert set(doc) == {"window", "t", "epsilon", "budget", "counts", "timings", "records"}
 
     def test_json_reports_timings(self, tmp_path, capsys):
         out = tmp_path / "z.json"
@@ -128,13 +129,23 @@ class TestExitCodes:
         assert "error:" in err
 
     @pytest.mark.parametrize("q_min,eps", [("101", "1e-17"), ("5001", "5e-324")])
-    def test_precision_breach_on_oracle_route(self, q_min, eps, tmp_path, capsys):
-        # the fast route's log2(Q/epsilon) <= 45 rule holds on the oracle
-        # route too, before any sweep: no sub-ulp certificates, no traceback
+    def test_precision_breach_refused_before_sweep(self, q_min, eps, tmp_path, capsys):
+        # log2(Q/epsilon) <= 45 holds at every Q, checked before any sweep:
+        # no sub-ulp certificates, no traceback
         out = tmp_path / "z.csv"
         rc = main(["eval", "--q-min", q_min, "--q-width", "50", "--epsilon", eps,
                    "--out", str(out)])
         assert "45-bit" in capsys.readouterr().err
+        assert rc == 3
+        assert not out.exists()
+
+    def test_node_floor_refused_on_small_window(self, tmp_path, capsys):
+        # 40 bits pass the precision rule, but epsilon3 falls below the
+        # planner's 2^-48 node floor, the same rule as on large windows
+        out = tmp_path / "z.csv"
+        rc = main(["eval", "--q-min", "5001", "--q-width", "2500", "--epsilon", "1e-8",
+                   "--out", str(out)])
+        assert "2^-48" in capsys.readouterr().err
         assert rc == 3
         assert not out.exists()
 
@@ -148,7 +159,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == 2
 
-    @pytest.mark.parametrize("q_min", ["101", "10001"])  # oracle and fast routes
+    @pytest.mark.parametrize("q_min", ["101", "10001"])
     def test_nan_t_refused(self, q_min, tmp_path, capsys):
         out = tmp_path / "z.csv"
         rc = main(["eval", "--q-min", q_min, "--q-width", "50", "--t", "nan",
@@ -202,13 +213,15 @@ class TestCompare:
         assert doc["max_dev"] <= 1e-9
         assert len(doc["rows"]) == doc["n_characters"]
 
-    def test_oracle_routed_window_not_compared(self, tmp_path, capsys):
-        out = tmp_path / "cmp.csv"
-        rc = main(["compare", "--q-min", "101", "--q-width", "50", "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "not compared" in err
-        assert not out.exists()
+    def test_small_window_compares_clean(self, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        rc = main(["compare", "--q-min", "101", "--q-width", "50",
+                   "--format", "json", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["n_fail"] == 0
+        assert [r["q"] for r in doc["rows"]] == _fundamentals(101, 50)
 
     def test_fault_injection_fails(self, tmp_path, capsys, monkeypatch):
         import qlbatch.cli as cli

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qlbatch import BudgetError, DomainError, OpCounter
-from qlbatch.special import _g_kernel_arr
+from qlbatch.special import _g_kernel_arr, weight_v
 from qlbatch.taylor import build_coefficient_table, plan_budget, tail_bound, taylor_remainder_bound
 
 
@@ -52,7 +52,7 @@ class TestPlanBudget:
             plan_budget(10_000, 5_001, 1e-6, 0.0)
 
     @given(
-        st.integers(10_000, 200_000),
+        st.integers(2, 200_000),
         st.floats(1e-8, 1e-2),
     )
     def test_planned_budget_meets_both_bounds(self, Q, eps):
@@ -74,9 +74,23 @@ class TestBounds:
 
     def test_tail_bound_preconditions(self):
         with pytest.raises(DomainError):
-            tail_bound(400, 5_000)  # Q below the fast-path floor
-        with pytest.raises(DomainError):
             tail_bound(70, 10_000)  # N under sqrt(2Q/pi)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("Q", [5, 101, 1001, 5001])
+    def test_tail_bound_covers_measured_tail(self, Q, t):
+        # the dropped terms n in (N, 4N] of the smoothed series, at both ends
+        # of the widest window, as in acceptance criterion 05
+        b = plan_budget(Q, Q // 2, 1e-6, t)
+        bound = tail_bound(b.N, Q)
+        z = 0.5 + 1j * t
+        for q in (Q, Q + Q // 2 - 1):
+            tail = 2.0 * math.fsum(
+                n ** -0.5 * abs(weight_v(z, math.pi * n * n / q))
+                for n in range(b.N + 1, 4 * b.N + 1)
+            )
+            assert tail <= bound, q
+        assert bound < b.epsilon1
 
     def test_remainder_decreasing_in_r(self):
         vals = [taylor_remainder_bound(400, 10_000, 5_000, R) for R in (4, 8, 16, 32)]
