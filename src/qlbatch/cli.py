@@ -116,6 +116,8 @@ def _write_records_json(result, fh) -> None:
             "wall_s": result.wall_time_s,
             "precompute_s": result.precompute_s,
             "recovery_s": result.recovery_s,
+            "build_s": result.build_s,
+            "eval_s": result.eval_s,
         },
         "records": [
             {"q": q, "t": request.t, "Z": z, "theta": theta, "error_bound": bound}
@@ -286,12 +288,12 @@ def _st_multieval_agreement() -> None:
     from .multieval import EvalGrid, NodeSum, direct_eval, fast_eval
 
     rng = np.random.default_rng(991)
-    K = 1500
-    dens = rng.integers(1, 1600, size=K)
+    K = 40_000  # about 2.4 spreading blocks after merging
+    dens = rng.integers(1, 1 << 16, size=K)
     nums = rng.integers(0, 1 << 30, size=K) % dens
     coeffs = rng.standard_normal((3, K)) + 1j * rng.standard_normal((3, K))
     p = NodeSum.from_fractions(nums, dens, coeffs)
-    g = EvalGrid(b0=7_001, H=700)
+    g = EvalGrid(b0=7_001, H=300)
     eps3 = 1e-9
     ref = direct_eval(p, g)
     fast = fast_eval(p, g, eps3, force="transform")

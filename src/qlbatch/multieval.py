@@ -1,11 +1,13 @@
 """Multi-evaluation of sparse nonuniform exponential sums.
 
 A node problem holds K rational frequencies alpha_k = num_k/den_k in [0, 1)
-with R stacked coefficient vectors, and both evaluators compute
+and their R stacked coefficient vectors as the linear map coeffs = merge @ B
+from M weighted table rows, and both evaluators compute
 
     Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k (b0 + h)),  0 <= h < H,
 
-at the grid's own arguments b0 .. b0+H-1.
+at the grid's own arguments b0 .. b0+H-1, forming the coefficients one
+block of frequencies at a time.
 
 Small problems go through an exact-angle direct sum.  Large ones are spread
 onto a power-of-two fine grid of n >= 2H cells with the Gaussian window
@@ -21,8 +23,10 @@ from the error analysis alone (_gaussian_params):
 The first makes the aliasing term exp(-4 pi^2 tau (1 - 2 xi_m)) at most
 e^-A; the second makes the truncated tail exp(-w^2 / (4 tau)), after the
 deconvolution gain exp(4 pi^2 tau xi_m^2), at most e^-A.  Each frequency
-spreads onto W = 2w + 1 cells, and all R complex coefficient rows are
-spread by a single sparse product on their float64 view.  Frequencies stay
+spreads onto W = 2w + 1 cells.  The frequencies are sorted by alpha, so a
+block of them touches one contiguous range of grid rows; the R complex
+coefficient rows of a block are spread there by one sparse product on their
+float64 view (sorted-subproblem spreading, as in FINUFFT).  Frequencies stay
 exact integers (num, den) end to end: every phase used in either path is
 exp(2 pi i (integer mod den) / den).
 """
@@ -42,55 +46,80 @@ from .taylor import _EPS3_FLOOR, CoefficientTable
 
 # below this work volume the exact direct sum wins over transform setup
 _CROSSOVER_OPS = 1 << 22
+# frequencies spread per block: bounds the transform's per-block arrays
+_SPREAD_BLOCK = 1 << 14
 _CONVENTIONS = ("sqrt_a", "plain_a")
 # keeps the merge key num*stride + den and every exact angle inside int64
 _MAX_DEN = 1 << 31
 
 
-def _merge_frequencies(nums, dens, cols, weights, B):
+def _merge_frequencies(nums, dens, cols, weights):
     """Merge weighted frequency entries into distinct fractions in alpha order.
 
     Entry j is the frequency nums[j]/dens[j] (any integer over a positive
-    denominator) and adds the real weights[j] times row cols[j] of the
-    C-contiguous complex B to that frequency's row.  Fractions are reduced
-    and folded into [0, 1), equal ones share a row, and rows are numbered by
-    ascending alpha, so the one sparse row-sum (on B's float64 view) already
-    yields the sorted block.  Returns (nums, dens, merged) with merged a
-    C-contiguous complex (K, R) array.
+    denominator) and adds the real weights[j] times table row cols[j] to that
+    frequency's coefficients.  Fractions are reduced and folded into [0, 1),
+    equal ones share a row, and rows are numbered by ascending alpha.
+    Returns (nums, dens, merge) with merge the canonical CSR (K, cols.max()+1)
+    map whose duplicate entries are summed.
     """
+    # the entry arrays are large: each temporary is freed once it is dead
     nums = nums % dens
     g = np.gcd(nums, dens)  # gcd(0, d) = d folds 0/d to 0/1
     nums //= g
     dens = dens // g
+    del g
     stride = int(dens.max()) + 1
-    uniq, inv = np.unique(nums * stride + dens, return_inverse=True)
+    nums *= stride
+    nums += dens  # the merge key
+    del dens
+    uniq, inv = np.unique(nums, return_inverse=True)
     nums = uniq // stride
     dens = uniq % stride
     order = np.argsort(nums / dens, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    merge = sparse.coo_array((weights, (rank[inv], cols)), shape=(order.size, B.shape[0]))
-    # duplicate (k, col) entries sum
-    merged = (merge.tocsr() @ B.view(np.float64)).view(np.complex128)
-    return nums[order], dens[order], merged
+    merge = sparse.coo_array((weights, (rank[inv], cols)), shape=(order.size, int(cols.max()) + 1))
+    return nums[order], dens[order], merge.tocsr()
 
 
 @dataclass(eq=False)
 class NodeSum:
-    """K merged rational frequencies with R coefficient vectors.
+    """K merged rational frequencies with R coefficient vectors, as a map.
 
     nums/dens are reduced fractions in [0, 1), sorted by value, pairwise
-    distinct; coeffs has shape (R, K) in either memory order (the builders
-    store it as the transposed view of a (K, R) block); scale records the
-    largest coefficient magnitude so transform tolerances apply to
-    normalized data.
+    distinct.  The coefficients of frequency k are row k of merge @ B: merge
+    is a CSR (K, M) array of real weights and B a C-contiguous complex
+    (M, R) array of table rows.  The evaluators form them one block of
+    frequencies at a time (block), so nothing of size K*R is ever held;
+    coeffs (R, K) and scale (the largest coefficient magnitude, 1.0 for an
+    all-zero problem) are computed on demand for checks.
     """
 
     nums: np.ndarray
     dens: np.ndarray
-    coeffs: np.ndarray
-    K: int
-    scale: float
+    merge: sparse.csr_array
+    B: np.ndarray
+
+    @property
+    def K(self) -> int:
+        return int(self.nums.size)
+
+    @property
+    def R(self) -> int:
+        return int(self.B.shape[1])
+
+    def block(self, k0: int, k1: int) -> np.ndarray:
+        """Coefficients of frequencies k0 .. k1-1 as a new (k1-k0, R) array."""
+        return (self.merge[k0:k1] @ self.B.view(np.float64)).view(np.complex128)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.block(0, self.K).T
+
+    @property
+    def scale(self) -> float:
+        return float(np.abs(self.coeffs).max(initial=0.0)) or 1.0
 
     @classmethod
     def from_fractions(cls, nums, dens, coeffs) -> "NodeSum":
@@ -105,20 +134,8 @@ class NodeSum:
         if np.any(dens <= 0) or np.any(dens >= _MAX_DEN):
             raise DomainError("denominators must lie in [1, 2^31)")
         cols = np.arange(nums.size, dtype=np.int64)
-        B = np.ascontiguousarray(coeffs.T)
-        return cls._from_merged(*_merge_frequencies(nums, dens, cols, np.ones(nums.size), B))
-
-    @classmethod
-    def _from_merged(cls, nums, dens, merged) -> "NodeSum":
-        """Wrap an alpha-sorted (K, R) block; coeffs is its transposed view."""
-        scale = float(np.max(np.abs(merged))) if merged.size else 0.0
-        return cls(
-            nums=nums,
-            dens=dens,
-            coeffs=merged.T,
-            K=int(nums.size),
-            scale=scale if scale != 0.0 else 1.0,
-        )
+        nums, dens, merge = _merge_frequencies(nums, dens, cols, np.ones(nums.size))
+        return cls(nums, dens, merge, np.ascontiguousarray(coeffs.T))
 
 
 @dataclass(frozen=True)
@@ -163,11 +180,12 @@ def build_node_problem(
     """Assemble the divisor-a node problem for one coefficient table.
 
     Folds the quadratic phase l^2/(4m) over its four-fold symmetry (weights 2
-    at l in {0, m}, else 4), merges equal reduced fractions across all
-    m <= N/a via one sparse matrix product whose rows are already in alpha
-    order.  Row m carries the whole assembly weight u_m = sqrt(a/m), or a
-    under convention="plain_a", so evaluating the problem on its grid gives
-    the divisor's summand sqrt(a) S_r(a, b) at every b = b0 .. b0+H-1.
+    at l in {0, m}, else 4) and merges equal reduced fractions across all
+    m <= N/a into one sparse (K, M) map whose rows are in alpha order; the
+    map is not applied here.  Row m of B carries the whole assembly weight
+    u_m = sqrt(a/m), or a under convention="plain_a", so evaluating the
+    problem on its grid gives the divisor's summand sqrt(a) S_r(a, b) at
+    every b = b0 .. b0+H-1.
     Returns (NodeSum, EvalGrid), or None when the divisor contributes
     nothing (a > N or the rescaled window is empty).
     """
@@ -189,11 +207,11 @@ def build_node_problem(
     sizes = np.arange(2, M + 2, dtype=np.int64)  # segment m has l = 0..m
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     total = int(sizes.sum())
-    m_idx = np.repeat(np.arange(1, M + 1, dtype=np.int64), sizes)
-    ell = np.arange(total, dtype=np.int64) - np.repeat(starts, sizes)
-    den4 = 4 * m_idx
-    res = (ell * ell) % den4
-    weight = np.where((ell == 0) | (ell == m_idx), 2.0, 4.0)
+    row = np.repeat(np.arange(M, dtype=np.int64), sizes)  # m - 1, the row of B
+    ell = np.arange(total, dtype=np.int64)
+    ell -= np.repeat(starts, sizes)
+    weight = np.where((ell == 0) | (ell == row + 1), 2.0, 4.0)
+    ell *= ell  # the numerator l^2 over 4m, reduced by the merge
 
     # per-m coefficient row: weight u_m times c_r(t, a m)
     cols = a * np.arange(1, M + 1, dtype=np.int64) - 1
@@ -203,41 +221,41 @@ def build_node_problem(
     else:
         u = np.full(M, float(a))
     B = np.ascontiguousarray((base * u).T)  # (M, R)
-    nums, dens, merged = _merge_frequencies(res, den4, m_idx - 1, weight, B)
+    nums, dens, merge = _merge_frequencies(ell, 4 * row + 4, row, weight)
     if counter is not None:
         counter.add("node_merged", int(nums.size))
-    return NodeSum._from_merged(nums, dens, merged), EvalGrid(b0=b0, H=H)
+    return NodeSum(nums, dens, merge, B), EvalGrid(b0=b0, H=H)
 
 
 def _direct_core(p: NodeSum, g: EvalGrid) -> np.ndarray:
-    """Exact-angle direct evaluation, compensated across frequency blocks."""
-    R, K = p.coeffs.shape
-    H = g.H
-    out = np.empty((R, H), dtype=np.complex128)
+    """Exact-angle direct evaluation, compensated across frequency blocks.
+
+    Each block of 2^16 frequencies forms its coefficients once and adds
+    them into every target chunk.
+    """
+    K, H = p.K, g.H
+    acc = np.zeros((p.R, H), dtype=np.complex128)
+    comp = np.zeros_like(acc)
     k_block = 1 << 16
     h_chunk = max(1, _CROSSOVER_OPS // max(K, 1))
-    for h0 in range(0, H, h_chunk):
-        h1 = min(h0 + h_chunk, H)
-        bs = np.arange(g.b0 + h0, g.b0 + h1, dtype=np.int64)
-        acc = np.zeros((R, h1 - h0), dtype=np.complex128)
-        comp = np.zeros_like(acc)
-        for k0 in range(0, K, k_block):
-            k1 = min(k0 + k_block, K)
+    for k0 in range(0, K, k_block):
+        k1 = min(k0 + k_block, K)
+        coeffs = p.block(k0, k1).T
+        for h0 in range(0, H, h_chunk):
+            h1 = min(h0 + h_chunk, H)
+            bs = np.arange(g.b0 + h0, g.b0 + h1, dtype=np.int64)
             phases = _exact_phase(p.nums[k0:k1, None], p.dens[k0:k1, None], bs)
-            part = p.coeffs[:, k0:k1] @ phases
-            y = part - comp
-            tot = acc + y
-            comp = (tot - acc) - y
-            acc = tot
-        out[:, h0:h1] = acc
-    return out
+            y = coeffs @ phases - comp[:, h0:h1]
+            tot = acc[:, h0:h1] + y
+            comp[:, h0:h1] = (tot - acc[:, h0:h1]) - y
+            acc[:, h0:h1] = tot
+    return acc
 
 
 def direct_eval(p: NodeSum, g: EvalGrid, counter: OpCounter | None = None) -> np.ndarray:
     """Reference evaluation: K*H*R work, every phase from an exact angle."""
-    R, K = p.coeffs.shape
     if counter is not None:
-        counter.add("direct_eval_ops", K * g.H * R)
+        counter.add("direct_eval_ops", p.K * g.H * p.R)
     return _direct_core(p, g)
 
 
@@ -272,15 +290,18 @@ def fast_eval(
 
     Small problems (K*H*R under the crossover) fall through to the direct
     sum.  force="transform"/"direct" pins the path for testing.  The
-    transform centres the targets on b0 + Hc with Hc = H//2, takes w and
+    transform centres the targets on b0 + Hc with Hc = H//2 and takes w and
     tau from _gaussian_params (W = 2w + 1 taps, variance
-    tau = A/(4 pi^2 (1 - 2 xi_m))), forms the coefficients phased by
-    exp(2 pi i alpha (b0 + Hc)) once as a C-contiguous (K, R) complex
-    block, spreads its (K, 2R) float64 view with one sparse (n+2w, K)
-    product, wraps the padding, and runs one FFT along the grid axis.  Below
-    eps3 = 1e-12 the promise degrades to double-precision roundoff amplified
-    by the deconvolution gain (at most e^(A/8)): 12 of 73 seeded random
-    problems there exceed eps3*scale, and the planner accepts such targets
+    tau = A/(4 pi^2 (1 - 2 xi_m))).  It walks the alpha-sorted frequencies
+    in blocks of _SPREAD_BLOCK: each block forms its coefficients, phases
+    them by exp(2 pi i alpha (b0 + Hc)), and spreads their float64 view with
+    a sparse matrix over the contiguous fine-grid rows [lo, hi) it touches,
+    added into one padded grid of n + 2w + 1 rows (round(n alpha) stays
+    unwrapped, so alpha -> 1 lands on cell n).  The padding is wrapped and
+    one FFT runs along the grid axis.  Below eps3 = 1e-12 the promise
+    degrades to double-precision roundoff amplified by the deconvolution
+    gain (at most e^(A/8)): 17 of 69 seeded random problems there exceed
+    eps3*scale, and the planner accepts such targets
     (eps3 = 8.69e-15 on [2*10^5, 3*10^5) at eps = 1e-6).  Carrying this
     floor into the certificate is ROADMAP item 2.
     """
@@ -294,8 +315,7 @@ def fast_eval(
         )
     if force not in ("auto", "transform", "direct"):
         raise DomainError(f"unknown path selector {force!r}")
-    R, K = p.coeffs.shape
-    H = g.H
+    R, K, H = p.R, p.K, g.H
     if force == "direct" or (force == "auto" and K * H * R <= _CROSSOVER_OPS):
         if counter is not None:
             counter.add("fast_eval_ops", K * H * R)
@@ -311,38 +331,42 @@ def fast_eval(
             K * W * R + R * n * int(math.log2(n)) + R * H + K * R,
         )
 
-    # centre targets at b0 + Hc so deconvolution gains stay moderate
-    coeffs = np.empty((K, R), dtype=np.complex128)
-    phase = _exact_phase(p.nums, p.dens, g.b0 + Hc)
-    np.multiply(p.coeffs.T, (phase / p.scale)[:, None], out=coeffs)
-
-    # nearest fine-grid cell and the exact fractional offset
-    t_num = n * p.nums
-    j0 = (2 * t_num + p.dens) // (2 * p.dens)  # round(n alpha), half away up
-    delta = (t_num - j0 * p.dens) / p.dens  # in [-1/2, 1/2], exact
-    j0 = j0 % n  # wrap alpha -> 1 onto cell 0; circle offset unchanged
-
-    # column k of the spreading matrix holds the W taps at rows j0 .. j0 + 2w;
-    # its index pointer reaches K*W, which decides the index width
-    itype = np.int32 if K * W < 2 ** 31 else np.int64
-    gauss = np.subtract.outer(delta, np.arange(-w, w + 1, dtype=np.float64))
-    np.square(gauss, out=gauss)
-    np.divide(gauss, -4.0 * tau, out=gauss)
-    np.exp(gauss, out=gauss)
-    rows = np.add.outer(j0.astype(itype), np.arange(W, dtype=itype))
-    spread = sparse.csc_array(
-        (gauss.ravel(), rows.ravel(), np.arange(0, K * W + 1, W, dtype=itype)),
-        shape=(n + 2 * w, K),
-    )
-    padded = (spread @ coeffs.view(np.float64)).view(np.complex128)  # (n + 2w, R)
+    padded = np.zeros((n + 2 * w + 1, R), dtype=np.complex128)
+    taps = np.arange(-w, w + 1, dtype=np.float64)
+    for k0 in range(0, K, _SPREAD_BLOCK):
+        k1 = min(k0 + _SPREAD_BLOCK, K)
+        nums, dens = p.nums[k0:k1], p.dens[k0:k1]
+        # centre targets at b0 + Hc so deconvolution gains stay moderate
+        coeffs = p.block(k0, k1)
+        coeffs *= _exact_phase(nums, dens, g.b0 + Hc)[:, None]
+        # nearest fine-grid cell (ascending with alpha) and the exact offset
+        t_num = n * nums
+        j0 = (2 * t_num + dens) // (2 * dens)  # round(n alpha), half away up
+        delta = (t_num - j0 * dens) / dens  # in [-1/2, 1/2], exact
+        lo, hi = int(j0[0]), int(j0[-1]) + W
+        gauss = np.subtract.outer(delta, taps)
+        np.square(gauss, out=gauss)
+        np.divide(gauss, -4.0 * tau, out=gauss)
+        np.exp(gauss, out=gauss)
+        # column k holds the W taps at rows j0 - lo .. j0 - lo + 2w
+        rows = np.add.outer((j0 - lo).astype(np.int32), np.arange(W, dtype=np.int32))
+        spread = sparse.csc_array(
+            (gauss.ravel(), rows.ravel(), np.arange(0, (k1 - k0) * W + 1, W, dtype=np.int32)),
+            shape=(hi - lo, k1 - k0),
+        )
+        padded[lo:hi] += (spread @ coeffs.view(np.float64)).view(np.complex128)
+    # padded row j holds fine cell j - w
     core = padded[w : w + n]
-    core[:w] += padded[n + w :]
+    core[: w + 1] += padded[n + w :]
     core[n - w :] += padded[:w]
 
     # DFT with the e^{+2 pi i} sign convention, unnormalized
     U = np.fft.ifft(core, axis=0, norm="forward")
+    del padded, core  # free the grid before the gather
 
     rel = np.arange(H, dtype=np.int64) - Hc
     xi = rel / n
     window_hat = 2.0 * math.sqrt(math.pi * tau) * np.exp(-4.0 * math.pi ** 2 * tau * xi * xi)
-    return (U[rel % n] * (p.scale / window_hat)[:, None]).T
+    values = U[rel % n]
+    values /= window_hat[:, None]
+    return values.T

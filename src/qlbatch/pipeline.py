@@ -71,7 +71,9 @@ class BatchResult:
     budget, counters and phase timings of the run.
 
     The columns are aligned with q (int64, ascending): Z, theta and
-    error_bound (float64) and recovery_ops (int64).
+    error_bound (float64) and recovery_ops (int64).  build_s and eval_s are
+    the node-problem construction and evaluation seconds summed over the
+    divisors, so with several threads they can exceed precompute_s.
     """
 
     request: BatchRequest
@@ -85,6 +87,8 @@ class BatchResult:
     wall_time_s: float
     precompute_s: float
     recovery_s: float
+    build_s: float
+    eval_s: float
 
     @property
     def n_characters(self) -> int:
@@ -144,15 +148,19 @@ def run_batch(
     by_divisor = np.argsort(d, kind="stable")
     edges = np.searchsorted(d, np.arange(divisors.size + 1), sorter=by_divisor)
     terms = np.empty((budget.R, a.size), dtype=np.complex128)
+    seconds = np.zeros((2, divisors.size))  # build, eval
 
     def run_one(i: int) -> None:
+        t0 = time.perf_counter()
         built = build_node_problem(
             int(divisors[i]), table, win, convention=convention, counter=counter
         )
         if built is None:
             raise ConsistencyError(f"divisor a={divisors[i]} has no node problem")
         problem, grid = built
+        t1 = time.perf_counter()
         values = fast_eval(problem, grid, budget.epsilon3, counter)
+        seconds[:, i] = t1 - t0, time.perf_counter() - t1
         cols = by_divisor[edges[i] : edges[i + 1]]
         terms[:, cols] = values[:, b[cols] - grid.b0]
 
@@ -189,6 +197,8 @@ def run_batch(
         wall_time_s=time.perf_counter() - t_start,
         precompute_s=precompute_s,
         recovery_s=recovery_s,
+        build_s=float(seconds[0].sum()),
+        eval_s=float(seconds[1].sum()),
     )
 
 

@@ -107,9 +107,12 @@ class TestEvalOutput:
         capsys.readouterr()
         assert rc == 0
         timings = json.loads(out.read_text())["timings"]
-        assert set(timings) == {"wall_s", "precompute_s", "recovery_s"}
+        assert set(timings) == {"wall_s", "precompute_s", "recovery_s", "build_s", "eval_s"}
         assert 0.0 < timings["precompute_s"] <= timings["wall_s"]
         assert 0.0 <= timings["recovery_s"] <= timings["wall_s"]
+        # one thread: the per-divisor sums lie inside the precompute phase
+        assert 0.0 < timings["build_s"] and 0.0 < timings["eval_s"]
+        assert timings["build_s"] + timings["eval_s"] <= timings["precompute_s"]
 
 
 class TestExitCodes:

@@ -10,6 +10,7 @@ phase) is interior detail behind that contract.
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlbatch import AccuracyError, DomainError, OpCounter, Window
+from qlbatch import multieval
 from qlbatch.gauss import gauss_sum_fast
 from qlbatch.multieval import (
+    _SPREAD_BLOCK,
     EvalGrid,
     NodeSum,
     _gaussian_params,
@@ -27,12 +30,13 @@ from qlbatch.multieval import (
     divisor_grid,
     fast_eval,
 )
-from qlbatch.taylor import build_coefficient_table
+from qlbatch.taylor import build_coefficient_table, plan_budget
 
 
 def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:
     """Per-(r, h) fsum over all K frequencies with exact angles."""
-    R, K = p.coeffs.shape
+    coeffs = p.coeffs
+    R, K = coeffs.shape
     out = np.empty((R, g.H), dtype=np.complex128)
     for h in range(g.H):
         shift = g.b0 + h
@@ -41,7 +45,7 @@ def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:
             im = []
             for k in range(K):
                 ang = (int(p.nums[k]) * (shift % int(p.dens[k]))) % int(p.dens[k])
-                z = p.coeffs[r, k] * cmath.exp(2j * math.pi * ang / int(p.dens[k]))
+                z = coeffs[r, k] * cmath.exp(2j * math.pi * ang / int(p.dens[k]))
                 re.append(z.real)
                 im.append(z.imag)
             out[r, h] = complex(math.fsum(re), math.fsum(im))
@@ -314,13 +318,7 @@ class TestFastEval:
     def test_linearity_in_coefficients(self, rng):
         p = _random_problem(rng, K=500, R=2)
         g = EvalGrid(b0=3_000, H=300)
-        scaled = NodeSum(
-            nums=p.nums,
-            dens=p.dens,
-            coeffs=2.5 * p.coeffs,
-            K=p.K,
-            scale=2.5 * p.scale,
-        )
+        scaled = NodeSum(nums=p.nums, dens=p.dens, merge=p.merge, B=2.5 * p.B)
         a = fast_eval(p, g, 1e-10, force="transform")
         b = fast_eval(scaled, g, 1e-10, force="transform")
         assert np.max(np.abs(b - 2.5 * a)) <= 1e-9 * p.scale
@@ -382,15 +380,98 @@ class TestFastEval:
         got = fast_eval(p, g, eps3, force="transform")
         assert np.max(np.abs(got - ref)) <= eps3 * p.scale
 
-    def test_either_coefficient_order(self, rng):
-        p = _random_problem(rng, K=600, R=3)
-        g = EvalGrid(b0=99, H=200)
-        c_order = NodeSum(p.nums, p.dens, np.ascontiguousarray(p.coeffs), p.K, p.scale)
-        assert not p.coeffs.flags.c_contiguous  # builders store the transposed view
+    def test_built_problem_holds_no_coefficient_block(self, small_table):
+        # a built problem is the (K, M) merge map and the (M, R) table rows;
+        # the same coefficients stored as K explicit rows evaluate alike
+        p, g = build_node_problem(1, small_table, Window(10_000, 64))
+        K, M, R = p.K, small_table.N, small_table.R
+        assert p.merge.shape == (K, M) and p.B.shape == (M, R)
+        held = [v.shape for v in vars(p).values() if hasattr(v, "shape")]
+        assert (K, R) not in held and (R, K) not in held
+        explicit = NodeSum.from_fractions(p.nums, p.dens, p.coeffs)
+        assert explicit.B.shape == (K, R)
         for force in ("transform", "direct"):
             a = fast_eval(p, g, 1e-10, force=force)
-            b = fast_eval(c_order, g, 1e-10, force=force)
+            b = fast_eval(explicit, g, 1e-10, force=force)
             assert np.max(np.abs(a - b)) <= 1e-13 * p.scale
+
+
+_PRIME = 2 ** 31 - 1
+
+
+def _distinct_nums(rng, K, lo=1, hi=_PRIME):
+    """K distinct numerators in [lo, hi), in random order."""
+    return rng.permutation(np.unique(rng.integers(lo, hi, size=2 * K)))[:K]
+
+
+def _prime_problem(rng, nums, R=2):
+    """Distinct fractions nums/_PRIME with random coefficients."""
+    K = len(nums)
+    coeffs = rng.standard_normal((R, K)) + 1j * rng.standard_normal((R, K))
+    p = NodeSum.from_fractions(nums, np.full(K, _PRIME), coeffs)
+    assert p.K == K
+    return p
+
+
+class TestSpreadBlocks:
+    """The transform spreads the alpha-sorted frequencies block by block."""
+
+    @pytest.mark.parametrize(
+        "K",
+        [_SPREAD_BLOCK - 1, _SPREAD_BLOCK, _SPREAD_BLOCK + 1, 3 * _SPREAD_BLOCK + 17],
+        ids=["below_one", "one", "one_plus_one", "several"],
+    )
+    def test_transform_matches_direct_across_blocks(self, rng, K):
+        p = _prime_problem(rng, _distinct_nums(rng, K))
+        g = EvalGrid(b0=int(rng.integers(0, 10_000)), H=64)
+        eps3 = 1e-9
+        ref = direct_eval(p, g)
+        got = fast_eval(p, g, eps3, force="transform")
+        assert np.max(np.abs(got - ref)) <= eps3 * p.scale
+
+    def test_tail_rounding_to_cell_n_stays_local(self, rng, monkeypatch):
+        # one full block below alpha = 1/2, then a block of 40 above it whose
+        # tail alpha = 1 - k/P rounds to fine cell n: unwrapped, that block
+        # spans only its own rows, never the whole grid
+        nums = np.concatenate([
+            _distinct_nums(rng, _SPREAD_BLOCK, hi=_PRIME // 2),
+            _distinct_nums(rng, 32, lo=_PRIME // 2 + 1, hi=_PRIME - 1_000),
+            _PRIME - np.arange(1, 9),
+        ])
+        p = _prime_problem(rng, nums)
+        g = EvalGrid(b0=4_321, H=64)
+        eps3 = 1e-9
+        n = _gaussian_params(p.K, g.H, eps3)[2]
+        assert round(n * p.nums[-1] / p.dens[-1]) == n
+        spans = []
+        csc_array = multieval.sparse.csc_array
+
+        def recording(arg, shape):
+            spans.append(shape[0])
+            return csc_array(arg, shape=shape)
+
+        monkeypatch.setattr(multieval.sparse, "csc_array", recording)
+        got = fast_eval(p, g, eps3, force="transform")
+        assert len(spans) == 2 and spans[1] < n
+        assert np.max(np.abs(got - direct_eval(p, g))) <= eps3 * p.scale
+
+    def test_traced_peak_bounded_by_grid_and_block(self):
+        # the a = 1 problem of [50001, 75001): K = 195,648, R = 33, n = 2^16,
+        # 43 taps.  The padded grid and its FFT take 69 MB and one block's
+        # workspace about 30 MB; one (K, R) coefficient array would add
+        # 103 MB and the K*W spreading matrix 101 MB
+        Q, Delta = 50_001, 25_000
+        budget = plan_budget(Q, Delta, 1e-6, 0.0)
+        table = build_coefficient_table(0.0, Q, budget.N, budget.R)
+        tracemalloc.start()
+        try:
+            p, g = build_node_problem(1, table, Window(Q, Delta))
+            fast_eval(p, g, budget.epsilon3, force="transform")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.K > 190_000 and table.R == 33
+        assert peak < 128 * 2 ** 20
 
 
 class TestEvalGrid:
@@ -405,8 +486,8 @@ class TestEvalGrid:
         p = _random_problem(rng, K=600, R=2)
         b0 = 987_654_321
         ang = (p.nums * (b0 % p.dens)) % p.dens
-        rotated = NodeSum(
-            p.nums, p.dens, p.coeffs * np.exp(2j * math.pi * ang / p.dens), p.K, p.scale
+        rotated = NodeSum.from_fractions(
+            p.nums, p.dens, p.coeffs * np.exp(2j * math.pi * ang / p.dens)
         )
         at_b0, at_0 = EvalGrid(b0=b0, H=40), EvalGrid(b0=0, H=40)
         got = fast_eval(p, at_b0, 1e-10, force=force)
