@@ -4,7 +4,7 @@ classification, the quadratic character, and inclusion-exclusion divisors.
 The character chi_q for odd fundamental q = 1 (mod 4) is the quadratic
 symbol; by reciprocity it equals the Jacobi symbol (n/q) for every n, which
 is what quad_character evaluates.  CharacterSieve amortizes whole-interval
-character tables down to one symbol evaluation per prime.
+character tables down to one Legendre-table lookup per prime.
 """
 
 from __future__ import annotations
@@ -274,12 +274,13 @@ def sieve_factor_window(window: Window, counter: OpCounter | None = None) -> Fac
 
 
 class CharacterSieve:
-    """Character tables chi_q(n), n <= N, with symbol calls only at primes.
+    """Character tables chi_q(n), n <= N, from Legendre tables at the primes.
 
-    The smallest-prime-factor table and the composite levels (grouped by
-    number of prime factors) are built once and shared across conductors;
-    values(q) then assembles the completely multiplicative extension with a
-    handful of vectorized gathers.
+    The smallest-prime-factor table, the composite levels (grouped by number
+    of prime factors) and the Legendre tables (r/p), r < p, of the primes
+    p <= N are built once.  For q = 1 (mod 4), chi_q(p) = (q/p) by
+    reciprocity, so table(qs) gathers every prime column at once and
+    extends it completely multiplicatively with a few vectorized gathers.
     """
 
     def __init__(self, N: int) -> None:
@@ -308,16 +309,36 @@ class CharacterSieve:
             np.nonzero(omega == lev)[0]
             for lev in range(2, (int(omega.max()) if N >= 2 else 1) + 1)
         ]
+        # (r/p) at _offsets[i] + r, back to back; p = 2 is (2/q) indexed by q mod 8
+        self._moduli = np.where(self.primes == 2, 8, self.primes)
+        self._offsets = np.cumsum(self._moduli) - self._moduli
+        self._legendre = np.zeros(int(self._moduli.sum()), dtype=np.int8)
+        for p, off in zip(self._moduli.tolist(), self._offsets.tolist()):
+            tab = self._legendre[off : off + p]
+            if p == 8:
+                tab[:] = [0, 1, 0, -1, 0, -1, 0, 1]
+            else:
+                tab[1:] = -1
+                tab[np.arange(1, p) ** 2 % p] = 1
+
+    def table(self, qs) -> np.ndarray:
+        """float64 array v with v[i, n] = jacobi(n mod qs[i], qs[i]) for 1 <= n <= N
+        and v[i, 0] = 0: chi_q for fundamental q.  Every q must be positive
+        with q = 1 (mod 4), where reciprocity holds.
+        """
+        qs = np.asarray(qs, dtype=np.int64).reshape(-1)
+        if np.any((qs < 1) | (qs % 4 != 1)):
+            raise DomainError("CharacterSieve.table requires positive q = 1 (mod 4)")
+        chi = np.zeros((qs.size, self.N + 1), dtype=np.float64)
+        chi[:, 1] = 1.0
+        chi[:, self.primes] = self._legendre[self._offsets + qs[:, None] % self._moduli]
+        for level in self._levels:
+            chi[:, level] = chi[:, self.spf[level]] * chi[:, self.cof[level]]
+        return chi
 
     def values(self, q: int) -> np.ndarray:
         """float64 array v with v[n] = chi_q(n) for 0 <= n <= N."""
         q = int(q)
         if not _is_fundamental_odd_positive_int(q):
             raise DomainError(f"q={q} is not an odd positive fundamental conductor")
-        chi = np.zeros(self.N + 1, dtype=np.float64)
-        chi[1] = 1.0
-        if self.primes.size:
-            chi[self.primes] = [jacobi(int(p), q) for p in self.primes]
-        for level in self._levels:
-            chi[level] = chi[self.spf[level]] * chi[self.cof[level]]
-        return chi
+        return self.table([q])[0]

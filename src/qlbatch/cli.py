@@ -98,6 +98,11 @@ def _write_records_csv(result, fh) -> None:
         fh.write(f"{q},{t},{_fmt(z)},{_fmt(theta)},{_fmt(bound)}\n")
 
 
+def _timings(result) -> dict:
+    return dict(wall_s=result.wall_time_s, precompute_s=result.precompute_s,
+                recovery_s=result.recovery_s, build_s=result.build_s, eval_s=result.eval_s)
+
+
 def _write_records_json(result, fh) -> None:
     request, budget = result.request, result.budget
     doc = {
@@ -112,13 +117,7 @@ def _write_records_json(result, fh) -> None:
             "R": budget.R,
         },
         "counts": result.counts,
-        "timings": {
-            "wall_s": result.wall_time_s,
-            "precompute_s": result.precompute_s,
-            "recovery_s": result.recovery_s,
-            "build_s": result.build_s,
-            "eval_s": result.eval_s,
-        },
+        "timings": _timings(result),
         "records": [
             {"q": q, "t": request.t, "Z": z, "theta": theta, "error_bound": bound}
             for q, z, theta, bound in _rows(result)
@@ -156,6 +155,8 @@ def cmd_compare(args) -> int:
                 "max_dev": cmp.max_dev,
                 "mean_dev": cmp.mean_dev,
                 "n_fail": bad.size,
+                "timings": {**_timings(result), "oracle_s": cmp.oracle_s},
+                "counts": {**result.counts, **cmp.counts},
                 "rows": [
                     {"q": q, "Z_fast": z, "Z_reference": ref, "abs_dev": dev, "tolerance": tol}
                     for q, z, ref, dev, tol in rows
@@ -248,6 +249,15 @@ def _st_gauss_identities() -> None:
                 raise ConsistencyError(f"character reconstruction failed at q={q}, n={n}")
 
 
+def _st_character_table() -> None:
+    from .arith import CharacterSieve, _is_fundamental_odd_positive_int, jacobi
+
+    qs = [q for q in range(1, 200) if _is_fundamental_odd_positive_int(q)]
+    for q, row in zip(qs, CharacterSieve(150).table(qs).tolist()):
+        if row[1:] != [jacobi(n % q, q) for n in range(1, 151)]:
+            raise ConsistencyError(f"character table disagrees with jacobi at q={q}")
+
+
 def _st_budget_arithmetic() -> None:
     from .taylor import plan_budget, tail_bound, taylor_remainder_bound
 
@@ -316,6 +326,7 @@ def _st_window_consistency() -> None:
 def cmd_selftest(args) -> int:
     suites = [
         ("gauss-identities", _st_gauss_identities),
+        ("character-table", _st_character_table),
         ("budget-arithmetic", _st_budget_arithmetic),
         ("kernel-bounds", _st_kernel_bounds),
         ("multieval-agreement", _st_multieval_agreement),

@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy import sparse
 
 from .arith import Window
@@ -360,9 +361,8 @@ def fast_eval(
     core[: w + 1] += padded[n + w :]
     core[n - w :] += padded[:w]
 
-    # DFT with the e^{+2 pi i} sign convention, unnormalized
-    U = np.fft.ifft(core, axis=0, norm="forward")
-    del padded, core  # free the grid before the gather
+    # DFT with the e^{+2 pi i} sign convention, unnormalized, in place
+    U = scipy.fft.ifft(core, axis=0, norm="forward", overwrite_x=True)
 
     rel = np.arange(H, dtype=np.int64) - Hc
     xi = rel / n

@@ -8,7 +8,10 @@ tables or the multi-evaluation engine.  Each value is a direct smoothed sum
                          V(pi n^2 / q) ],
 
 with V(w) = Gamma(z2, w) / Gamma(z2), z2 = 1/4 + it/2, cut at an N whose
-dropped tail is certified below the returned tail_bound.
+dropped tail is certified below the returned tail_bound.  direct_Z is the
+naive route, a Jacobi symbol and a kernel evaluation per term; oracle_sweep
+is the array-native one, with Legendre-table characters per block of
+conductors and the kernel only where chi_q(n) != 0.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .counters import OpCounter
 from .errors import ConsistencyError, DomainError
 from .special import _g_kernel_arr, log_gamma, theta_phase
 
-_CHUNK = 64  # conductors per batched kernel call in sweeps
+_CHUNK = 64  # conductors per character table and kernel call in sweeps
 
 
 @dataclass(frozen=True)
@@ -158,51 +161,51 @@ def oracle_sweep(
     threads: int = 1,
     counter: OpCounter | None = None,
 ) -> list[OracleResult]:
-    """direct_Z over every fundamental conductor in a window, batched.
+    """direct_Z over every fundamental conductor in a window, as arrays.
 
-    Shares one character sieve across the window and concatenates kernel
-    arguments over blocks of conductors, which keeps the per-q cost at the
-    level of its Jacobi symbols.  Results match per-q direct_Z to roundoff
-    and come back sorted by q; an epsilon past the precision budget at the
-    largest q raises BudgetError before the first block.
+    One character sieve, one n^(-1/2-it) and one theta array serve the
+    window; each block of _CHUNK conductors takes one character table and
+    one kernel call over the arguments pi n^2/q with chi_q(n) != 0 (a
+    dropped term is exactly +-0, and fsum is correctly rounded).  Results
+    match per-q direct_Z to roundoff and come back sorted by q; an epsilon
+    past the precision budget at the largest q raises BudgetError before
+    the first block.
     """
     t = _check_t(t)
     epsilon = _check_epsilon(epsilon)
     _resolve_threads(threads)  # refuse a bad count on an empty window too
     factored = sieve_factor_window(window)
-    qs = factored.q[factored.fundamental].tolist()
-    if not qs:
+    qs = factored.q[factored.fundamental]
+    if not qs.size:
         return []
-    N_max, _ = _truncation_order(qs[-1], epsilon)
+    N_max, _ = _truncation_order(int(qs[-1]), epsilon)
     sieve = CharacterSieve(N_max)
+    n = np.arange(1, N_max + 1, dtype=np.float64)
+    powers = np.exp((-0.5 - 1j * t) * np.log(n))
+    thetas = theta_phase(t, 0, qs).tolist()
     z2 = 0.25 + 0.5j * t
     lg = log_gamma(z2)
     gamma_abs = math.exp(lg.real)
 
-    def run_block(block: list[int]) -> list[OracleResult]:
-        Ns = [_truncation_order(q, epsilon)[0] for q in block]
-        offs = np.concatenate(([0], np.cumsum(Ns)))
-        wcat = np.empty(int(offs[-1]), dtype=np.float64)
-        for i, (q, Nq) in enumerate(zip(block, Ns)):
-            n = np.arange(1, Nq + 1, dtype=np.float64)
-            wcat[offs[i] : offs[i + 1]] = math.pi * n * n / q
-        Vcat = np.exp(z2 * np.log(wcat) - lg) * _g_kernel_arr(z2, wcat)
+    def run_block(lo: int) -> list[OracleResult]:
+        block = qs[lo : lo + _CHUNK]
+        Ns = np.array([_truncation_order(q, epsilon)[0] for q in block.tolist()])
+        chi = sieve.table(block)[:, 1:]
+        rows, cols = np.nonzero((chi != 0.0) & (n <= Ns[:, None]))
+        w = math.pi * n[cols] * n[cols] / block[rows]
+        V = np.exp(z2 * np.log(w) - lg) * _g_kernel_arr(z2, w)
+        terms = chi[rows, cols] * powers[cols] * V
+        parts = np.split(terms, np.cumsum(np.bincount(rows, minlength=block.size))[:-1])
+        if counter is not None:
+            counter.add("oracle_special_calls", int(Ns.sum()))
         out = []
-        for i, (q, Nq) in enumerate(zip(block, Ns)):
-            chi = sieve.values(q)[1 : Nq + 1]
-            F = _smoothed_sum(q, t, chi, Vcat[offs[i] : offs[i + 1]])
-            theta = theta_phase(t, 0, q)
+        for q, Nq, theta, part in zip(block.tolist(), Ns.tolist(),
+                                      thetas[lo : lo + _CHUNK], parts):
+            F = complex(math.fsum(part.real.tolist()), math.fsum(part.imag.tolist()))
             Z = 2.0 * (cmath.exp(1j * theta) * F).real
-            if counter is not None:
-                counter.add("oracle_special_calls", Nq)
-            out.append(
-                OracleResult(
-                    q=q, t=t, Z=float(Z), N_used=Nq,
-                    tail_bound=_certified_tail(q, Nq, gamma_abs),
-                )
-            )
+            out.append(OracleResult(q=q, t=t, Z=float(Z), N_used=Nq,
+                                    tail_bound=_certified_tail(q, Nq, gamma_abs)))
         return out
 
-    blocks = [qs[i : i + _CHUNK] for i in range(0, len(qs), _CHUNK)]
-    per_block = _thread_map(run_block, blocks, threads)
+    per_block = _thread_map(run_block, range(0, qs.size, _CHUNK), threads)
     return [res for blk in per_block for res in blk]

@@ -204,14 +204,16 @@ def run_batch(
 
 @dataclass(frozen=True)
 class Comparison:
-    """A sweep against the oracle: columns aligned with the result's q, and
-    the summary."""
+    """A sweep against the oracle: columns aligned with the result's q, the
+    summary, and the oracle's wall seconds and counters."""
 
     refs: np.ndarray  # oracle Z
     devs: np.ndarray  # |Z - oracle Z|
     tolerances: np.ndarray  # error_bound + epsilon/4
     max_dev: float
     mean_dev: float
+    oracle_s: float
+    counts: dict
 
 
 def compare_with_oracle(result: BatchResult, *, threads: int = 1) -> Comparison:
@@ -222,7 +224,10 @@ def compare_with_oracle(result: BatchResult, *, threads: int = 1) -> Comparison:
     disagree on the window's conductors.
     """
     request = result.request
-    oracle = oracle_sweep(request.window, request.t, request.epsilon, threads=threads)
+    counter, t0 = OpCounter(), time.perf_counter()
+    oracle = oracle_sweep(request.window, request.t, request.epsilon, threads=threads,
+                          counter=counter)
+    oracle_s = time.perf_counter() - t0
     ref_q = np.array([r.q for r in oracle], dtype=np.int64)
     refs = np.array([r.Z for r in oracle], dtype=np.float64)
     if not np.array_equal(ref_q, result.q):
@@ -234,4 +239,6 @@ def compare_with_oracle(result: BatchResult, *, threads: int = 1) -> Comparison:
         tolerances=result.error_bound + request.epsilon / 4.0,
         max_dev=float(devs.max(initial=0.0)),
         mean_dev=math.fsum(devs) / devs.size if devs.size else 0.0,
+        oracle_s=oracle_s,
+        counts=counter.as_dict(),
     )

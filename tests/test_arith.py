@@ -299,3 +299,24 @@ class TestCharacterSieve:
     def test_character_sieve_property(self, q, n):
         sieve = CharacterSieve(300)
         assert sieve.values(q)[n] == jacobi(n % q, q)
+
+    def test_table_matches_jacobi_on_every_fundamental(self):
+        # every fundamental q < 5000 against the scalar symbol: covers p = 2,
+        # primes dividing q, prime powers n and the trivial conductor q = 1
+        qs = [q for q in range(1, 5000) if _is_fundamental_odd_positive_int(q)]
+        table = CharacterSieve(600).table(qs)
+        assert table.shape == (len(qs), 601)
+        assert not table[:, 0].any()
+        for q, row in zip(qs, table[:, 1:].tolist()):
+            assert row == [jacobi(n % q, q) for n in range(1, 601)], q
+
+    def test_table_rows_equal_values(self):
+        sieve = CharacterSieve(300)
+        qs = [1, 5, 13, 21, 105, 1157, 10001]
+        for q, row in zip(qs, sieve.table(qs)):
+            assert np.array_equal(row, sieve.values(q)), q
+
+    @pytest.mark.parametrize("qs", [[3], [5, 7], [5, 15], [2], [5, 10], [-3], [0]])
+    def test_table_rejects_q_not_1_mod_4(self, qs):
+        with pytest.raises(DomainError):
+            CharacterSieve(50).table(qs)

@@ -216,6 +216,22 @@ class TestCompare:
         assert doc["max_dev"] <= 1e-9
         assert len(doc["rows"]) == doc["n_characters"]
 
+    def test_json_timings_and_counts(self, tmp_path, capsys):
+        out = tmp_path / "cmp.json"
+        rc = main(["compare", "--q-min", "101", "--q-width", "50",
+                   "--format", "json", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert set(doc["timings"]) == {
+            "wall_s", "precompute_s", "recovery_s", "build_s", "eval_s", "oracle_s",
+        }
+        assert all(v >= 0.0 for v in doc["timings"].values())
+        assert doc["timings"]["oracle_s"] > 0.0
+        # one series term per n <= N_used for every conductor
+        assert doc["counts"]["oracle_special_calls"] > len(doc["rows"])
+        assert doc["counts"]["sieve_marks"] > 0
+
     def test_small_window_compares_clean(self, tmp_path, capsys):
         out = tmp_path / "cmp.json"
         rc = main(["compare", "--q-min", "101", "--q-width", "50",
@@ -389,9 +405,9 @@ class TestSelftest:
         rc = main(["selftest"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("ok   ") == 5
-        for name in ("gauss-identities", "budget-arithmetic", "kernel-bounds",
-                     "multieval-agreement", "window-consistency"):
+        assert out.count("ok   ") == 6
+        for name in ("gauss-identities", "character-table", "budget-arithmetic",
+                     "kernel-bounds", "multieval-agreement", "window-consistency"):
             assert name in out
 
     def test_fault_injection_reported(self, capsys, monkeypatch):
@@ -402,4 +418,4 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL window-consistency" in out
-        assert out.count("ok   ") == 4
+        assert out.count("ok   ") == 5

@@ -152,6 +152,25 @@ class TestOracleSweep:
         for ra, rb in zip(a, b):
             assert (ra.q, ra.Z) == (rb.q, rb.Z)
 
+    def test_block_edges_match_per_q_calls(self):
+        # more than two blocks of conductors, with N changing inside a block:
+        # the first and last conductor of every block and conductors sharing
+        # the small primes 3, 5 and 7 with n agree with the naive route
+        from qlbatch.oracle import _CHUNK
+
+        sweep = oracle_sweep(Window(2_001, 1_000), 0.3, 1e-6)
+        assert len(sweep) > 2 * _CHUNK
+        blocks = [sweep[i : i + _CHUNK] for i in range(0, len(sweep), _CHUNK)]
+        assert len({r.N_used for r in blocks[0]}) > 1
+        picks = {blk[0].q for blk in blocks} | {blk[-1].q for blk in blocks}
+        for p in (3, 5, 7):
+            picks |= {r.q for r in sweep if r.q % p == 0}
+        for r in sweep:
+            if r.q in picks:
+                solo = direct_Z(r.q, 0.3, 1e-6)
+                assert r.Z == pytest.approx(solo.Z, abs=1e-12), r.q
+                assert r.N_used == solo.N_used
+
     def test_rejects_precision_beyond_double(self):
         # epsilon/8 would underflow to 0 and the truncation order divide by it
         with pytest.raises(BudgetError, match="45-bit"):

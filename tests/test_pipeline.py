@@ -374,6 +374,8 @@ class TestCompareStep:
     def test_threads_do_not_change_the_comparison(self, cmp_run, comparison):
         again = compare_with_oracle(cmp_run[0], threads=2)
         for f in dataclasses.fields(comparison):
+            if f.name == "oracle_s":  # wall seconds, not a value
+                continue
             assert np.array_equal(getattr(again, f.name), getattr(comparison, f.name)), f.name
 
 
