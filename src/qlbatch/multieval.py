@@ -4,10 +4,15 @@ A node problem holds K rational frequencies alpha_k = num_k/den_k in [0, 1)
 and their R stacked coefficient vectors as the linear map coeffs = merge @ B
 from M weighted table rows, and both evaluators compute
 
-    Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k (b0 + h)),  0 <= h < H,
+    Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k (b0 + step h)),  0 <= h < H,
 
-at the grid's own arguments b0 .. b0+H-1, forming the coefficients one
-block of frequencies at a time.
+at the grid's own arguments b0, b0+step, .., b0+step(H-1), forming the
+coefficients one block of frequencies at a time.  A divisor's node problem
+is only ever read at odd arguments b = q/a, where
+exp(2 pi i (alpha + 1/2) b) = -exp(2 pi i alpha b) exactly; so the builder
+folds every frequency into [0, 1/2) with its weight negated when it moves,
+and evaluates on the odd arguments alone (step 2).  On that grid the
+transform sees the frequencies 2 alpha_k in [0, 1), still ascending.
 
 Small problems go through an exact-angle direct sum.  Large ones are spread
 onto a power-of-two fine grid of n >= 2H cells with the Gaussian window
@@ -28,7 +33,8 @@ block of them touches one contiguous range of grid rows; the R complex
 coefficient rows of a block are spread there by one sparse product on their
 float64 view (sorted-subproblem spreading, as in FINUFFT).  Frequencies stay
 exact integers (num, den) end to end: every phase used in either path is
-exp(2 pi i (integer mod den) / den).
+exp(2 pi i (integer mod den) / den).  On a step-s grid the transform spreads
+s alpha mod 1, which may wrap for a generic problem's alpha >= 1/s.
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy import sparse
 
 from .arith import Window
@@ -141,24 +146,28 @@ class NodeSum:
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Targets b0 .. b0+H-1; the evaluators return them as h = 0..H-1."""
+    """Targets b0 + step*h; the evaluators return them as h = 0..H-1."""
 
     b0: int
     H: int
+    step: int = 1
 
     def __post_init__(self) -> None:
         if self.H < 1:
             raise DomainError("evaluation grid needs H >= 1")
+        if self.step < 1:
+            raise DomainError("evaluation grid needs step >= 1")
 
 
 def divisor_grid(window: Window, a):
-    """(b0, H): the rescaled arguments b = q/a of the window, b0 .. b0+H-1.
+    """(b0, H): the odd rescaled arguments b = q/a of the window, step 2.
 
-    b0 = ceil(Q/a) and b0 + H - 1 = floor((Q+Delta-1)/a); a is an int or an
-    int64 array, and H < 1 means no multiple of a lies in the window.
+    b0 is the first odd integer >= Q/a and H counts the odd b from b0 up to
+    floor((Q+Delta-1)/a); a is an int or an int64 array, and H < 1 means no
+    odd multiple of a lies in the window.
     """
-    b0 = -(-window.Q // a)
-    return b0, (window.Q + window.Delta - 1) // a - b0 + 1
+    b0 = -(-window.Q // a) | 1
+    return b0, ((window.Q + window.Delta - 1) // a - b0) // 2 + 1
 
 
 def _exact_phase(nums: np.ndarray, dens: np.ndarray, shift) -> np.ndarray:
@@ -181,14 +190,16 @@ def build_node_problem(
     """Assemble the divisor-a node problem for one coefficient table.
 
     Folds the quadratic phase l^2/(4m) over its four-fold symmetry (weights 2
-    at l in {0, m}, else 4) and merges equal reduced fractions across all
-    m <= N/a into one sparse (K, M) map whose rows are in alpha order; the
-    map is not applied here.  Row m of B carries the whole assembly weight
-    u_m = sqrt(a/m), or a under convention="plain_a", so evaluating the
-    problem on its grid gives the divisor's summand sqrt(a) S_r(a, b) at
-    every b = b0 .. b0+H-1.
-    Returns (NodeSum, EvalGrid), or None when the divisor contributes
-    nothing (a > N or the rescaled window is empty).
+    at l in {0, m}, else 4), then folds each phase l^2/(4m) mod 1 >= 1/2 to
+    alpha - 1/2 with its weight negated, which is exact at the odd arguments
+    the grid holds.  Equal reduced fractions across all m <= N/a merge into
+    one sparse (K, M) map whose rows are in alpha order, every alpha in
+    [0, 1/2); the map is not applied here.  Row m of B carries the whole
+    assembly weight u_m = sqrt(a/m), or a under convention="plain_a", so
+    evaluating the problem on its grid gives the divisor's summand
+    sqrt(a) S_r(a, b) at every odd b = b0, b0+2, .., b0+2(H-1).
+    Returns (NodeSum, EvalGrid) with grid step 2, or None when the divisor
+    contributes nothing (a > N or the rescaled window holds no odd b).
     """
     a = int(a)
     if a < 1:
@@ -213,6 +224,12 @@ def build_node_problem(
     ell -= np.repeat(starts, sizes)
     weight = np.where((ell == 0) | (ell == row + 1), 2.0, 4.0)
     ell *= ell  # the numerator l^2 over 4m, reduced by the merge
+    dens = 4 * row + 4
+    ell %= dens
+    upper = 2 * ell >= dens  # alpha >= 1/2: alpha - 1/2 at minus the weight
+    ell[upper] -= dens[upper] // 2
+    weight[upper] *= -1.0
+    del upper
 
     # per-m coefficient row: weight u_m times c_r(t, a m)
     cols = a * np.arange(1, M + 1, dtype=np.int64) - 1
@@ -222,10 +239,10 @@ def build_node_problem(
     else:
         u = np.full(M, float(a))
     B = np.ascontiguousarray((base * u).T)  # (M, R)
-    nums, dens, merge = _merge_frequencies(ell, 4 * row + 4, row, weight)
+    nums, dens, merge = _merge_frequencies(ell, dens, row, weight)
     if counter is not None:
         counter.add("node_merged", int(nums.size))
-    return NodeSum(nums, dens, merge, B), EvalGrid(b0=b0, H=H)
+    return NodeSum(nums, dens, merge, B), EvalGrid(b0=b0, H=H, step=2)
 
 
 def _direct_core(p: NodeSum, g: EvalGrid) -> np.ndarray:
@@ -244,7 +261,7 @@ def _direct_core(p: NodeSum, g: EvalGrid) -> np.ndarray:
         coeffs = p.block(k0, k1).T
         for h0 in range(0, H, h_chunk):
             h1 = min(h0 + h_chunk, H)
-            bs = np.arange(g.b0 + h0, g.b0 + h1, dtype=np.int64)
+            bs = g.b0 + g.step * np.arange(h0, h1, dtype=np.int64)
             phases = _exact_phase(p.nums[k0:k1, None], p.dens[k0:k1, None], bs)
             y = coeffs @ phases - comp[:, h0:h1]
             tot = acc[:, h0:h1] + y
@@ -291,14 +308,15 @@ def fast_eval(
 
     Small problems (K*H*R under the crossover) fall through to the direct
     sum.  force="transform"/"direct" pins the path for testing.  The
-    transform centres the targets on b0 + Hc with Hc = H//2 and takes w and
-    tau from _gaussian_params (W = 2w + 1 taps, variance
+    transform centres the targets on b0 + step*Hc with Hc = H//2 and takes
+    w and tau from _gaussian_params (W = 2w + 1 taps, variance
     tau = A/(4 pi^2 (1 - 2 xi_m))).  It walks the alpha-sorted frequencies
     in blocks of _SPREAD_BLOCK: each block forms its coefficients, phases
-    them by exp(2 pi i alpha (b0 + Hc)), and spreads their float64 view with
-    a sparse matrix over the contiguous fine-grid rows [lo, hi) it touches,
-    added into one padded grid of n + 2w + 1 rows (round(n alpha) stays
-    unwrapped, so alpha -> 1 lands on cell n).  The padding is wrapped and
+    them by exp(2 pi i alpha (b0 + step*Hc)), and spreads their float64 view
+    with a sparse matrix over the fine-grid rows [lo, hi) it touches, added
+    into one padded grid of n + 2w + 1 rows.  Source k sits at cell
+    round(n beta_k) with beta_k = step alpha_k mod 1, kept unwrapped, so
+    beta -> 1 lands on cell n.  The padding is wrapped and
     one FFT runs along the grid axis.  Below eps3 = 1e-12 the promise
     degrades to double-precision roundoff amplified by the deconvolution
     gain (at most e^(A/8)): 17 of 69 seeded random problems there exceed
@@ -337,14 +355,15 @@ def fast_eval(
     for k0 in range(0, K, _SPREAD_BLOCK):
         k1 = min(k0 + _SPREAD_BLOCK, K)
         nums, dens = p.nums[k0:k1], p.dens[k0:k1]
-        # centre targets at b0 + Hc so deconvolution gains stay moderate
+        # centre targets at b0 + step*Hc so deconvolution gains stay moderate
         coeffs = p.block(k0, k1)
-        coeffs *= _exact_phase(nums, dens, g.b0 + Hc)[:, None]
-        # nearest fine-grid cell (ascending with alpha) and the exact offset
-        t_num = n * nums
-        j0 = (2 * t_num + dens) // (2 * dens)  # round(n alpha), half away up
+        coeffs *= _exact_phase(nums, dens, g.b0 + g.step * Hc)[:, None]
+        # nearest fine-grid cell of beta = step*alpha mod 1 and the exact
+        # offset; ascending unless beta wraps
+        t_num = n * ((g.step * nums) % dens)
+        j0 = (2 * t_num + dens) // (2 * dens)  # round(n beta), half away up
         delta = (t_num - j0 * dens) / dens  # in [-1/2, 1/2], exact
-        lo, hi = int(j0[0]), int(j0[-1]) + W
+        lo, hi = int(j0.min()), int(j0.max()) + W
         gauss = np.subtract.outer(delta, taps)
         np.square(gauss, out=gauss)
         np.divide(gauss, -4.0 * tau, out=gauss)
@@ -362,7 +381,7 @@ def fast_eval(
     core[n - w :] += padded[:w]
 
     # DFT with the e^{+2 pi i} sign convention, unnormalized, in place
-    U = scipy.fft.ifft(core, axis=0, norm="forward", overwrite_x=True)
+    U = np.fft.ifft(core, axis=0, norm="forward", out=core)
 
     rel = np.arange(H, dtype=np.int64) - Hc
     xi = rel / n

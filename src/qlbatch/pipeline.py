@@ -140,9 +140,10 @@ def run_batch(
         raise ConsistencyError(f"divisor a={a[k]} does not divide q={qs[owner[k]]}")
 
     # precompute: each realized divisor evaluates its node problem on its
-    # grid and scatters sqrt(a) S_r(a, q/a) into the columns of its own
-    # divisor terms, so the thread count cannot change the bits; an empty
-    # window still prices a = 1
+    # grid of odd arguments and scatters sqrt(a) S_r(a, q/a) into the
+    # columns of its own divisor terms, so the thread count cannot change
+    # the bits; an empty window still prices a = 1, whose grid may then
+    # hold no odd b at all
     divisors = np.union1d(a, [1])
     d = np.searchsorted(divisors, a)
     by_divisor = np.argsort(d, kind="stable")
@@ -155,14 +156,16 @@ def run_batch(
         built = build_node_problem(
             int(divisors[i]), table, win, convention=convention, counter=counter
         )
+        cols = by_divisor[edges[i] : edges[i + 1]]
         if built is None:
-            raise ConsistencyError(f"divisor a={divisors[i]} has no node problem")
+            if cols.size:
+                raise ConsistencyError(f"divisor a={divisors[i]} has no node problem")
+            return
         problem, grid = built
         t1 = time.perf_counter()
         values = fast_eval(problem, grid, budget.epsilon3, counter)
         seconds[:, i] = t1 - t0, time.perf_counter() - t1
-        cols = by_divisor[edges[i] : edges[i + 1]]
-        terms[:, cols] = values[:, b[cols] - grid.b0]
+        terms[:, cols] = values[:, (b[cols] - grid.b0) // grid.step]
 
     _thread_map(run_one, range(divisors.size), threads)
     precompute_s = time.perf_counter() - t_start

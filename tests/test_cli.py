@@ -114,6 +114,15 @@ class TestEvalOutput:
         assert 0.0 < timings["build_s"] and 0.0 < timings["eval_s"]
         assert timings["build_s"] + timings["eval_s"] <= timings["precompute_s"]
 
+    def test_window_without_odd_argument(self, tmp_path, capsys):
+        # [4, 5) holds no odd q, so the a = 1 node problem has no odd grid
+        out = tmp_path / "z.json"
+        rc = main(["eval", "--q-min", "4", "--q-width", "1", "--format", "json",
+                   "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        assert json.loads(out.read_text())["records"] == []
+
 
 class TestExitCodes:
     def test_window_violation_is_domain_error(self, capsys):

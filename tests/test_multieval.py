@@ -39,7 +39,7 @@ def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:
     R, K = coeffs.shape
     out = np.empty((R, g.H), dtype=np.complex128)
     for h in range(g.H):
-        shift = g.b0 + h
+        shift = g.b0 + g.step * h
         for r in range(R):
             re = []
             im = []
@@ -116,7 +116,7 @@ class TestBuildNodeProblem:
         assert p.nums.tolist() == [0, 1]
         assert p.dens.tolist() == [1, 4]
         assert g.b0 == 25
-        assert g.H == 13
+        assert g.H == 7
         # alpha = 0 at m = 1: coefficient is 2 sqrt(a/1) c_r(t, N) with a = N
         ratio = p.coeffs[:, 0] / small_table.c[:, small_table.N - 1]
         assert np.allclose(ratio, 2.0 * math.sqrt(small_table.N), rtol=1e-12)
@@ -130,9 +130,10 @@ class TestBuildNodeProblem:
         b0s, Hs = divisor_grid(window, divisors)
         for a, b0, H in zip(divisors.tolist(), b0s.tolist(), Hs.tolist()):
             p, g = build_node_problem(a, small_table, window)
-            assert g.b0 == b0 == -(-window.Q // a)
+            assert g.b0 == b0 == -(-window.Q // a) | 1
             last = (window.Q + window.Delta - 1) // a
-            assert g.H == H == last - g.b0 + 1
+            assert g.H == H == (last - g.b0) // 2 + 1
+            assert g.step == 2
 
     def test_raw_node_counter(self, small_table):
         counter = OpCounter()
@@ -155,22 +156,44 @@ class TestBuildNodeProblem:
 
     def test_equals_from_fractions_over_raw_fractions(self, small_table):
         # the builder's merge against the general one, fed every raw
-        # (l^2, 4m) entry with its weight, u_m = sqrt(a/m) and c_r(t, a m)
+        # (l^2, 4m) entry folded into [0, 1/2) with its weight,
+        # u_m = sqrt(a/m) and c_r(t, a m)
         window = Window(10_000, 5_000)
         for a in (1, 4, 13):
             p, g = build_node_problem(a, small_table, window)
             M = small_table.N // a
             m = np.repeat(np.arange(1, M + 1), np.arange(2, M + 2))
             ell = np.concatenate([np.arange(k + 1) for k in range(1, M + 1)])
-            num = ell * ell
             den = 4 * m
-            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m)
+            num = (ell * ell) % den
+            fold = np.where(2 * num >= den, -1.0, 1.0)
+            num = np.where(fold < 0, num - 2 * m, num)
+            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m) * fold
             raw = small_table.c[:, a * m - 1] * weight
             ref = NodeSum.from_fractions(num, den, raw)
             assert np.array_equal(p.nums, ref.nums)
             assert np.array_equal(p.dens, ref.dens)
             assert np.max(np.abs(p.coeffs - ref.coeffs)) <= 1e-13 * p.scale
             assert p.scale == pytest.approx(ref.scale, rel=1e-13)
+
+    @pytest.mark.parametrize("a", [1, 3, 5, 13])
+    def test_fold_matches_unfolded_raw_entries_at_odd_arguments(self, small_table, a):
+        # every folded alpha lies in [0, 1/2), ascending, and the fold is
+        # exact at odd b: the folded problem and the raw unfolded (l^2, 4m)
+        # entries give the same sums on the odd grid
+        window = Window(10_000, 5_000)
+        p, g = build_node_problem(a, small_table, window)
+        assert np.all(p.nums >= 0) and np.all(2 * p.nums < p.dens)
+        assert np.all(np.diff(p.nums / p.dens) > 0)
+        M = small_table.N // a
+        m = np.repeat(np.arange(1, M + 1), np.arange(2, M + 2))
+        ell = np.concatenate([np.arange(k + 1) for k in range(1, M + 1)])
+        weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m)
+        unfolded = NodeSum.from_fractions(ell * ell, 4 * m, small_table.c[:, a * m - 1] * weight)
+        assert np.any(2 * unfolded.nums >= unfolded.dens)
+        got = direct_eval(p, g)
+        ref = direct_eval(unfolded, g)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * unfolded.scale
 
 
 class TestNodeSemantics:
@@ -184,10 +207,10 @@ class TestNodeSemantics:
             p, g = build_node_problem(a, table, window)
             values = direct_eval(p, g)
             M = N // a
-            for b in range(g.b0, g.b0 + g.H, 7):
+            for b in range(g.b0, g.b0 + g.step * g.H, 7):
                 if b % 2 == 0:
                     continue  # the Gauss identity needs odd b
-                h = b - g.b0
+                h = (b - g.b0) // 2
                 for r in range(R):
                     terms = [
                         table.c[r, a * m - 1] * math.sqrt(a / m) * gauss_sum_fast(b, m)
@@ -232,6 +255,12 @@ class TestDirectEval:
         counter = OpCounter()
         direct_eval(p, g, counter)
         assert counter.get("direct_eval_ops") == p.K * g.H * 2
+
+    def test_step_grid_against_tiny_fsum_reference(self, rng):
+        p = _random_problem(rng, K=50)
+        g = EvalGrid(b0=101, H=17, step=3)
+        ref = _tiny_reference(p, g)
+        assert np.max(np.abs(direct_eval(p, g) - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_integer_frequencies_are_constant(self):
         # alpha = 0 contributes its coefficient at every argument
@@ -332,7 +361,7 @@ class TestFastEval:
         p2, g2 = build_node_problem(1, table, Window(Q + 100, 100))
         v1 = fast_eval(p1, g1, 1e-10, force="transform")
         v2 = fast_eval(p2, g2, 1e-10, force="transform")
-        lo = g2.b0 - g1.b0
+        lo = (g2.b0 - g1.b0) // 2
         overlap = min(g1.H - lo, g2.H)
         assert overlap > 10
         assert np.max(np.abs(v1[:, lo : lo + overlap] - v2[:, :overlap])) <= 2e-10 * p1.scale
@@ -455,11 +484,26 @@ class TestSpreadBlocks:
         assert len(spans) == 2 and spans[1] < n
         assert np.max(np.abs(got - direct_eval(p, g))) <= eps3 * p.scale
 
+    @pytest.mark.parametrize(
+        "lo, K",
+        [(_PRIME // 2 + 1, 3_000), (1, _SPREAD_BLOCK + 700)],
+        ids=["upper_half", "wrapping_block"],
+    )
+    def test_step_two_grid_with_upper_half_frequencies(self, rng, lo, K):
+        # on a step-2 grid the transform spreads 2 alpha mod 1, which wraps
+        # for alpha >= 1/2; a block straddling 1/2 then spans its cells'
+        # whole range
+        p = _prime_problem(rng, _distinct_nums(rng, K, lo=lo))
+        g = EvalGrid(b0=int(rng.integers(0, 10_000)), H=150, step=2)
+        got = fast_eval(p, g, 1e-9, force="transform")
+        assert np.max(np.abs(got - direct_eval(p, g))) <= 1e-9 * p.scale
+
     def test_traced_peak_bounded_by_grid_and_block(self):
-        # the a = 1 problem of [50001, 75001): K = 195,648, R = 33, n = 2^16,
-        # 43 taps.  The padded grid and its FFT take 69 MB and one block's
-        # workspace about 30 MB; one (K, R) coefficient array would add
-        # 103 MB and the K*W spreading matrix 101 MB
+        # the a = 1 problem of [50001, 75001): K = 164,191, R = 33, n = 2^15,
+        # 43 taps, on the 12,500 odd arguments.  The padded grid takes
+        # 17 MB, the problem 8 MB and one block's workspace about 30 MB
+        # (52 MB traced); one (K, R) coefficient array would add 87 MB and
+        # the K*W spreading matrix 85 MB
         Q, Delta = 50_001, 25_000
         budget = plan_budget(Q, Delta, 1e-6, 0.0)
         table = build_coefficient_table(0.0, Q, budget.N, budget.R)
@@ -470,14 +514,22 @@ class TestSpreadBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p.K > 190_000 and table.R == 33
-        assert peak < 128 * 2 ** 20
+        assert p.K > 160_000 and table.R == 33
+        assert peak < 80 * 2 ** 20
 
 
 class TestEvalGrid:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             EvalGrid(b0=5, H=0)
+
+    def test_rejects_non_positive_step(self):
+        with pytest.raises(DomainError):
+            EvalGrid(b0=5, H=3, step=0)
+
+    def test_divisor_grid_without_odd_argument(self):
+        # [4, 5) holds only b = 4 at a = 1: the odd grid is empty
+        assert divisor_grid(Window(4, 1), 1) == (5, 0)
 
     @pytest.mark.parametrize("force", ["transform", "direct"])
     def test_grid_start_equals_prerotation(self, rng, force):

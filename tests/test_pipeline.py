@@ -118,8 +118,9 @@ class TestDivisorTermArrays:
 
 
 class TestColumns:
-    # a small window, the compare window, and a window without fundamentals
-    @pytest.mark.parametrize("win", [Window(101, 50), _WIN, Window(10_003, 1)])
+    # a small window, the compare window, a window without fundamentals and
+    # one whose a = 1 grid holds no odd b
+    @pytest.mark.parametrize("win", [Window(101, 50), _WIN, Window(10_003, 1), Window(4, 1)])
     def test_columns_align_with_q(self, win):
         counter = OpCounter()
         result = run_batch(BatchRequest(win, 0.3, 1e-5), counter=counter)
@@ -179,9 +180,9 @@ class TestFastWindow:
             for a, sign in zip(a_terms.tolist(), signs.tolist()):
                 if a not in svals:
                     p, g = build_node_problem(a, table, _WIN)
-                    svals[a] = (g.b0, fast_eval(p, g, b.epsilon3))
-                b0, values = svals[a]
-                acc += sign * values[:, q // a - b0]
+                    svals[a] = (g, fast_eval(p, g, b.epsilon3))
+                g, values = svals[a]
+                acc += sign * values[:, (q // a - g.b0) // g.step]
             x = (b.Q - q) / q
             F = c_prefactor(0.3, q) * g_prefactor(q) * np.dot(acc, x ** np.arange(b.R))
             Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, q)) * F).real
