@@ -1,10 +1,13 @@
 """Command line front end.
 
-Subcommands:
-  eval      sweep a window and emit q,t,Z,theta,error_bound rows
-  compare   sweep with the fast path, recompute with the reference oracle,
-            report deviations; exit 1 on disagreement beyond the bounds
-  scan      sweep a t-grid and report certified sign changes of Z per q
+Subcommands; eval, compare and scan each write one table, as CSV (a header,
+then one row per line) or JSON records (--format), with these columns:
+  eval      sweep a window: q,t,Z,theta,error_bound
+  compare   sweep with the fast path, recompute with the reference oracle:
+            q,t,Z_fast,Z_reference,abs_dev,tolerance; exit 1 on
+            disagreement beyond the bounds
+  scan      sweep a t-grid, one row per sign change of Z:
+            q,t_lo,t_hi,Z_lo,Z_hi,certified
   selftest  run the built-in consistency suites with timings
 
 Exit codes: 0 success, 1 comparison or selftest failure, 2 invalid
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -30,9 +34,8 @@ from .pipeline import BatchRequest, compare_with_oracle, run_batch
 # 10^5 on a 2-vCPU Xeon VM), so a longer grid is refused, not run
 _SCAN_MAX_HEIGHTS = 10_000
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
+# exit code of each refusal main reports on stderr
+_EXIT_CODES = {DomainError: 2, BudgetError: 3, AccuracyError: 3, ConsistencyError: 1, OSError: 4}
 
 
 def _add_window_args(p: argparse.ArgumentParser) -> None:
@@ -76,26 +79,33 @@ def _make_request(args) -> BatchRequest:
     return BatchRequest(window=window, t=args.t, epsilon=args.epsilon)
 
 
-@contextlib.contextmanager
-def _open_out(path: str | None):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+def _write_table(out, fmt, fields, columns, doc=None, key="rows") -> None:
+    """Write one row per entry of the array columns, as CSV or JSON records.
 
-
-def _rows(result):
-    """(q, Z, theta, error_bound) per conductor, as Python scalars."""
-    return zip(result.q.tolist(), result.Z.tolist(), result.theta.tolist(),
-               result.error_bound.tolist())
-
-
-def _write_records_csv(result, fh) -> None:
-    t = _fmt(result.request.t)
-    fh.write("q,t,Z,theta,error_bound\n")
-    for q, z, theta, bound in _rows(result):
-        fh.write(f"{q},{t},{_fmt(z)},{_fmt(theta)},{_fmt(bound)}\n")
+    A column is an array or a scalar repeated on every row.  CSV picks each
+    column's format once from its dtype: floats as %.16e, which round-trips
+    a double, ints and bools as integers; a scalar is formatted once, into
+    the line template.  JSON writes the records under doc[key] when a doc is
+    given, else as a bare list.
+    """
+    cols = [np.asarray(c) for c in columns]
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+        if fmt == "csv":
+            parts, arrays = [], []
+            for c in cols:
+                spec = "{:.16e}" if c.dtype.kind == "f" else "{:d}"
+                if c.ndim == 0:
+                    parts.append(spec.format(c.item()))
+                else:
+                    parts.append(spec)
+                    arrays.append(c.tolist())
+            fh.write(",".join(fields) + "\n")
+            fh.writelines(itertools.starmap((",".join(parts) + "\n").format, zip(*arrays)))
+            return
+        vals = [itertools.repeat(c.item()) if c.ndim == 0 else c.tolist() for c in cols]
+        records = [dict(zip(fields, row)) for row in zip(*vals)]
+        json.dump(records if doc is None else {**doc, key: records}, fh, indent=2)
+        fh.write("\n")
 
 
 def _timings(result) -> dict:
@@ -103,7 +113,8 @@ def _timings(result) -> dict:
                 recovery_s=result.recovery_s, build_s=result.build_s, eval_s=result.eval_s)
 
 
-def _write_records_json(result, fh) -> None:
+def cmd_eval(args) -> int:
+    result = run_batch(_make_request(args), threads=args.threads)
     request, budget = result.request, result.budget
     doc = {
         "window": {"Q": request.window.Q, "Delta": request.window.Delta},
@@ -118,22 +129,10 @@ def _write_records_json(result, fh) -> None:
         },
         "counts": result.counts,
         "timings": _timings(result),
-        "records": [
-            {"q": q, "t": request.t, "Z": z, "theta": theta, "error_bound": bound}
-            for q, z, theta, bound in _rows(result)
-        ],
     }
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
-
-
-def cmd_eval(args) -> int:
-    result = run_batch(_make_request(args), threads=args.threads)
-    with _open_out(args.out) as fh:
-        if args.fmt == "csv":
-            _write_records_csv(result, fh)
-        else:
-            _write_records_json(result, fh)
+    _write_table(args.out, args.fmt, ("q", "t", "Z", "theta", "error_bound"),
+                 (result.q, request.t, result.Z, result.theta, result.error_bound),
+                 doc, "records")
     return 0
 
 
@@ -141,39 +140,26 @@ def cmd_compare(args) -> int:
     result = run_batch(_make_request(args), threads=args.threads)
     cmp = compare_with_oracle(result, threads=args.threads)
     bad = np.flatnonzero(cmp.devs > cmp.tolerances)
-    rows = list(zip(result.q.tolist(), result.Z.tolist(), cmp.refs.tolist(),
-                    cmp.devs.tolist(), cmp.tolerances.tolist()))
-    with _open_out(args.out) as fh:
-        if args.fmt == "csv":
-            t = _fmt(result.request.t)
-            fh.write("q,t,Z_fast,Z_reference,abs_dev,tolerance\n")
-            for q, z, ref, dev, tol in rows:
-                fh.write(f"{q},{t},{_fmt(z)},{_fmt(ref)},{_fmt(dev)},{_fmt(tol)}\n")
-        else:
-            doc = {
-                "n_characters": result.n_characters,
-                "max_dev": cmp.max_dev,
-                "mean_dev": cmp.mean_dev,
-                "n_fail": bad.size,
-                "timings": {**_timings(result), "oracle_s": cmp.oracle_s},
-                "counts": {**result.counts, **cmp.counts},
-                "rows": [
-                    {"q": q, "Z_fast": z, "Z_reference": ref, "abs_dev": dev, "tolerance": tol}
-                    for q, z, ref, dev, tol in rows
-                ],
-            }
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    doc = {
+        "n_characters": result.n_characters,
+        "max_dev": cmp.max_dev,
+        "mean_dev": cmp.mean_dev,
+        "n_fail": bad.size,
+        "timings": {**_timings(result), "oracle_s": cmp.oracle_s},
+        "counts": {**result.counts, **cmp.counts},
+    }
+    _write_table(args.out, args.fmt, ("q", "t", "Z_fast", "Z_reference", "abs_dev", "tolerance"),
+                 (result.q, result.request.t, result.Z, cmp.refs, cmp.devs, cmp.tolerances), doc)
     print(
         f"compared {result.n_characters} conductors: max_dev={cmp.max_dev:.3e} "
         f"mean_dev={cmp.mean_dev:.3e}",
         file=sys.stderr,
     )
     if bad.size:
-        q, _, _, dev, tol = rows[bad[np.argmax(cmp.devs[bad])]]
+        k = bad[np.argmax(cmp.devs[bad])]
         print(
-            f"FAIL: {bad.size} conductors beyond tolerance, worst q={q} "
-            f"dev={dev:.3e} tol={tol:.3e}",
+            f"FAIL: {bad.size} conductors beyond tolerance, worst q={result.q[k]} "
+            f"dev={cmp.devs[k]:.3e} tol={cmp.tolerances[k]:.3e}",
             file=sys.stderr,
         )
         return 1
@@ -207,23 +193,8 @@ def cmd_scan(args) -> int:
     certified = (np.abs(lo) > 2.0 * args.epsilon) & (np.abs(hi) > 2.0 * args.epsilon)
     i, j = np.nonzero(flip)  # conductor-major, heights ascending
     t_grid = np.array(ts)
-    rows = list(zip(result.q[i].tolist(), t_grid[j].tolist(), t_grid[j + 1].tolist(),
-                    lo[i, j].tolist(), hi[i, j].tolist(), certified[i, j].tolist()))
-    with _open_out(args.out) as fh:
-        if args.fmt == "csv":
-            fh.write("q,t_lo,t_hi,Z_lo,Z_hi,certified\n")
-            for q, t_lo, t_hi, z_lo, z_hi, cert in rows:
-                fh.write(
-                    f"{q},{_fmt(t_lo)},{_fmt(t_hi)},{_fmt(z_lo)},{_fmt(z_hi)},{int(cert)}\n"
-                )
-        else:
-            doc = [
-                {"q": q, "t_lo": t_lo, "t_hi": t_hi, "Z_lo": z_lo, "Z_hi": z_hi,
-                 "certified": cert}
-                for q, t_lo, t_hi, z_lo, z_hi, cert in rows
-            ]
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _write_table(args.out, args.fmt, ("q", "t_lo", "t_hi", "Z_lo", "Z_hi", "certified"),
+                 (result.q[i], t_grid[j], t_grid[j + 1], lo[i, j], hi[i, j], certified[i, j]))
     return 0
 
 
@@ -355,19 +326,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except DomainError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetError, AccuracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 if __name__ == "__main__":
     sys.exit(main())

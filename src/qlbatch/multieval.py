@@ -133,8 +133,8 @@ class NodeSum:
         nums = np.asarray(nums, dtype=np.int64)
         dens = np.asarray(dens, dtype=np.int64)
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
-        if nums.shape != dens.shape or nums.ndim != 1:
-            raise DomainError("nums and dens must be matching 1-d arrays")
+        if nums.shape != dens.shape or nums.ndim != 1 or nums.size == 0:
+            raise DomainError("nums and dens must be matching non-empty 1-d arrays")
         if coeffs.shape[1] != nums.size:
             raise DomainError("coefficient columns must match the frequency count")
         if np.any(dens <= 0) or np.any(dens >= _MAX_DEN):
@@ -325,8 +325,8 @@ def fast_eval(
     floor into the certificate is ROADMAP item 2.
     """
     eps3 = float(eps3)
-    if not eps3 > 0.0:
-        raise DomainError("eps3 must be positive")
+    if not 0.0 < eps3 < math.inf:
+        raise DomainError("eps3 must be positive and finite")
     if eps3 < _EPS3_FLOOR:
         raise AccuracyError(
             f"eps3={eps3:.3e} is below the 2^-48 = {_EPS3_FLOOR:.3e} "

@@ -9,7 +9,8 @@ import types
 import numpy as np
 import pytest
 
-from qlbatch import Window, run_batch
+from qlbatch import (AccuracyError, BudgetError, ConsistencyError, DomainError, Window,
+                     run_batch)
 from qlbatch.arith import sieve_factor_window
 from qlbatch.cli import main
 
@@ -186,6 +187,20 @@ class TestExitCodes:
         assert "threads" in capsys.readouterr().err
         assert rc == 2
 
+    @pytest.mark.parametrize("exc,code", [
+        (DomainError, 2), (BudgetError, 3), (AccuracyError, 3), (ConsistencyError, 1), (OSError, 4),
+    ])
+    def test_every_refusal_has_its_code(self, exc, code, monkeypatch, capsys):
+        import qlbatch.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise exc("injected refusal")
+
+        monkeypatch.setattr(cli, "run_batch", refuse)
+        rc = main(["eval", "--q-min", "101", "--q-width", "50"])
+        assert capsys.readouterr().err.startswith("error: injected refusal")
+        assert rc == code
+
     def test_unwritable_output_path(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "z.csv"
         rc = main([
@@ -263,6 +278,28 @@ class TestCompare:
         assert rc == 1
         assert "FAIL" in captured.err
         assert "worst q=" in captured.err
+
+
+class TestOneTable:
+    @pytest.mark.parametrize("command,key", [("eval", "records"), ("compare", "rows")])
+    def test_csv_and_json_carry_the_same_table(self, command, key, tmp_path, capsys):
+        text = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{command}.{fmt}"
+            rc = main([command, "--q-min", "101", "--q-width", "50", "--t", "0.3",
+                       "--format", fmt, "--out", str(out)])
+            assert rc == 0
+            text[fmt] = out.read_text()
+        capsys.readouterr()
+        header, *lines = text["csv"].splitlines()
+        fields = header.split(",")
+        records = json.loads(text["json"])[key]
+        assert len(lines) == len(records) > 0
+        for line, record in zip(lines, records):
+            assert list(record) == fields
+            cells = line.split(",")
+            # %.16e round-trips a double, so every value is exactly equal
+            assert [int(cells[0]), *map(float, cells[1:])] == [record[f] for f in fields]
 
 
 class TestScan:

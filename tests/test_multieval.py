@@ -84,6 +84,9 @@ class TestNodeSumConstruction:
         with pytest.raises(DomainError):
             NodeSum.from_fractions(nums=[d - 5, 3], dens=[d, d], coeffs=[[1.0, 1.0]])
         assert NodeSum.from_fractions([1], [2 ** 31 - 1], [[1.0]]).dens.tolist() == [2 ** 31 - 1]
+        # no frequency at all has no denominator to merge over
+        with pytest.raises(DomainError):
+            NodeSum.from_fractions([], [], np.zeros((1, 0)))
 
     @given(
         st.lists(
@@ -376,6 +379,8 @@ class TestFastEval:
         p = _random_problem(rng, K=10)
         with pytest.raises(DomainError):
             fast_eval(p, EvalGrid(b0=1, H=4), 0.0)
+        with pytest.raises(DomainError):
+            fast_eval(p, EvalGrid(b0=1, H=4), float("inf"), force="transform")
 
     def test_unknown_force_rejected(self, rng):
         p = _random_problem(rng, K=10)
