@@ -8,11 +8,12 @@ from M weighted table rows, and both evaluators compute
 
 at the grid's own arguments b0, b0+step, .., b0+step(H-1), forming the
 coefficients one block of frequencies at a time.  A divisor's node problem
-is only ever read at odd arguments b = q/a, where
-exp(2 pi i (alpha + 1/2) b) = -exp(2 pi i alpha b) exactly; so the builder
-folds every frequency into [0, 1/2) with its weight negated when it moves,
-and evaluates on the odd arguments alone (step 2).  On that grid the
-transform sees the frequencies 2 alpha_k in [0, 1), still ascending.
+is only ever read at the arguments b = q/a, and every odd fundamental q is
+1 mod 4, so b = a (mod 4) and exp(2 pi i (alpha + j/4) b) = i^(j a)
+exp(2 pi i alpha b) exactly; so the builder folds every frequency into
+[0, 1/4), carries the power i^(j a) on a stacked table [B; iB] and a sign,
+and evaluates on the arguments b = a (mod 4) alone (step 4).  On that grid
+the transform sees the frequencies 4 alpha_k in [0, 1), still ascending.
 
 Small problems go through an exact-angle direct sum.  Large ones are spread
 onto a power-of-two fine grid of n >= 2H cells with the Gaussian window
@@ -59,15 +60,15 @@ _CONVENTIONS = ("sqrt_a", "plain_a")
 _MAX_DEN = 1 << 31
 
 
-def _merge_frequencies(nums, dens, cols, weights):
+def _merge_frequencies(nums, dens, cols, weights, ncols):
     """Merge weighted frequency entries into distinct fractions in alpha order.
 
     Entry j is the frequency nums[j]/dens[j] (any integer over a positive
     denominator) and adds the real weights[j] times table row cols[j] to that
     frequency's coefficients.  Fractions are reduced and folded into [0, 1),
     equal ones share a row, and rows are numbered by ascending alpha.
-    Returns (nums, dens, merge) with merge the canonical CSR (K, cols.max()+1)
-    map whose duplicate entries are summed.
+    Returns (nums, dens, merge) with merge the canonical CSR (K, ncols) map
+    whose duplicate entries are summed.
     """
     # the entry arrays are large: each temporary is freed once it is dead
     nums = nums % dens
@@ -85,7 +86,7 @@ def _merge_frequencies(nums, dens, cols, weights):
     order = np.argsort(nums / dens, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    merge = sparse.coo_array((weights, (rank[inv], cols)), shape=(order.size, int(cols.max()) + 1))
+    merge = sparse.coo_array((weights, (rank[inv], cols)), shape=(order.size, ncols))
     return nums[order], dens[order], merge.tocsr()
 
 
@@ -140,7 +141,7 @@ class NodeSum:
         if np.any(dens <= 0) or np.any(dens >= _MAX_DEN):
             raise DomainError("denominators must lie in [1, 2^31)")
         cols = np.arange(nums.size, dtype=np.int64)
-        nums, dens, merge = _merge_frequencies(nums, dens, cols, np.ones(nums.size))
+        nums, dens, merge = _merge_frequencies(nums, dens, cols, np.ones(nums.size), nums.size)
         return cls(nums, dens, merge, np.ascontiguousarray(coeffs.T))
 
 
@@ -160,14 +161,15 @@ class EvalGrid:
 
 
 def divisor_grid(window: Window, a):
-    """(b0, H): the odd rescaled arguments b = q/a of the window, step 2.
+    """(b0, H): the rescaled arguments b = q/a of the window, step 4.
 
-    b0 is the first odd integer >= Q/a and H counts the odd b from b0 up to
-    floor((Q+Delta-1)/a); a is an int or an int64 array, and H < 1 means no
-    odd multiple of a lies in the window.
+    Every odd fundamental q is 1 mod 4, so b = a (mod 4): b0 is the first
+    such integer >= Q/a and H counts them from b0 up to floor((Q+Delta-1)/a);
+    a is an int or an int64 array, and H < 1 means no such b lies there.
     """
-    b0 = -(-window.Q // a) | 1
-    return b0, ((window.Q + window.Delta - 1) // a - b0) // 2 + 1
+    b0 = -(-window.Q // a)
+    b0 += (a - b0) % 4
+    return b0, ((window.Q + window.Delta - 1) // a - b0) // 4 + 1
 
 
 def _exact_phase(nums: np.ndarray, dens: np.ndarray, shift) -> np.ndarray:
@@ -190,16 +192,19 @@ def build_node_problem(
     """Assemble the divisor-a node problem for one coefficient table.
 
     Folds the quadratic phase l^2/(4m) over its four-fold symmetry (weights 2
-    at l in {0, m}, else 4), then folds each phase l^2/(4m) mod 1 >= 1/2 to
-    alpha - 1/2 with its weight negated, which is exact at the odd arguments
-    the grid holds.  Equal reduced fractions across all m <= N/a merge into
-    one sparse (K, M) map whose rows are in alpha order, every alpha in
-    [0, 1/2); the map is not applied here.  Row m of B carries the whole
-    assembly weight u_m = sqrt(a/m), or a under convention="plain_a", so
-    evaluating the problem on its grid gives the divisor's summand
-    sqrt(a) S_r(a, b) at every odd b = b0, b0+2, .., b0+2(H-1).
-    Returns (NodeSum, EvalGrid) with grid step 2, or None when the divisor
-    contributes nothing (a > N or the rescaled window holds no odd b).
+    at l in {0, m}, else 4), then splits l^2 mod 4m into a quarter j and a
+    remainder: alpha = (l^2 mod m)/(4m) lies in [0, 1/4), and the factor
+    i^(j a) that is exact at the grid's arguments b = a (mod 4) becomes a
+    sign and, for odd j a, a read of row m - 1 + M of the stacked table
+    [B; iB].  Equal reduced fractions across all m <= N/a merge into one
+    sparse (K, 2M) map whose rows are in alpha order; the map is not applied
+    here.  Row m of B carries the whole assembly weight u_m = sqrt(a/m), or
+    a under convention="plain_a", so evaluating the problem on its grid
+    gives the divisor's summand sqrt(a) S_r(a, b) at every
+    b = b0, b0+4, .., b0+4(H-1).  Returns (NodeSum, EvalGrid) with grid
+    step 4, or None when the divisor contributes nothing (a > N or the
+    rescaled window holds no b = a mod 4); the raw entries are counted
+    either way once a <= N.
     """
     a = int(a)
     if a < 1:
@@ -210,11 +215,11 @@ def build_node_problem(
     if a > N:
         return None
     M = N // a
+    if counter is not None:
+        counter.add("node_raw", 2 * M * (M + 1))
     b0, H = divisor_grid(window, a)
     if H < 1:
         return None
-    if counter is not None:
-        counter.add("node_raw", 2 * M * (M + 1))
 
     sizes = np.arange(2, M + 2, dtype=np.int64)  # segment m has l = 0..m
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -222,14 +227,19 @@ def build_node_problem(
     row = np.repeat(np.arange(M, dtype=np.int64), sizes)  # m - 1, the row of B
     ell = np.arange(total, dtype=np.int64)
     ell -= np.repeat(starts, sizes)
-    weight = np.where((ell == 0) | (ell == row + 1), 2.0, 4.0)
-    ell *= ell  # the numerator l^2 over 4m, reduced by the merge
-    dens = 4 * row + 4
-    ell %= dens
-    upper = 2 * ell >= dens  # alpha >= 1/2: alpha - 1/2 at minus the weight
-    ell[upper] -= dens[upper] // 2
-    weight[upper] *= -1.0
-    del upper
+    m = row + 1
+    weight = np.where((ell == 0) | (ell == m), 2.0, 4.0)
+    ell *= ell
+    # l^2 = (4 s + j) m + rest: alpha = rest/(4m) at the factor i^(j a)
+    quarter, ell = np.divmod(ell, m)
+    quarter *= a
+    quarter &= 3
+    weight[quarter >= 2] *= -1.0
+    quarter &= 1
+    quarter *= M
+    row += quarter  # odd j a reads iB
+    del quarter
+    m *= 4  # the denominator 4m
 
     # per-m coefficient row: weight u_m times c_r(t, a m)
     cols = a * np.arange(1, M + 1, dtype=np.int64) - 1
@@ -238,11 +248,12 @@ def build_node_problem(
         u = np.sqrt(a / np.arange(1, M + 1, dtype=np.float64))
     else:
         u = np.full(M, float(a))
-    B = np.ascontiguousarray((base * u).T)  # (M, R)
-    nums, dens, merge = _merge_frequencies(ell, dens, row, weight)
+    B = (base * u).T  # (M, R)
+    B = np.concatenate((B, 1j * B))  # [B; iB]
+    nums, dens, merge = _merge_frequencies(ell, m, row, weight, 2 * M)
     if counter is not None:
         counter.add("node_merged", int(nums.size))
-    return NodeSum(nums, dens, merge, B), EvalGrid(b0=b0, H=H, step=2)
+    return NodeSum(nums, dens, merge, B), EvalGrid(b0=b0, H=H, step=4)
 
 
 def _direct_core(p: NodeSum, g: EvalGrid) -> np.ndarray:
@@ -325,8 +336,8 @@ def fast_eval(
     floor into the certificate is ROADMAP item 2.
     """
     eps3 = float(eps3)
-    if not 0.0 < eps3 < math.inf:
-        raise DomainError("eps3 must be positive and finite")
+    if not 0.0 < eps3 < 1.0:
+        raise DomainError("eps3 must lie in (0, 1)")
     if eps3 < _EPS3_FLOOR:
         raise AccuracyError(
             f"eps3={eps3:.3e} is below the 2^-48 = {_EPS3_FLOOR:.3e} "

@@ -131,19 +131,19 @@ def run_batch(
     fundamental = factored.select(factored.fundamental)
     qs = fundamental.q
     owner, a, sign = fundamental.divisor_terms(budget.N)
-    # a | q keeps every cofactor b = q/a inside its divisor's grid, and q odd
-    # then makes every b odd; the quarter-length Gauss identity behind the
-    # S-values needs that
+    # a | q keeps every cofactor b = q/a inside its divisor's grid, and
+    # q = 1 (mod 4) then makes every b odd, as the quarter-length Gauss
+    # identity behind the S-values needs, and = a (mod 4), the grid's class
     b, rem = np.divmod(qs[owner], a)
     if rem.any():
         k = int(np.argmax(rem != 0))
         raise ConsistencyError(f"divisor a={a[k]} does not divide q={qs[owner[k]]}")
 
     # precompute: each realized divisor evaluates its node problem on its
-    # grid of odd arguments and scatters sqrt(a) S_r(a, q/a) into the
-    # columns of its own divisor terms, so the thread count cannot change
-    # the bits; an empty window still prices a = 1, whose grid may then
-    # hold no odd b at all
+    # grid of arguments b = a (mod 4) and scatters sqrt(a) S_r(a, q/a) into
+    # the columns of its own divisor terms, so the thread count cannot
+    # change the bits; an empty window still prices a = 1, whose grid may
+    # then hold no b at all
     divisors = np.union1d(a, [1])
     d = np.searchsorted(divisors, a)
     by_divisor = np.argsort(d, kind="stable")
@@ -162,10 +162,13 @@ def run_batch(
                 raise ConsistencyError(f"divisor a={divisors[i]} has no node problem")
             return
         problem, grid = built
+        h, off = np.divmod(b[cols] - grid.b0, grid.step)
+        if np.any(off) or np.any(h < 0) or np.any(h >= grid.H):
+            raise ConsistencyError(f"divisor a={divisors[i]} has a b = q/a off its grid")
         t1 = time.perf_counter()
         values = fast_eval(problem, grid, budget.epsilon3, counter)
         seconds[:, i] = t1 - t0, time.perf_counter() - t1
-        terms[:, cols] = values[:, (b[cols] - grid.b0) // grid.step]
+        terms[:, cols] = values[:, h]
 
     _thread_map(run_one, range(divisors.size), threads)
     precompute_s = time.perf_counter() - t_start

@@ -112,17 +112,18 @@ class TestNodeSumConstruction:
 
 class TestBuildNodeProblem:
     def test_trivial_divisor_top_node(self, small_table):
-        # a = N keeps only m = 1: nodes 0 and 1/4 with doubled coefficients
+        # a = N = 400 keeps only m = 1: nodes 0 and 1/4, each with weight 2;
+        # 1/4 folds onto 0 at the factor i^a = 1, on the grid b = 0 (mod 4)
         window = Window(10_000, 5_000)
+        assert small_table.N == 400
         p, g = build_node_problem(small_table.N, small_table, window)
-        assert p.K == 2
-        assert p.nums.tolist() == [0, 1]
-        assert p.dens.tolist() == [1, 4]
-        assert g.b0 == 25
-        assert g.H == 7
-        # alpha = 0 at m = 1: coefficient is 2 sqrt(a/1) c_r(t, N) with a = N
+        assert p.K == 1
+        assert p.nums.tolist() == [0]
+        assert p.dens.tolist() == [1]
+        assert (g.b0, g.H, g.step) == (28, 3, 4)
+        # coefficient (2 + 2 i^a) sqrt(a/1) c_r(t, N) with a = N
         ratio = p.coeffs[:, 0] / small_table.c[:, small_table.N - 1]
-        assert np.allclose(ratio, 2.0 * math.sqrt(small_table.N), rtol=1e-12)
+        assert np.allclose(ratio, 4.0 * math.sqrt(small_table.N), rtol=1e-12)
 
     def test_oversized_divisor_returns_none(self, small_table):
         assert build_node_problem(small_table.N + 1, small_table, Window(10_000, 5_000)) is None
@@ -133,10 +134,12 @@ class TestBuildNodeProblem:
         b0s, Hs = divisor_grid(window, divisors)
         for a, b0, H in zip(divisors.tolist(), b0s.tolist(), Hs.tolist()):
             p, g = build_node_problem(a, small_table, window)
-            assert g.b0 == b0 == -(-window.Q // a) | 1
+            assert g.step == 4
+            # b0 is the first b >= Q/a with b = a (mod 4)
+            assert g.b0 == b0 and (b0 - a) % g.step == 0
+            assert b0 * a >= window.Q > (b0 - g.step) * a
             last = (window.Q + window.Delta - 1) // a
-            assert g.H == H == (last - g.b0) // 2 + 1
-            assert g.step == 2
+            assert g.H == H == (last - g.b0) // g.step + 1
 
     def test_raw_node_counter(self, small_table):
         counter = OpCounter()
@@ -159,8 +162,9 @@ class TestBuildNodeProblem:
 
     def test_equals_from_fractions_over_raw_fractions(self, small_table):
         # the builder's merge against the general one, fed every raw
-        # (l^2, 4m) entry folded into [0, 1/2) with its weight,
-        # u_m = sqrt(a/m) and c_r(t, a m)
+        # (l^2, 4m) entry folded into [0, 1/4) with its weight,
+        # u_m = sqrt(a/m), c_r(t, a m) and the factor i^(j a) of its
+        # quarter j: the builder's stacked table [B; iB] with a real sign
         window = Window(10_000, 5_000)
         for a in (1, 4, 13):
             p, g = build_node_problem(a, small_table, window)
@@ -168,10 +172,9 @@ class TestBuildNodeProblem:
             m = np.repeat(np.arange(1, M + 1), np.arange(2, M + 2))
             ell = np.concatenate([np.arange(k + 1) for k in range(1, M + 1)])
             den = 4 * m
-            num = (ell * ell) % den
-            fold = np.where(2 * num >= den, -1.0, 1.0)
-            num = np.where(fold < 0, num - 2 * m, num)
-            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m) * fold
+            quarter, num = np.divmod((ell * ell) % den, m)
+            factor = 1j ** ((quarter * a) % 4)
+            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m) * factor
             raw = small_table.c[:, a * m - 1] * weight
             ref = NodeSum.from_fractions(num, den, raw)
             assert np.array_equal(p.nums, ref.nums)
@@ -179,21 +182,23 @@ class TestBuildNodeProblem:
             assert np.max(np.abs(p.coeffs - ref.coeffs)) <= 1e-13 * p.scale
             assert p.scale == pytest.approx(ref.scale, rel=1e-13)
 
-    @pytest.mark.parametrize("a", [1, 3, 5, 13])
+    @pytest.mark.parametrize("a", [1, 3, 5, 7, 13])
     def test_fold_matches_unfolded_raw_entries_at_odd_arguments(self, small_table, a):
-        # every folded alpha lies in [0, 1/2), ascending, and the fold is
-        # exact at odd b: the folded problem and the raw unfolded (l^2, 4m)
-        # entries give the same sums on the odd grid
+        # every folded alpha lies in [0, 1/4), ascending, and the fold is
+        # exact at b = a (mod 4): the folded problem and the raw unfolded
+        # (l^2, 4m) entries give the same sums on the grid; a = 1 and 3
+        # (mod 4) cover both sign patterns i^(j a)
         window = Window(10_000, 5_000)
         p, g = build_node_problem(a, small_table, window)
-        assert np.all(p.nums >= 0) and np.all(2 * p.nums < p.dens)
+        assert g.step == 4 and (g.b0 - a) % 4 == 0
+        assert np.all(p.nums >= 0) and np.all(4 * p.nums < p.dens)
         assert np.all(np.diff(p.nums / p.dens) > 0)
         M = small_table.N // a
         m = np.repeat(np.arange(1, M + 1), np.arange(2, M + 2))
         ell = np.concatenate([np.arange(k + 1) for k in range(1, M + 1)])
         weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m)
         unfolded = NodeSum.from_fractions(ell * ell, 4 * m, small_table.c[:, a * m - 1] * weight)
-        assert np.any(2 * unfolded.nums >= unfolded.dens)
+        assert np.any(4 * unfolded.nums >= unfolded.dens)
         got = direct_eval(p, g)
         ref = direct_eval(unfolded, g)
         assert np.max(np.abs(got - ref)) <= 1e-13 * unfolded.scale
@@ -210,10 +215,8 @@ class TestNodeSemantics:
             p, g = build_node_problem(a, table, window)
             values = direct_eval(p, g)
             M = N // a
-            for b in range(g.b0, g.b0 + g.step * g.H, 7):
-                if b % 2 == 0:
-                    continue  # the Gauss identity needs odd b
-                h = (b - g.b0) // 2
+            for h in range(g.H):
+                b = g.b0 + g.step * h
                 for r in range(R):
                     terms = [
                         table.c[r, a * m - 1] * math.sqrt(a / m) * gauss_sum_fast(b, m)
@@ -233,8 +236,8 @@ class TestNodeSemantics:
         p, g = build_node_problem(3, table, window, convention="plain_a")
         values = direct_eval(p, g)
         M = N // 3
-        b = g.b0 + (1 - g.b0 % 2)  # first odd argument
-        h = b - g.b0
+        h = 1
+        b = g.b0 + g.step * h
         terms = [3 * table.c[0, 3 * m - 1] * gauss_sum_fast(b, m) for m in range(1, M + 1)]
         ref = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
         assert abs(values[0, h] - ref) <= 1e-10 * max(1.0, abs(ref))
@@ -364,7 +367,8 @@ class TestFastEval:
         p2, g2 = build_node_problem(1, table, Window(Q + 100, 100))
         v1 = fast_eval(p1, g1, 1e-10, force="transform")
         v2 = fast_eval(p2, g2, 1e-10, force="transform")
-        lo = (g2.b0 - g1.b0) // 2
+        lo, off = divmod(g2.b0 - g1.b0, g1.step)
+        assert off == 0
         overlap = min(g1.H - lo, g2.H)
         assert overlap > 10
         assert np.max(np.abs(v1[:, lo : lo + overlap] - v2[:, :overlap])) <= 2e-10 * p1.scale
@@ -381,6 +385,10 @@ class TestFastEval:
             fast_eval(p, EvalGrid(b0=1, H=4), 0.0)
         with pytest.raises(DomainError):
             fast_eval(p, EvalGrid(b0=1, H=4), float("inf"), force="transform")
+        # A = ln(1/eps3) + ln(K+1) + 6 turns negative past (K+1) e^6
+        for eps3 in (1.0, 1e10):
+            with pytest.raises(DomainError):
+                fast_eval(p, EvalGrid(b0=1, H=4), eps3, force="transform")
 
     def test_unknown_force_rejected(self, rng):
         p = _random_problem(rng, K=10)
@@ -415,11 +423,13 @@ class TestFastEval:
         assert np.max(np.abs(got - ref)) <= eps3 * p.scale
 
     def test_built_problem_holds_no_coefficient_block(self, small_table):
-        # a built problem is the (K, M) merge map and the (M, R) table rows;
-        # the same coefficients stored as K explicit rows evaluate alike
+        # a built problem is the (K, 2M) merge map and the (2M, R) stacked
+        # table rows [B; iB]; the same coefficients stored as K explicit
+        # rows evaluate alike
         p, g = build_node_problem(1, small_table, Window(10_000, 64))
         K, M, R = p.K, small_table.N, small_table.R
-        assert p.merge.shape == (K, M) and p.B.shape == (M, R)
+        assert p.merge.shape == (K, 2 * M) and p.B.shape == (2 * M, R)
+        assert np.array_equal(p.B[M:], 1j * p.B[:M])
         held = [v.shape for v in vars(p).values() if hasattr(v, "shape")]
         assert (K, R) not in held and (R, K) not in held
         explicit = NodeSum.from_fractions(p.nums, p.dens, p.coeffs)
@@ -504,11 +514,12 @@ class TestSpreadBlocks:
         assert np.max(np.abs(got - direct_eval(p, g))) <= 1e-9 * p.scale
 
     def test_traced_peak_bounded_by_grid_and_block(self):
-        # the a = 1 problem of [50001, 75001): K = 164,191, R = 33, n = 2^15,
-        # 43 taps, on the 12,500 odd arguments.  The padded grid takes
-        # 17 MB, the problem 8 MB and one block's workspace about 30 MB
-        # (52 MB traced); one (K, R) coefficient array would add 87 MB and
-        # the K*W spreading matrix 85 MB
+        # the a = 1 problem of [50001, 75001): K = 96,441, R = 33, n = 2^14,
+        # 43 taps, on the 6,250 arguments b = 1 (mod 4).  The build's raw
+        # entries peak at 37 MiB traced and the evaluation at 40 MiB: the
+        # padded grid takes 9 MB, the problem 4 MB, and one block's
+        # workspace the rest; one (K, R) coefficient array would add 51 MB
+        # and the K*W spreading matrix 50 MB
         Q, Delta = 50_001, 25_000
         budget = plan_budget(Q, Delta, 1e-6, 0.0)
         table = build_coefficient_table(0.0, Q, budget.N, budget.R)
@@ -519,8 +530,8 @@ class TestSpreadBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p.K > 160_000 and table.R == 33
-        assert peak < 80 * 2 ** 20
+        assert p.K > 90_000 and table.R == 33
+        assert peak < 64 * 2 ** 20
 
 
 class TestEvalGrid:
@@ -533,7 +544,7 @@ class TestEvalGrid:
             EvalGrid(b0=5, H=3, step=0)
 
     def test_divisor_grid_without_odd_argument(self):
-        # [4, 5) holds only b = 4 at a = 1: the odd grid is empty
+        # [4, 5) holds only b = 4 at a = 1, not 1 (mod 4): the grid is empty
         assert divisor_grid(Window(4, 1), 1) == (5, 0)
 
     @pytest.mark.parametrize("force", ["transform", "direct"])

@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import glob
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from qlbatch import (
     oracle_sweep,
     run_batch,
 )
+from qlbatch import pipeline
 from qlbatch.arith import FactoredWindow, sieve_factor_window
-from qlbatch.multieval import build_node_problem, fast_eval
+from qlbatch.multieval import build_node_problem, divisor_grid, fast_eval
 from qlbatch.special import c_prefactor, g_prefactor, theta_phase
 from qlbatch.taylor import build_coefficient_table, plan_budget
 
@@ -270,6 +273,27 @@ class TestConvention:
             run_batch(BatchRequest(win, 0.0, _EPS), convention="bogus")
 
 
+def _shifted_builder(shift):
+    """build_node_problem with every grid's b0 moved by shift."""
+    real = build_node_problem
+
+    def shifted(*args, **kwargs):
+        built = real(*args, **kwargs)
+        if built is None:
+            return None
+        problem, grid = built
+        return problem, dataclasses.replace(grid, b0=grid.b0 + shift)
+
+    return shifted
+
+
+def _subprocess_env():
+    """The environment with src/ and tests/ on PYTHONPATH."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    paths = [os.path.join(here, os.pardir, "src"), here, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def _with_extra_term(i, a_extra):
     """FactoredWindow.divisor_terms plus one term: divisor a_extra of conductor i."""
     real = FactoredWindow.divisor_terms
@@ -291,11 +315,11 @@ class TestRecoveryChecks:
             run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
     def test_non_dividing_odd_term_rejected(self, monkeypatch):
-        # conductor 1 of _WIN is 10005; 7 does not divide it, yet 10005 // 7 =
-        # 1429 is odd and inside divisor 7's grid [1429, 1433], so without the
-        # a | q check the gather would silently read the value for 10003
-        monkeypatch.setattr(FactoredWindow, "divisor_terms", _with_extra_term(1, 7))
-        with pytest.raises(ConsistencyError, match="a=7 does not divide q=10005"):
+        # conductor 4 of _WIN is 10021; 7 does not divide it, yet 10021 // 7 =
+        # 1431 = 7 (mod 4) is divisor 7's one grid argument, so without the
+        # a | q check the gather would silently read the value for 10017
+        monkeypatch.setattr(FactoredWindow, "divisor_terms", _with_extra_term(4, 7))
+        with pytest.raises(ConsistencyError, match="a=7 does not divide q=10021"):
             run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
     def test_window_without_fundamentals(self):
@@ -306,9 +330,48 @@ class TestRecoveryChecks:
         assert cmp.max_dev == 0.0 and cmp.mean_dev == 0.0
         assert result.counts["node_raw"] > 0
 
-    def test_window_routines_run_once_per_batch(self, monkeypatch):
-        import qlbatch.pipeline as pipeline
+    @pytest.mark.parametrize("shift", [2, 4, -4], ids=["off_step", "below_b0", "past_H"])
+    def test_scatter_off_the_grid_rejected(self, monkeypatch, shift):
+        # a grid that does not hold every b = q/a of its divisor terms must
+        # be refused, not read at a wrapped or truncated column
+        monkeypatch.setattr(pipeline, "build_node_problem", _shifted_builder(shift))
+        with pytest.raises(ConsistencyError, match="off its grid"):
+            run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
+    def test_scatter_check_survives_python_O(self):
+        # the child's first line fails unless -O strips asserts
+        code = (
+            "assert False, 'not running under -O'\n"
+            "import qlbatch.pipeline as pipeline, test_pipeline as tp\n"
+            "from qlbatch import BatchRequest, ConsistencyError, run_batch\n"
+            "pipeline.build_node_problem = tp._shifted_builder(2)\n"
+            "try:\n"
+            "    run_batch(BatchRequest(tp._WIN, 0.0, tp._EPS))\n"
+            "except ConsistencyError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('no ConsistencyError')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=_subprocess_env(), capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_every_cofactor_lies_on_its_divisor_grid(self):
+        # every odd fundamental q is 1 (mod 4), so each b = q/a is a (mod 4)
+        # and lies on the step-4 grid divisor_grid gives divisor a
+        window = Window(200_001, 1_000)
+        fundamental = sieve_factor_window(window)
+        fundamental = fundamental.select(fundamental.fundamental)
+        owner, a, _ = fundamental.divisor_terms(plan_budget(window.Q, window.Delta, _EPS, 0.0).N)
+        q = fundamental.q[owner]
+        assert a.size > fundamental.q.size > 0 and np.all(q % a == 0)
+        assert np.all((q // a - a) % 4 == 0)
+        b0, H = divisor_grid(window, a)
+        h, off = np.divmod(q // a - b0, 4)
+        assert np.all(off == 0) and np.all(h >= 0) and np.all(h < H)
+
+    def test_window_routines_run_once_per_batch(self, monkeypatch):
         calls = []
 
         def counting(name, fn):
@@ -363,8 +426,6 @@ class TestCompareStep:
             compare_with_oracle(short)
 
     def test_dropped_oracle_conductor_is_a_window_disagreement(self, cmp_run, monkeypatch):
-        import qlbatch.pipeline as pipeline
-
         def drop_first(*args, **kwargs):
             return oracle_sweep(*args, **kwargs)[1:]
 
