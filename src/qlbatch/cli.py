@@ -108,11 +108,6 @@ def _write_table(out, fmt, fields, columns, doc=None, key="rows") -> None:
         fh.write("\n")
 
 
-def _timings(result) -> dict:
-    return dict(wall_s=result.wall_time_s, precompute_s=result.precompute_s,
-                recovery_s=result.recovery_s, build_s=result.build_s, eval_s=result.eval_s)
-
-
 def cmd_eval(args) -> int:
     result = run_batch(_make_request(args), threads=args.threads)
     request, budget = result.request, result.budget
@@ -128,7 +123,7 @@ def cmd_eval(args) -> int:
             "R": budget.R,
         },
         "counts": result.counts,
-        "timings": _timings(result),
+        "timings": result.timings,
     }
     _write_table(args.out, args.fmt, ("q", "t", "Z", "theta", "error_bound"),
                  (result.q, request.t, result.Z, result.theta, result.error_bound),
@@ -145,7 +140,7 @@ def cmd_compare(args) -> int:
         "max_dev": cmp.max_dev,
         "mean_dev": cmp.mean_dev,
         "n_fail": bad.size,
-        "timings": {**_timings(result), "oracle_s": cmp.oracle_s},
+        "timings": {**result.timings, **cmp.timings},
         "counts": {**result.counts, **cmp.counts},
     }
     _write_table(args.out, args.fmt, ("q", "t", "Z_fast", "Z_reference", "abs_dev", "tolerance"),

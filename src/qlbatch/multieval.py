@@ -318,20 +318,20 @@ def fast_eval(
     """Gaussian-gridded FFT evaluation with per-value error below eps3*scale.
 
     Small problems (K*H*R under the crossover) fall through to the direct
-    sum.  force="transform"/"direct" pins the path for testing.  The
-    transform centres the targets on b0 + step*Hc with Hc = H//2 and takes
-    w and tau from _gaussian_params (W = 2w + 1 taps, variance
-    tau = A/(4 pi^2 (1 - 2 xi_m))).  It walks the alpha-sorted frequencies
-    in blocks of _SPREAD_BLOCK: each block forms its coefficients, phases
-    them by exp(2 pi i alpha (b0 + step*Hc)), and spreads their float64 view
-    with a sparse matrix over the fine-grid rows [lo, hi) it touches, added
-    into one padded grid of n + 2w + 1 rows.  Source k sits at cell
-    round(n beta_k) with beta_k = step alpha_k mod 1, kept unwrapped, so
-    beta -> 1 lands on cell n.  The padding is wrapped and
-    one FFT runs along the grid axis.  Below eps3 = 1e-12 the promise
-    degrades to double-precision roundoff amplified by the deconvolution
-    gain (at most e^(A/8)): 17 of 69 seeded random problems there exceed
-    eps3*scale, and the planner accepts such targets
+    sum.  force="transform" pins the transform for testing (direct_eval is
+    the direct sum alone).  The transform centres the targets on
+    b0 + step*Hc with Hc = H//2 and takes w and tau from _gaussian_params
+    (W = 2w + 1 taps, variance tau = A/(4 pi^2 (1 - 2 xi_m))).  It walks
+    the alpha-sorted frequencies in blocks of _SPREAD_BLOCK: each block
+    forms its coefficients, phases them by exp(2 pi i alpha (b0 + step*Hc)),
+    and spreads their float64 view with a sparse matrix over the fine-grid
+    rows [lo, hi) it touches, added into one padded grid of n + 2w + 1
+    rows.  Source k sits at cell round(n beta_k) with beta_k = step alpha_k
+    mod 1, kept unwrapped, so beta -> 1 lands on cell n.  The padding is
+    wrapped and one FFT runs along the grid axis.  Below eps3 = 1e-12 the
+    promise degrades to double-precision roundoff amplified by the
+    deconvolution gain (at most e^(A/8)): 17 of 69 seeded random problems
+    there exceed eps3*scale, and the planner accepts such targets
     (eps3 = 8.69e-15 on [2*10^5, 3*10^5) at eps = 1e-6).  Carrying this
     floor into the certificate is ROADMAP item 2.
     """
@@ -343,10 +343,10 @@ def fast_eval(
             f"eps3={eps3:.3e} is below the 2^-48 = {_EPS3_FLOOR:.3e} "
             "double-precision transform floor"
         )
-    if force not in ("auto", "transform", "direct"):
+    if force not in ("auto", "transform"):
         raise DomainError(f"unknown path selector {force!r}")
     R, K, H = p.R, p.K, g.H
-    if force == "direct" or (force == "auto" and K * H * R <= _CROSSOVER_OPS):
+    if force == "auto" and K * H * R <= _CROSSOVER_OPS:
         if counter is not None:
             counter.add("fast_eval_ops", K * H * R)
         return _direct_core(p, g)

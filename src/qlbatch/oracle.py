@@ -11,7 +11,8 @@ with V(w) = Gamma(z2, w) / Gamma(z2), z2 = 1/4 + it/2, cut at an N whose
 dropped tail is certified below the returned tail_bound.  direct_Z is the
 naive route, a Jacobi symbol and a kernel evaluation per term; oracle_sweep
 is the array-native one, with Legendre-table characters per block of
-conductors and the kernel only where chi_q(n) != 0.
+conductors and the kernel only where chi_q(n) != 0, and returns the window
+as columns aligned with q, like the batch result it checks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .arith import (
     _check_precision,
     _check_t,
     _is_fundamental_odd_positive_int,
-    _resolve_threads,
     _thread_map,
     jacobi,
     sieve_factor_window,
@@ -41,37 +41,36 @@ from .special import _g_kernel_arr, log_gamma, theta_phase
 _CHUNK = 64  # conductors per character table and kernel call in sweeps
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class OracleResult:
-    """One certified reference value together with its truncation record."""
+    """Certified reference values with their truncation records: scalars
+    from direct_Z, columns aligned with q (int64, ascending) from
+    oracle_sweep, with Z and tail_bound float64 and N_used int64."""
 
-    q: int
+    q: int | np.ndarray
     t: float
-    Z: float
-    N_used: int
-    tail_bound: float
+    Z: float | np.ndarray
+    N_used: int | np.ndarray
+    tail_bound: float | np.ndarray
 
 
-def _truncation_order(q: int, epsilon: float) -> tuple[int, float]:
-    """Smallest N whose tail budget epsilon/8 is met for conductor q; an
-    epsilon past the _check_precision budget raises BudgetError first."""
-    eps1 = _check_precision(q, epsilon) / 8.0
-    N = math.ceil(math.sqrt((2.0 * q / math.pi) * math.log(q / eps1)))
-    return max(N, 1), eps1
+def _truncation_order(q, epsilon: float) -> tuple[np.ndarray, float]:
+    """Smallest N whose tail budget eps1 = epsilon/8 is met, per conductor
+    of q (a scalar or an array), and eps1; an epsilon past the
+    _check_precision budget at the largest q raises BudgetError first."""
+    eps1 = _check_precision(int(np.max(q, initial=1)), epsilon) / 8.0
+    N = np.ceil(np.sqrt((2.0 * q / np.pi) * np.log(q / eps1)))
+    return np.maximum(N, 1).astype(np.int64), eps1
 
 
-def _certified_tail(q: int, N: int, gamma_abs: float) -> float:
-    """Rigorous bound on 2 sum_(n>N) n^(-1/2) |V(pi n^2/q)|.
+def _certified_tail(q, N, gamma_abs: float):
+    """Rigorous bound on 2 sum_(n>N) n^(-1/2) |V(pi n^2/q)|, per conductor.
 
     Uses |Gamma(z2, w)| <= w^(-3/4) e^(-w) for Re z2 = 1/4 and a geometric
     majorant for the lattice tail.
     """
-    return (
-        (q / math.pi) ** 0.75
-        * q
-        * math.exp(-math.pi * N * N / q)
-        / (math.pi * N ** 3 * gamma_abs)
-    )
+    N = np.asarray(N, dtype=np.float64)  # an int64 N**3 would wrap past N = 2^21
+    return (q / np.pi) ** 0.75 * q * np.exp(-np.pi * N * N / q) / (np.pi * N ** 3 * gamma_abs)
 
 
 def _character_values(q: int, N: int) -> np.ndarray:
@@ -146,11 +145,11 @@ def direct_Z(
     N, eps1 = _truncation_order(q, epsilon)
     theta = theta_phase(t, 0, q)
     Z = 2.0 * (cmath.exp(1j * theta) * F).real
-    tail = _certified_tail(q, N, math.exp(log_gamma(0.25 + 0.5j * t).real))
+    tail = float(_certified_tail(q, N, math.exp(log_gamma(0.25 + 0.5j * t).real)))
     # the planned N always beats its own budget
     if not tail < eps1:
         raise ConsistencyError(f"certified tail {tail:.3e} at N={N} misses its budget {eps1:.3e}")
-    return OracleResult(q=q, t=t, Z=float(Z), N_used=N, tail_bound=tail)
+    return OracleResult(q=q, t=t, Z=float(Z), N_used=int(N), tail_bound=tail)
 
 
 def oracle_sweep(
@@ -160,52 +159,45 @@ def oracle_sweep(
     *,
     threads: int = 1,
     counter: OpCounter | None = None,
-) -> list[OracleResult]:
-    """direct_Z over every fundamental conductor in a window, as arrays.
+) -> OracleResult:
+    """direct_Z over every fundamental conductor in a window, as columns.
 
-    One character sieve, one n^(-1/2-it) and one theta array serve the
-    window; each block of _CHUNK conductors takes one character table and
-    one kernel call over the arguments pi n^2/q with chi_q(n) != 0 (a
-    dropped term is exactly +-0, and fsum is correctly rounded).  Results
-    match per-q direct_Z to roundoff and come back sorted by q; an epsilon
-    past the precision budget at the largest q raises BudgetError before
-    the first block.
+    One character sieve, one n^(-1/2-it) and the truncation orders, phases
+    and tail bounds as arrays serve the window; each block of _CHUNK
+    conductors takes one character table and one kernel call over the
+    arguments pi n^2/q with chi_q(n) != 0 (a dropped term is exactly +-0,
+    and fsum is correctly rounded) and keeps one F per conductor.  The
+    columns match per-q direct_Z to roundoff, sorted by q, and are empty
+    on a window without fundamental conductors; an epsilon past the
+    precision budget at the largest q raises BudgetError before the first
+    block.
     """
     t = _check_t(t)
     epsilon = _check_epsilon(epsilon)
-    _resolve_threads(threads)  # refuse a bad count on an empty window too
     factored = sieve_factor_window(window)
     qs = factored.q[factored.fundamental]
-    if not qs.size:
-        return []
-    N_max, _ = _truncation_order(int(qs[-1]), epsilon)
-    sieve = CharacterSieve(N_max)
-    n = np.arange(1, N_max + 1, dtype=np.float64)
+    Ns, _ = _truncation_order(qs, epsilon)
+    sieve = CharacterSieve(int(Ns.max(initial=1)))
+    n = np.arange(1, sieve.N + 1, dtype=np.float64)
     powers = np.exp((-0.5 - 1j * t) * np.log(n))
-    thetas = theta_phase(t, 0, qs).tolist()
     z2 = 0.25 + 0.5j * t
     lg = log_gamma(z2)
-    gamma_abs = math.exp(lg.real)
+    if counter is not None:
+        counter.add("oracle_special_calls", int(Ns.sum()))
+    F = np.empty(qs.size, dtype=np.complex128)
 
-    def run_block(lo: int) -> list[OracleResult]:
+    def run_block(lo: int) -> None:
         block = qs[lo : lo + _CHUNK]
-        Ns = np.array([_truncation_order(q, epsilon)[0] for q in block.tolist()])
         chi = sieve.table(block)[:, 1:]
-        rows, cols = np.nonzero((chi != 0.0) & (n <= Ns[:, None]))
+        rows, cols = np.nonzero((chi != 0.0) & (n <= Ns[lo : lo + _CHUNK, None]))
         w = math.pi * n[cols] * n[cols] / block[rows]
         V = np.exp(z2 * np.log(w) - lg) * _g_kernel_arr(z2, w)
         terms = chi[rows, cols] * powers[cols] * V
         parts = np.split(terms, np.cumsum(np.bincount(rows, minlength=block.size))[:-1])
-        if counter is not None:
-            counter.add("oracle_special_calls", int(Ns.sum()))
-        out = []
-        for q, Nq, theta, part in zip(block.tolist(), Ns.tolist(),
-                                      thetas[lo : lo + _CHUNK], parts):
-            F = complex(math.fsum(part.real.tolist()), math.fsum(part.imag.tolist()))
-            Z = 2.0 * (cmath.exp(1j * theta) * F).real
-            out.append(OracleResult(q=q, t=t, Z=float(Z), N_used=Nq,
-                                    tail_bound=_certified_tail(q, Nq, gamma_abs)))
-        return out
+        F[lo : lo + _CHUNK] = [complex(math.fsum(p.real.tolist()), math.fsum(p.imag.tolist()))
+                               for p in parts]
 
-    per_block = _thread_map(run_block, range(0, qs.size, _CHUNK), threads)
-    return [res for blk in per_block for res in blk]
+    _thread_map(run_block, range(0, qs.size, _CHUNK), threads)
+    Z = 2.0 * (np.exp(1j * theta_phase(t, 0, qs)) * F).real
+    return OracleResult(q=qs, t=t, Z=Z, N_used=Ns,
+                        tail_bound=_certified_tail(qs, Ns, math.exp(lg.real)))

@@ -71,7 +71,8 @@ class BatchResult:
     budget, counters and phase timings of the run.
 
     The columns are aligned with q (int64, ascending): Z, theta and
-    error_bound (float64) and recovery_ops (int64).  build_s and eval_s are
+    error_bound (float64) and recovery_ops (int64).  timings holds wall_s
+    and its two phases precompute_s and recovery_s, and build_s and eval_s,
     the node-problem construction and evaluation seconds summed over the
     divisors, so with several threads they can exceed precompute_s.
     """
@@ -84,11 +85,7 @@ class BatchResult:
     recovery_ops: np.ndarray
     budget: ErrorBudget
     counts: dict
-    wall_time_s: float
-    precompute_s: float
-    recovery_s: float
-    build_s: float
-    eval_s: float
+    timings: dict
 
     @property
     def n_characters(self) -> int:
@@ -200,25 +197,28 @@ def run_batch(
         recovery_ops=ops,
         budget=budget,
         counts=counter.as_dict(),
-        wall_time_s=time.perf_counter() - t_start,
-        precompute_s=precompute_s,
-        recovery_s=recovery_s,
-        build_s=float(seconds[0].sum()),
-        eval_s=float(seconds[1].sum()),
+        timings={
+            "wall_s": time.perf_counter() - t_start,
+            "precompute_s": precompute_s,
+            "recovery_s": recovery_s,
+            "build_s": float(seconds[0].sum()),
+            "eval_s": float(seconds[1].sum()),
+        },
     )
 
 
 @dataclass(frozen=True)
 class Comparison:
     """A sweep against the oracle: columns aligned with the result's q, the
-    summary, and the oracle's wall seconds and counters."""
+    summary, and the oracle's timings ({"oracle_s": wall seconds}) and
+    counters."""
 
     refs: np.ndarray  # oracle Z
     devs: np.ndarray  # |Z - oracle Z|
     tolerances: np.ndarray  # error_bound + epsilon/4
     max_dev: float
     mean_dev: float
-    oracle_s: float
+    timings: dict
     counts: dict
 
 
@@ -234,17 +234,15 @@ def compare_with_oracle(result: BatchResult, *, threads: int = 1) -> Comparison:
     oracle = oracle_sweep(request.window, request.t, request.epsilon, threads=threads,
                           counter=counter)
     oracle_s = time.perf_counter() - t0
-    ref_q = np.array([r.q for r in oracle], dtype=np.int64)
-    refs = np.array([r.Z for r in oracle], dtype=np.float64)
-    if not np.array_equal(ref_q, result.q):
+    if not np.array_equal(oracle.q, result.q):
         raise ConsistencyError("oracle sweep and fast sweep disagree on the window")
-    devs = np.abs(result.Z - refs)
+    devs = np.abs(result.Z - oracle.Z)
     return Comparison(
-        refs=refs,
+        refs=oracle.Z,
         devs=devs,
         tolerances=result.error_bound + request.epsilon / 4.0,
         max_dev=float(devs.max(initial=0.0)),
         mean_dev=math.fsum(devs) / devs.size if devs.size else 0.0,
-        oracle_s=oracle_s,
+        timings={"oracle_s": oracle_s},
         counts=counter.as_dict(),
     )

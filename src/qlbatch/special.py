@@ -188,7 +188,7 @@ def theta_phase(t: float, parity: int, q) -> float | np.ndarray:
 
     theta = (t/2) log(q/pi) + Im log Gamma((1/2 + parity + i t)/2).  Exact
     for any t; accuracy degrades slowly for |t| >> 1 (no large-t
-    reformulation here, callers warn past |t| = 1).
+    reformulation here; run_batch warns past |t| = 1, the oracle does not).
     """
     if parity not in (0, 1):
         raise DomainError("parity must be 0 or 1")

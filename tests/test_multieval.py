@@ -32,6 +32,12 @@ from qlbatch.multieval import (
 )
 from qlbatch.taylor import build_coefficient_table, plan_budget
 
+# the two evaluation paths of a node problem, as (problem, grid) -> values
+_ROUTES = {
+    "transform": lambda p, g: fast_eval(p, g, 1e-10, force="transform"),
+    "direct": direct_eval,
+}
+
 
 def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:
     """Per-(r, h) fsum over all K frequencies with exact angles."""
@@ -391,9 +397,11 @@ class TestFastEval:
                 fast_eval(p, EvalGrid(b0=1, H=4), eps3, force="transform")
 
     def test_unknown_force_rejected(self, rng):
+        # "direct" is no selector: direct_eval is the direct sum
         p = _random_problem(rng, K=10)
-        with pytest.raises(DomainError):
-            fast_eval(p, EvalGrid(b0=1, H=4), 1e-9, force="banana")
+        for force in ("banana", "direct"):
+            with pytest.raises(DomainError):
+                fast_eval(p, EvalGrid(b0=1, H=4), 1e-9, force=force)
 
     @pytest.mark.parametrize("eps3", [1e-9, 1e-11])
     @pytest.mark.parametrize(
@@ -434,9 +442,9 @@ class TestFastEval:
         assert (K, R) not in held and (R, K) not in held
         explicit = NodeSum.from_fractions(p.nums, p.dens, p.coeffs)
         assert explicit.B.shape == (K, R)
-        for force in ("transform", "direct"):
-            a = fast_eval(p, g, 1e-10, force=force)
-            b = fast_eval(explicit, g, 1e-10, force=force)
+        for evaluate in _ROUTES.values():
+            a = evaluate(p, g)
+            b = evaluate(explicit, g)
             assert np.max(np.abs(a - b)) <= 1e-13 * p.scale
 
 
@@ -547,8 +555,8 @@ class TestEvalGrid:
         # [4, 5) holds only b = 4 at a = 1, not 1 (mod 4): the grid is empty
         assert divisor_grid(Window(4, 1), 1) == (5, 0)
 
-    @pytest.mark.parametrize("force", ["transform", "direct"])
-    def test_grid_start_equals_prerotation(self, rng, force):
+    @pytest.mark.parametrize("route", ["transform", "direct"])
+    def test_grid_start_equals_prerotation(self, rng, route):
         # evaluating on b0 .. b0+H-1 equals evaluating the coefficients
         # rotated by exp(2 pi i alpha b0) on 0 .. H-1
         p = _random_problem(rng, K=600, R=2)
@@ -558,6 +566,6 @@ class TestEvalGrid:
             p.nums, p.dens, p.coeffs * np.exp(2j * math.pi * ang / p.dens)
         )
         at_b0, at_0 = EvalGrid(b0=b0, H=40), EvalGrid(b0=0, H=40)
-        got = fast_eval(p, at_b0, 1e-10, force=force)
-        ref = fast_eval(rotated, at_0, 1e-10, force=force)
+        got = _ROUTES[route](p, at_b0)
+        ref = _ROUTES[route](rotated, at_0)
         assert np.max(np.abs(got - ref)) <= 1e-13 * p.scale

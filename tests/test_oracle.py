@@ -124,33 +124,32 @@ class TestOracleSweep:
     def test_matches_per_q_calls(self):
         window = Window(101, 50)
         sweep = oracle_sweep(window, 0.3, 1e-6)
-        assert [r.q for r in sweep] == sorted(r.q for r in sweep)
-        for r in sweep:
-            solo = direct_Z(r.q, 0.3, 1e-6)
-            assert r.Z == pytest.approx(solo.Z, abs=1e-12)
-            assert r.N_used == solo.N_used
-            assert r.tail_bound == pytest.approx(solo.tail_bound, rel=1e-12)
+        assert np.all(np.diff(sweep.q) > 0)
+        solo = [direct_Z(q, 0.3, 1e-6) for q in sweep.q.tolist()]
+        assert sweep.Z == pytest.approx([r.Z for r in solo], abs=1e-12)
+        assert np.array_equal(sweep.N_used, [r.N_used for r in solo])
+        assert sweep.tail_bound == pytest.approx([r.tail_bound for r in solo], rel=1e-12)
 
     def test_covers_exactly_the_fundamentals(self):
         window = Window(61, 30)
         sweep = oracle_sweep(window, 0.0, 1e-4)
-        got = [r.q for r in sweep]
         expect = [q for q in range(61, 91, 2)
                   if q % 4 == 1 and all(q % (p * p) for p in range(3, 10, 2))]
-        assert got == expect
+        assert np.array_equal(sweep.q, expect)
 
     def test_empty_window(self):
-        # a window of even-only... no odd fundamental below 5 except 1
+        # [2, 3) holds no odd fundamental conductor: every column is empty
         sweep = oracle_sweep(Window(2, 1), 0.0, 1e-4)
-        assert sweep == []
+        for name, dtype in (("q", np.int64), ("Z", np.float64),
+                            ("N_used", np.int64), ("tail_bound", np.float64)):
+            col = getattr(sweep, name)
+            assert col.shape == (0,) and col.dtype == dtype, name
 
     def test_threads_do_not_change_values(self):
         window = Window(1_001, 400)
         a = oracle_sweep(window, 0.0, 1e-5, threads=1)
         b = oracle_sweep(window, 0.0, 1e-5, threads=3)
-        assert len(a) == len(b)
-        for ra, rb in zip(a, b):
-            assert (ra.q, ra.Z) == (rb.q, rb.Z)
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.Z, b.Z)
 
     def test_block_edges_match_per_q_calls(self):
         # more than two blocks of conductors, with N changing inside a block:
@@ -159,17 +158,18 @@ class TestOracleSweep:
         from qlbatch.oracle import _CHUNK
 
         sweep = oracle_sweep(Window(2_001, 1_000), 0.3, 1e-6)
-        assert len(sweep) > 2 * _CHUNK
-        blocks = [sweep[i : i + _CHUNK] for i in range(0, len(sweep), _CHUNK)]
-        assert len({r.N_used for r in blocks[0]}) > 1
-        picks = {blk[0].q for blk in blocks} | {blk[-1].q for blk in blocks}
+        assert sweep.q.size > 2 * _CHUNK
+        assert np.unique(sweep.N_used[:_CHUNK]).size > 1
+        edges = np.arange(0, sweep.q.size, _CHUNK)
+        picks = np.zeros(sweep.q.size, dtype=bool)
+        picks[edges] = picks[np.append(edges[1:], sweep.q.size) - 1] = True
         for p in (3, 5, 7):
-            picks |= {r.q for r in sweep if r.q % p == 0}
-        for r in sweep:
-            if r.q in picks:
-                solo = direct_Z(r.q, 0.3, 1e-6)
-                assert r.Z == pytest.approx(solo.Z, abs=1e-12), r.q
-                assert r.N_used == solo.N_used
+            picks |= sweep.q % p == 0
+        for q, Z, N in zip(sweep.q[picks].tolist(), sweep.Z[picks].tolist(),
+                           sweep.N_used[picks].tolist()):
+            solo = direct_Z(q, 0.3, 1e-6)
+            assert Z == pytest.approx(solo.Z, abs=1e-12), q
+            assert N == solo.N_used
 
     def test_rejects_precision_beyond_double(self):
         # epsilon/8 would underflow to 0 and the truncation order divide by it
@@ -179,7 +179,7 @@ class TestOracleSweep:
     def test_counter_totals_term_counts(self):
         counter = OpCounter()
         sweep = oracle_sweep(Window(101, 50), 0.0, 1e-6, counter=counter)
-        assert counter.get("oracle_special_calls") == sum(r.N_used for r in sweep)
+        assert counter.get("oracle_special_calls") == sweep.N_used.sum()
 
 
 class TestIndependence:
