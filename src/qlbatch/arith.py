@@ -1,5 +1,6 @@
-"""Integer machinery: windowed factorization sieve, fundamental-discriminant
-classification, the quadratic character, and inclusion-exclusion divisors.
+"""Integer machinery: the window's fundamental conductors by a squarefree
+sieve, the divisor grids and the inclusion-exclusion terms read off them, and
+the quadratic character.
 
 The character chi_q for odd fundamental q = 1 (mod 4) is the quadratic
 symbol; by reciprocity it equals the Jacobi symbol (n/q) for every n, which
@@ -19,8 +20,6 @@ import numpy as np
 
 from .counters import OpCounter
 from .errors import BudgetError, DomainError
-
-_SIEVE_BLOCK = 1 << 20  # odd values per segment
 
 _T_MAX = 10.0  # supported heights |t| <= _T_MAX
 _BITS_MAX = 45.0  # largest log2(q/epsilon) a double-precision value certifies
@@ -153,124 +152,64 @@ def _odd_primes_upto(n: int) -> np.ndarray:
     return primes[primes % 2 == 1]
 
 
-@dataclass(frozen=True, eq=False)
-class FactoredWindow:
-    """The odd conductors of a window with their distinct primes, as CSR arrays.
+def divisor_grid(window: Window, a):
+    """(b0, H): the rescaled arguments b = q/a of the window, step 4.
 
-    Row i is conductor q[i] (ascending); its distinct primes, ascending, are
-    primes[indptr[i] : indptr[i+1]], and they multiply to q[i] exactly when
-    squarefree[i].  window[q] is the one-row window of conductor q.
+    Every odd fundamental q is 1 mod 4, so b = a (mod 4): b0 is the first
+    such integer >= Q/a and H counts them from b0 up to floor((Q+Delta-1)/a);
+    a is an int or an int64 array, and H < 1 means no such b lies there.
     """
-
-    q: np.ndarray
-    indptr: np.ndarray
-    primes: np.ndarray
-    squarefree: np.ndarray
-
-    @property
-    def fundamental(self) -> np.ndarray:
-        """Mask of the odd fundamental conductors: squarefree and q = 1 (mod 4)."""
-        return self.squarefree & (self.q % 4 == 1)
-
-    def select(self, rows) -> FactoredWindow:
-        """The sub-window of the given rows (a boolean mask or ascending indices)."""
-        lo, hi = self.indptr[:-1][rows], self.indptr[1:][rows]
-        indptr = np.concatenate(([0], np.cumsum(hi - lo)))
-        take = np.repeat(lo - indptr[:-1], hi - lo) + np.arange(indptr[-1])
-        return FactoredWindow(
-            q=self.q[rows], indptr=indptr, primes=self.primes[take],
-            squarefree=self.squarefree[rows],
-        )
-
-    def __getitem__(self, q: int) -> FactoredWindow:
-        i = int(np.searchsorted(self.q, q))
-        if i == self.q.size or self.q[i] != q:
-            raise KeyError(q)
-        return self.select([i])
-
-    def divisor_terms(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat int64 (owner, a, sign): every row's inclusion-exclusion terms.
-
-        owner is the row index, a a product <= N of a subset of the row's
-        primes and sign = (-1)^(subset size).  Terms are grouped by row and
-        ascending in a, so each row starts with (1, +1).  Valid for odd
-        squarefree conductors (the expansion does not need q = 1 mod 4).
-        """
-        if not (np.all(self.squarefree) and np.all(self.q % 2 == 1)):
-            raise DomainError("divisor_terms requires odd squarefree conductors")
-        count = np.diff(self.indptr)
-        owner = np.arange(self.q.size, dtype=np.int64)
-        a = np.ones_like(owner)
-        sign = np.ones_like(owner)
-        for k in range(int(count.max(initial=0))):
-            # extend every term by its row's k-th prime while the product stays <= N
-            j = np.flatnonzero(count[owner] > k)
-            p = self.primes[self.indptr[owner[j]] + k]
-            keep = p <= N // a[j]
-            j, p = j[keep], p[keep]
-            owner = np.concatenate((owner, owner[j]))
-            a = np.concatenate((a, a[j] * p))
-            sign = np.concatenate((sign, -sign[j]))
-        order = np.lexsort((a, owner))
-        return owner[order], a[order], sign[order]
+    b0 = -(-window.Q // a)
+    b0 += (a - b0) % 4
+    return b0, ((window.Q + window.Delta - 1) // a - b0) // 4 + 1
 
 
-def sieve_factor_window(window: Window, counter: OpCounter | None = None) -> FactoredWindow:
-    """Factor every odd q in [Q, Q+Delta) by a segmented sieve.
+def fundamental_conductors(window: Window, counter: OpCounter | None = None) -> np.ndarray:
+    """The odd fundamental conductors of the window, ascending int64: every
+    q = 1 (mod 4) in [Q, Q+Delta) that no odd prime square divides.
 
-    Trial primes run up to sqrt(Q+Delta-1); whatever cofactor survives is
-    prime.  Work is vectorized per prime across each segment.
+    Each odd prime p <= sqrt(Q+Delta-1) strikes the multiples of p^2 among
+    the candidates with one strided slice; sieve_marks counts the slots.
     """
-    lo, hi = window.Q, window.Q + window.Delta
-    first = lo if lo % 2 == 1 else lo + 1
-    qs_all = np.arange(first, hi, 2, dtype=np.int64)
-    sqfree_all = np.ones(qs_all.size, dtype=bool)
-    base_primes = _odd_primes_upto(math.isqrt(int(hi - 1)))
-    # (row, prime) pairs with global row indices
-    idx_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    p_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    hi = window.Q + window.Delta
+    first = window.Q + (1 - window.Q) % 4
+    qs = np.arange(first, hi, 4, dtype=np.int64)
+    keep = np.ones(qs.size, dtype=bool)
+    marks = 0
+    for p in _odd_primes_upto(math.isqrt(hi - 1)).tolist():
+        p2 = p * p
+        start = -first * pow(4, -1, p2) % p2  # first + 4 start = 0 (mod p^2)
+        keep[start::p2] = False
+        marks += len(range(start, qs.size, p2))
+    if counter is not None:
+        counter.add("sieve_marks", marks)
+    return qs[keep]
 
-    for s in range(0, qs_all.size, _SIEVE_BLOCK):
-        qs = qs_all[s : s + _SIEVE_BLOCK]
-        n_b = qs.size
-        lo_b = int(qs[0])
-        rem = qs.copy()
-        sqfree = sqfree_all[s : s + n_b]
-        for p in base_primes:
-            p = int(p)
-            m0 = ((lo_b + p - 1) // p) * p
-            if m0 % 2 == 0:
-                m0 += p
-            start = (m0 - lo_b) >> 1
-            if start >= n_b:
-                continue
-            ii = np.arange(start, n_b, p, dtype=np.int64)
-            if counter is not None:
-                counter.add("sieve_marks", ii.size)
-            rem[ii] //= p
-            again = rem[ii] % p == 0
-            if np.any(again):
-                sub = ii[again]
-                sqfree[sub] = False
-                r = rem[sub] // p
-                mask = r % p == 0
-                while np.any(mask):
-                    r[mask] //= p
-                    mask = r % p == 0
-                rem[sub] = r
-            idx_parts.append(ii + s)
-            p_parts.append(np.full(ii.size, p, dtype=np.int64))
-        res_idx = np.nonzero(rem > 1)[0]
-        if counter is not None:
-            counter.add("sieve_marks", res_idx.size)
-        idx_parts.append(res_idx + s)
-        p_parts.append(rem[res_idx])
 
-    idx_all = np.concatenate(idx_parts)
-    p_all = np.concatenate(p_parts)
-    order = np.lexsort((p_all, idx_all))
-    indptr = np.searchsorted(idx_all[order], np.arange(qs_all.size + 1))
-    return FactoredWindow(q=qs_all, indptr=indptr, primes=p_all[order], squarefree=sqfree_all)
+def divisor_terms(window: Window, qs: np.ndarray, N: int) -> tuple[np.ndarray, ...]:
+    """Flat int64 (owner, a, sign): the inclusion-exclusion terms of the
+    window's fundamental conductors qs, as fundamental_conductors returns them.
+
+    A term is a divisor a <= N of q = qs[owner] with sign (-1)^omega(a).
+    Every such a is odd with b = q/a = a (mod 4), so the terms are the points
+    b of the grids divisor_grid(window, a), odd a <= N, whose a b is in qs.
+    Sorted by (owner, a), so each conductor starts with (1, +1).
+    """
+    a = np.arange(1, N + 1, 2, dtype=np.int64)
+    b0, H = divisor_grid(window, a)
+    H = np.maximum(H, 0)
+    h = np.arange(H.sum()) - np.repeat(np.cumsum(H) - H, H)  # the point's index on its grid
+    a = np.repeat(a, H)
+    q = a * (np.repeat(b0, H) + 4 * h)  # a b at every grid point, all inside the window
+    in_qs = np.zeros(window.Delta, dtype=bool)
+    in_qs[qs - window.Q] = True
+    hit = in_qs[q - window.Q]
+    a, owner = a[hit], np.searchsorted(qs, q[hit])
+    omega = np.zeros(N + 1, dtype=np.int64)
+    for p in _odd_primes_upto(N).tolist():
+        omega[p::p] += 1
+    order = np.lexsort((a, owner))
+    return owner[order], a[order], 1 - 2 * (omega[a[order]] & 1)
 
 
 class CharacterSieve:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .arith import Window
+from .arith import Window, divisor_grid
 from .counters import OpCounter
 from .errors import AccuracyError, DomainError
 from .taylor import _EPS3_FLOOR, CoefficientTable
@@ -158,18 +158,6 @@ class EvalGrid:
             raise DomainError("evaluation grid needs H >= 1")
         if self.step < 1:
             raise DomainError("evaluation grid needs step >= 1")
-
-
-def divisor_grid(window: Window, a):
-    """(b0, H): the rescaled arguments b = q/a of the window, step 4.
-
-    Every odd fundamental q is 1 mod 4, so b = a (mod 4): b0 is the first
-    such integer >= Q/a and H counts them from b0 up to floor((Q+Delta-1)/a);
-    a is an int or an int64 array, and H < 1 means no such b lies there.
-    """
-    b0 = -(-window.Q // a)
-    b0 += (a - b0) % 4
-    return b0, ((window.Q + window.Delta - 1) // a - b0) // 4 + 1
 
 
 def _exact_phase(nums: np.ndarray, dens: np.ndarray, shift) -> np.ndarray:

@@ -31,8 +31,8 @@ from .arith import (
     _check_t,
     _is_fundamental_odd_positive_int,
     _thread_map,
+    fundamental_conductors,
     jacobi,
-    sieve_factor_window,
 )
 from .counters import OpCounter
 from .errors import ConsistencyError, DomainError
@@ -174,8 +174,7 @@ def oracle_sweep(
     """
     t = _check_t(t)
     epsilon = _check_epsilon(epsilon)
-    factored = sieve_factor_window(window)
-    qs = factored.q[factored.fundamental]
+    qs = fundamental_conductors(window)
     Ns, _ = _truncation_order(qs, epsilon)
     sieve = CharacterSieve(int(Ns.max(initial=1)))
     n = np.arange(1, sieve.N + 1, dtype=np.float64)

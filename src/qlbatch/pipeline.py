@@ -8,12 +8,13 @@ assembles, for each q, the divisor combination
 
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
-with x = (Q - q)/q, and finally Z = 2 Re[e^{i theta} F].  The factored
-window and its divisor terms are flat arrays, and each divisor scatters its
-values at b = q/a into the columns of its own terms, so recovery is one
-segmented sum per conductor, one product with the powers of x and one array
-expression for the prefactors: O(d(q) R) work per conductor and no
-per-conductor Python; the result keeps those arrays as its columns.
+with x = (Q - q)/q, and finally Z = 2 Re[e^{i theta} F].  The conductors
+and their divisor terms, read off the divisor grids, are flat arrays, and
+each divisor scatters its values at b = q/a into the columns of its own
+terms, so recovery is one segmented sum per conductor, one product with the
+powers of x and one array expression for the prefactors: O(d(q) R) work per
+conductor and no per-conductor Python; the result keeps those arrays as its
+columns.
 Every window takes this route, whatever its size: the cost argument needs a
 large window, correctness does not.  run_batch only computes; checking a
 sweep against the per-conductor oracle is compare_with_oracle.
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import Window, _check_precision, _check_t, _thread_map, sieve_factor_window
+from .arith import (Window, _check_precision, _check_t, _thread_map, divisor_terms,
+                    fundamental_conductors)
 from .counters import OpCounter
 from .errors import ConsistencyError
 from .multieval import build_node_problem, fast_eval
@@ -116,18 +118,16 @@ def run_batch(
     t_start = time.perf_counter()
     win, t = request.window, request.t
     if abs(t) > _T_WARN:
+        # one constant text, so the default filter shows it once per caller
         warnings.warn(
-            f"|t|={abs(t):g} > 1: the archimedean phase loses accuracy "
-            "away from the central point",
+            "|t| > 1: the archimedean phase loses accuracy away from the central point",
             stacklevel=2,
         )
 
     budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
-    factored = sieve_factor_window(win, counter)
+    qs = fundamental_conductors(win, counter)
     table = build_coefficient_table(t, win.Q, budget.N, budget.R, counter)
-    fundamental = factored.select(factored.fundamental)
-    qs = fundamental.q
-    owner, a, sign = fundamental.divisor_terms(budget.N)
+    owner, a, sign = divisor_terms(win, qs, budget.N)
     # a | q keeps every cofactor b = q/a inside its divisor's grid, and
     # q = 1 (mod 4) then makes every b odd, as the quarter-length Gauss
     # identity behind the S-values needs, and = a (mod 4), the grid's class

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qlbatch import BatchRequest, OpCounter, Window, compare_with_oracle, oracle_sweep, run_batch
-from qlbatch.arith import CharacterSieve, _is_fundamental_odd_positive_int, sieve_factor_window
+from qlbatch.arith import CharacterSieve, _is_fundamental_odd_positive_int
 from qlbatch.gauss import (
     _gauss_sum_fast_many,
     character_from_gauss,
@@ -44,6 +44,18 @@ def _odd_squarefree(limit):
         if free:
             out.append(q)
     return out
+
+
+def _distinct_primes(q):
+    """The distinct prime factors of q, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= q:
+        if q % p == 0:
+            out.append(p)
+            while q % p == 0:
+                q //= p
+        p += 1 if p == 2 else 2
+    return out + [q] if q > 1 else out
 
 
 def test_criterion_01_end_to_end_window_accuracy():
@@ -145,10 +157,12 @@ def test_criterion_05_series_tail_bound():
 
 def _series_inner(q, t, table, R_use, x):
     """R_use-term Taylor reconstruction of F without the batch machinery."""
-    fc = sieve_factor_window(Window(q, 1))[q]
     acc = np.zeros(R_use, dtype=np.complex128)
-    _, a_terms, signs = fc.divisor_terms(table.N)
-    for a, sign in zip(a_terms.tolist(), signs.tolist()):
+    # the divisors a <= N of squarefree q, signed (-1)^omega(a)
+    for a in range(1, table.N + 1):
+        if q % a:
+            continue
+        sign = (-1) ** len(_distinct_primes(a))
         b = q // a
         M = table.N // a
         m = np.arange(1, M + 1)
@@ -279,10 +293,9 @@ def test_criterion_09_amortized_scaling():
         win = Window(Q, Q // 2)
         result = run_batch(BatchRequest(win, 0.0, _EPS))
         works.append(result.precompute_ops)
-        fc_table = sieve_factor_window(win)
         R = result.budget.R
-        for q, ops in zip(result.q, result.recovery_ops):
-            d = 2 ** len(fc_table[q].primes)
+        for q, ops in zip(result.q.tolist(), result.recovery_ops.tolist()):
+            d = 2 ** len(_distinct_primes(q))
             rec_c = max(rec_c, ops / (d * R))
     ratios = [hi / lo for lo, hi in zip(works, works[1:])]
     assert all(r <= 2.6 for r in ratios), ratios

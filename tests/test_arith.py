@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from qlbatch import DomainError, OpCounter, Window
 from qlbatch.arith import (
     CharacterSieve,
-    FactoredWindow,
-    _SIEVE_BLOCK,
     _is_fundamental_odd_positive_int,
+    divisor_terms,
+    fundamental_conductors,
     jacobi,
     quad_character,
-    sieve_factor_window,
 )
 
 
@@ -126,133 +125,104 @@ class TestWindow:
         assert 2 * w.Delta <= w.Q
 
 
-def _trial_window(qs):
-    """FactoredWindow of the given ascending conductors, by trial division."""
-    factors = [_trial_factor(q) for q in qs]
-    primes = [sorted(set(fs)) for fs in factors]
-    return FactoredWindow(
-        q=np.array(qs, dtype=np.int64),
-        indptr=np.cumsum([0] + [len(ps) for ps in primes]),
-        primes=np.array([p for ps in primes for p in ps], dtype=np.int64),
-        squarefree=np.array([len(fs) == len(set(fs)) for fs in factors], dtype=bool),
+def _trial_fundamentals(lo: int, hi: int):
+    """The q = 1 (mod 4) in [lo, hi) that are squarefree, by trial division."""
+    return [q for q in range(lo, hi) if q % 4 == 1 and _is_squarefree(q)]
+
+
+def _trial_terms(q: int, N: int):
+    """(a, sign) for the products a <= N of subsets of q's primes, ascending,
+    with sign (-1)^(subset size)."""
+    ps = sorted(set(_trial_factor(q)))
+    return sorted(
+        (math.prod(c), (-1) ** k)
+        for k in range(len(ps) + 1)
+        for c in itertools.combinations(ps, k)
+        if math.prod(c) <= N
     )
 
 
 class TestSieveFactorWindow:
+    """The window sieve: fundamental_conductors and divisor_terms."""
+
     def test_against_trial_division(self):
-        fw = sieve_factor_window(Window(10_000, 400))
-        assert fw.q.tolist() == list(range(10_001, 10_400, 2))
-        assert fw.indptr[0] == 0 and fw.indptr[-1] == fw.primes.size
-        for q in fw.q.tolist():
-            fs = _trial_factor(q)
-            rec = fw[q]
-            assert rec.q.tolist() == [q]
-            assert tuple(rec.primes) == tuple(sorted(set(fs)))
-            assert rec.squarefree.tolist() == [len(fs) == len(set(fs))]
-            assert rec.fundamental.tolist() == [len(fs) == len(set(fs)) and q % 4 == 1]
+        assert fundamental_conductors(Window(10_000, 400)).tolist() == _trial_fundamentals(
+            10_000, 10_400
+        )
 
     def test_small_window(self):
-        fw = sieve_factor_window(Window(3, 1))
-        assert fw.q.tolist() == [3]
-        assert tuple(fw[3].primes) == (3,)
-        assert fw[3].fundamental.tolist() == [False]  # 3 = 3 mod 4
-        with pytest.raises(KeyError):
-            fw[5]
-
-    def test_block_boundary_crossing(self):
-        # q crosses 2^21; the sieve's segments start at the window's first q,
-        # so only a window of more than 2^20 odd q (the property test's large
-        # example) spans two of them
-        base = (1 << 20) * 2 + 1 - 64
-        fw = sieve_factor_window(Window(base, 128))
-        for q in fw.q.tolist():
-            fs = _trial_factor(q)
-            assert tuple(fw[q].primes) == tuple(sorted(set(fs))), q
-            assert fw[q].squarefree.tolist() == [len(fs) == len(set(fs))], q
+        # no q = 1 (mod 4) lies in these windows
+        for win in (Window(2, 1), Window(3, 1), Window(4, 1), Window(10_003, 1)):
+            qs = fundamental_conductors(win)
+            assert qs.dtype == np.int64 and qs.size == 0
+            for col in divisor_terms(win, qs, 400):
+                assert col.dtype == np.int64 and col.size == 0
 
     def test_counter_marks_scale(self):
         c1 = OpCounter()
-        sieve_factor_window(Window(10_000, 500), c1)
+        fundamental_conductors(Window(10_000, 500), c1)
         c2 = OpCounter()
-        sieve_factor_window(Window(10_000, 1000), c2)
+        fundamental_conductors(Window(10_000, 1000), c2)
         assert c2.get("sieve_marks") > c1.get("sieve_marks") > 0
 
     def test_prime_power_flags(self):
-        fw = sieve_factor_window(Window(121, 8))
-        assert fw[121].squarefree.tolist() == [False]  # 11^2
-        assert fw[121].fundamental.tolist() == [False]
-        assert fw[125].squarefree.tolist() == [False]  # 5^3
-        assert fw[127].squarefree.tolist() == [True]
+        # 117 = 3^2 13, 121 = 11^2 and 125 = 5^3 are struck; 129 = 3 43 stays
+        assert fundamental_conductors(Window(117, 16)).tolist() == [129]
+
+    def test_cap_above_the_window(self):
+        # N > Q + Delta: every divisor of every conductor is a term
+        win = Window(1_001, 300)
+        qs = fundamental_conductors(win)
+        owner, a, sign = divisor_terms(win, qs, 5_000)
+        expect = [(i, a_, s_) for i, q in enumerate(qs.tolist()) for a_, s_ in _trial_terms(q, q)]
+        assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
 
     @given(st.integers(2, 1_000_000), st.integers(1, 600), st.integers(1, 20_000))
-    # no odd conductor at all; 2^20 + 32 odd conductors, the last 32 in a
-    # second sieve block
+    # no q = 1 (mod 4) at all; 2^19 + 16 candidates, checked at both ends
     @example(2, 1, 400)
     @example((1 << 22) + 256, (1 << 21) + 64, 1892)
     def test_window_and_terms_match_brute_force(self, Q, Delta, N):
         Delta = min(Delta, Q // 2)
         win = Window(Q, Delta)
-        fw = sieve_factor_window(win)
-        first = Q | 1
-        assert fw.q.tolist() == list(range(first, Q + Delta, 2))
-        assert fw.indptr.size == fw.q.size + 1 and fw.indptr[-1] == fw.primes.size
-        # every row of a small window; near the ends and the block seams of a
-        # large one
-        rows = np.arange(fw.q.size)
-        if rows.size > 1_000:
-            seams = np.arange(0, rows.size + _SIEVE_BLOCK, _SIEVE_BLOCK)
-            near = (seams[:, None] + np.arange(-40, 40)).ravel()
-            rows = np.unique(near.clip(0, rows.size - 1))
-        sub = fw.select(rows)
-        ref = _trial_window(fw.q[rows].tolist())
-        np.testing.assert_array_equal(sub.q, ref.q)
-        np.testing.assert_array_equal(sub.indptr, ref.indptr)
-        np.testing.assert_array_equal(sub.primes, ref.primes)
-        np.testing.assert_array_equal(sub.squarefree, ref.squarefree)
-        np.testing.assert_array_equal(sub.fundamental, ref.squarefree & (ref.q % 4 == 1))
-
-        sqf = sub.select(sub.squarefree)
-        owner, a, sign = sqf.divisor_terms(N)
-        expect = []
-        for row in range(sqf.q.size):
-            ps = sqf.primes[sqf.indptr[row] : sqf.indptr[row + 1]].tolist()
-            terms = sorted(
-                (math.prod(c), (-1) ** k)
-                for k in range(len(ps) + 1)
-                for c in itertools.combinations(ps, k)
-                if math.prod(c) <= N
-            )
-            expect += [(row, a_, s_) for a_, s_ in terms]
-        assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
+        qs = fundamental_conductors(win)
+        owner, a, sign = divisor_terms(win, qs, N)
+        assert np.all(np.diff(qs) > 0) and np.all(np.diff(owner) >= 0)
+        # every conductor of a small window; both ends of a large one
+        spans = [(Q, Q + Delta)] if Delta <= 1_000 else [(Q, Q + 200), (Q + Delta - 200, Q + Delta)]
+        for lo, hi in spans:
+            rows = np.flatnonzero((qs >= lo) & (qs < hi))
+            assert qs[rows].tolist() == _trial_fundamentals(lo, hi)
+            mine = np.isin(owner, rows)
+            expect = [(i, a_, s_) for i in rows.tolist() for a_, s_ in _trial_terms(int(qs[i]), N)]
+            assert list(zip(owner[mine].tolist(), a[mine].tolist(), sign[mine].tolist())) == expect
 
 
 class TestFundamentality:
     def test_accepts_known_fundamentals(self):
-        fw = _trial_window([1, 5, 13, 17, 21, 29, 33, 105, 145, 10001])
-        assert fw.fundamental.all()
+        for q in (5, 13, 17, 21, 29, 33, 105, 145, 10001):
+            assert fundamental_conductors(Window(q, 1)).tolist() == [q]
 
     def test_rejects_wrong_residue_and_squares(self):
         # 3 and 15 are 3 mod 4, 9 is a square, 9 | 45
-        fw = _trial_window([3, 9, 15, 45])
-        assert fw.squarefree.tolist() == [True, False, True, False]
-        assert not fw.fundamental.any()
+        for q in (3, 9, 15, 45):
+            assert fundamental_conductors(Window(q, 1)).size == 0
 
     def test_window_agreement(self):
-        # the sieve's flag agrees with the oracle's independent trial test
-        fw = sieve_factor_window(Window(5_001, 600))
-        for q, flag in zip(fw.q.tolist(), fw.fundamental.tolist()):
-            assert flag == _is_fundamental_odd_positive_int(q), q
+        # the sieve agrees with the oracle's independent trial test
+        qs = fundamental_conductors(Window(5_001, 600)).tolist()
+        assert qs == [q for q in range(5_001, 5_601) if _is_fundamental_odd_positive_int(q)]
 
 
 def _terms(q, N):
     """(a, sign) of conductor q's divisor terms, from its one-row window."""
-    _, a, sign = sieve_factor_window(Window(q, 1))[q].divisor_terms(N)
+    win = Window(q, 1)
+    _, a, sign = divisor_terms(win, fundamental_conductors(win), N)
     return list(zip(a.tolist(), sign.tolist()))
 
 
 class TestDivisorTerms:
     def test_example_structure(self):
-        assert _terms(15, 100) == [(1, 1), (3, -1), (5, -1), (15, 1)]
+        assert _terms(21, 100) == [(1, 1), (3, -1), (7, -1), (21, 1)]
 
     def test_mobius_signs(self):
         for a, sign in _terms(105, 1000):
@@ -263,18 +233,13 @@ class TestDivisorTerms:
         assert [a for a, _ in _terms(105, 20)] == [1, 3, 5, 7, 15]
 
     def test_leading_term_always_trivial(self):
-        for q in (5, 21, 145, 1155):
+        for q in (5, 21, 145, 1365):
             terms = _terms(q, 10_000)
             assert terms[0] == (1, 1)
             assert [a for a, _ in terms] == sorted(a for a, _ in terms)
 
     def test_full_divisor_count(self):
-        assert len(_terms(1155, 10_000)) == 16  # 3*5*7*11
-
-    def test_rejects_non_squarefree(self):
-        fc = sieve_factor_window(Window(45, 1))[45]
-        with pytest.raises(DomainError):
-            fc.divisor_terms(100)
+        assert len(_terms(1365, 10_000)) == 16  # 3*5*7*13
 
 
 class TestCharacterSieve:

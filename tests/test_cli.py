@@ -4,6 +4,8 @@ import functools
 import json
 import os
 import re
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -11,15 +13,14 @@ import pytest
 
 from qlbatch import (AccuracyError, BudgetError, ConsistencyError, DomainError, Window,
                      run_batch)
-from qlbatch.arith import sieve_factor_window
+from qlbatch.arith import fundamental_conductors
 from qlbatch.cli import main
 
 _SCI = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,}$")
 
 
 def _fundamentals(Q, Delta):
-    table = sieve_factor_window(Window(Q, Delta))
-    return table.q[table.fundamental].tolist()
+    return fundamental_conductors(Window(Q, Delta)).tolist()
 
 
 class TestParsing:
@@ -323,6 +324,18 @@ class TestScan:
             assert float(row[2]) == pytest.approx(float(row[1]) + 0.5)
             assert row[5] in ("0", "1")
         assert any(int(r[0]) == 101 for r in rows)
+
+    def test_warns_once_per_run(self, tmp_path):
+        # heights 1.25 .. 3 pass |t| = 1; the default filter shows the
+        # warning once because its text does not carry t
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlbatch.cli", "scan", "--q-min", "100003", "--q-width", "64",
+             "--t-min", "0", "--t-max", "3", "--t-step", "0.25", "--out", str(tmp_path / "s.csv")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("UserWarning") == 1, proc.stderr
 
     def test_height_flag_refused(self, monkeypatch, capsys):
         # scan takes its heights from the t-grid alone; --t would be ignored

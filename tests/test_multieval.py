@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from qlbatch import AccuracyError, DomainError, OpCounter, Window
 from qlbatch import multieval
+from qlbatch.arith import divisor_grid
 from qlbatch.gauss import gauss_sum_fast
 from qlbatch.multieval import (
     _SPREAD_BLOCK,
@@ -27,7 +28,6 @@ from qlbatch.multieval import (
     _gaussian_params,
     build_node_problem,
     direct_eval,
-    divisor_grid,
     fast_eval,
 )
 from qlbatch.taylor import build_coefficient_table, plan_budget

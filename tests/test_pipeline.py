@@ -22,13 +22,19 @@ from qlbatch import (
     run_batch,
 )
 from qlbatch import pipeline
-from qlbatch.arith import FactoredWindow, sieve_factor_window
-from qlbatch.multieval import build_node_problem, divisor_grid, fast_eval
+from qlbatch.arith import divisor_grid, divisor_terms, fundamental_conductors
+from qlbatch.multieval import build_node_problem, fast_eval
 from qlbatch.special import c_prefactor, g_prefactor, theta_phase
 from qlbatch.taylor import build_coefficient_table, plan_budget
 
 _WIN = Window(10_000, 32)
 _EPS = 1e-6
+
+
+def _conductor_terms(q, N):
+    """(owner, a, sign) of conductor q alone, from its one-conductor window."""
+    win = Window(q, 1)
+    return divisor_terms(win, fundamental_conductors(win), N)
 
 
 def _source_trees():
@@ -99,19 +105,18 @@ class TestBatchRequest:
 
 class TestDivisorTermArrays:
     def test_empty_window_keeps_trivial_divisor(self):
-        owner, a, sign = sieve_factor_window(Window(2, 1)).divisor_terms(400)
+        owner, a, sign = divisor_terms(Window(2, 1), fundamental_conductors(Window(2, 1)), 400)
         assert owner.size == a.size == sign.size == 0
         assert np.union1d(a, [1]).tolist() == [1]
 
     def test_flat_arrays_match_per_conductor_terms(self):
-        fw = sieve_factor_window(_WIN)
-        fundamental = fw.select(fw.fundamental)
+        qs = fundamental_conductors(_WIN)
         N = 400
-        owner, a, sign = fundamental.divisor_terms(N)
+        owner, a, sign = divisor_terms(_WIN, qs, N)
         expect = [
             (i, a_, s_)
-            for i, q in enumerate(fundamental.q.tolist())
-            for _, a_, s_ in zip(*(col.tolist() for col in fw[q].divisor_terms(N)))
+            for i, q in enumerate(qs.tolist())
+            for _, a_, s_ in zip(*(col.tolist() for col in _conductor_terms(q, N)))
         ]
         assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
         divisors = np.union1d(a, [1])
@@ -164,7 +169,7 @@ class TestFastWindow:
         result, _ = cmp_run
         b = result.budget
         for q, bound in zip(result.q.tolist(), result.error_bound.tolist()):
-            _, a, _ = sieve_factor_window(Window(q, 1))[q].divisor_terms(b.N)
+            _, a, _ = _conductor_terms(q, b.N)
             expect = 2 * b.epsilon1 + 2 * b.epsilon2 + b.epsilon3 * b.R * a.sum()
             assert bound == pytest.approx(expect, rel=1e-12)
 
@@ -175,11 +180,10 @@ class TestFastWindow:
         result, _ = cmp_run
         b = result.budget
         table = build_coefficient_table(0.3, _WIN.Q, b.N, b.R)
-        fc_table = sieve_factor_window(_WIN)
         svals = {}
         for q, z in zip(result.q.tolist(), result.Z.tolist()):
             acc = np.zeros(b.R, dtype=np.complex128)
-            _, a_terms, signs = fc_table[q].divisor_terms(b.N)
+            _, a_terms, signs = _conductor_terms(q, b.N)
             for a, sign in zip(a_terms.tolist(), signs.tolist()):
                 if a not in svals:
                     p, g = build_node_problem(a, table, _WIN)
@@ -195,7 +199,7 @@ class TestFastWindow:
         result, counter = cmp_run
         b = result.budget
         for q, ops in zip(result.q.tolist(), result.recovery_ops.tolist()):
-            _, a, _ = sieve_factor_window(Window(q, 1))[q].divisor_terms(b.N)
+            _, a, _ = _conductor_terms(q, b.N)
             assert ops == b.R * (a.size + 2) + 8
         assert counter.get("recovery_ops") == result.recovery_ops.sum()
 
@@ -295,11 +299,11 @@ def _subprocess_env():
 
 
 def _with_extra_term(i, a_extra):
-    """FactoredWindow.divisor_terms plus one term: divisor a_extra of conductor i."""
-    real = FactoredWindow.divisor_terms
+    """pipeline.divisor_terms plus one term: divisor a_extra of conductor i."""
+    real = pipeline.divisor_terms
 
-    def patched(self, N):
-        owner, a, sign = real(self, N)
+    def patched(window, qs, N):
+        owner, a, sign = real(window, qs, N)
         owner, a, sign = np.append(owner, i), np.append(a, a_extra), np.append(sign, -1)
         order = np.lexsort((a, owner))
         return owner[order], a[order], sign[order]
@@ -310,7 +314,7 @@ def _with_extra_term(i, a_extra):
 class TestRecoveryChecks:
     def test_even_cofactor_rejected(self, monkeypatch):
         # a = 2 does not divide an odd q, and q // 2 is even for q = 1 (mod 4)
-        monkeypatch.setattr(FactoredWindow, "divisor_terms", _with_extra_term(0, 2))
+        monkeypatch.setattr(pipeline, "divisor_terms", _with_extra_term(0, 2))
         with pytest.raises(ConsistencyError, match="a=2 does not divide"):
             run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
@@ -318,7 +322,7 @@ class TestRecoveryChecks:
         # conductor 4 of _WIN is 10021; 7 does not divide it, yet 10021 // 7 =
         # 1431 = 7 (mod 4) is divisor 7's one grid argument, so without the
         # a | q check the gather would silently read the value for 10017
-        monkeypatch.setattr(FactoredWindow, "divisor_terms", _with_extra_term(4, 7))
+        monkeypatch.setattr(pipeline, "divisor_terms", _with_extra_term(4, 7))
         with pytest.raises(ConsistencyError, match="a=7 does not divide q=10021"):
             run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
@@ -361,11 +365,10 @@ class TestRecoveryChecks:
         # every odd fundamental q is 1 (mod 4), so each b = q/a is a (mod 4)
         # and lies on the step-4 grid divisor_grid gives divisor a
         window = Window(200_001, 1_000)
-        fundamental = sieve_factor_window(window)
-        fundamental = fundamental.select(fundamental.fundamental)
-        owner, a, _ = fundamental.divisor_terms(plan_budget(window.Q, window.Delta, _EPS, 0.0).N)
-        q = fundamental.q[owner]
-        assert a.size > fundamental.q.size > 0 and np.all(q % a == 0)
+        qs = fundamental_conductors(window)
+        owner, a, _ = divisor_terms(window, qs, plan_budget(window.Q, window.Delta, _EPS, 0.0).N)
+        q = qs[owner]
+        assert a.size > qs.size > 0 and np.all(q % a == 0)
         assert np.all((q // a - a) % 4 == 0)
         b0, H = divisor_grid(window, a)
         h, off = np.divmod(q // a - b0, 4)
@@ -381,14 +384,13 @@ class TestRecoveryChecks:
 
             return wrapper
 
-        monkeypatch.setattr(
-            FactoredWindow, "divisor_terms", counting("divisor_terms", FactoredWindow.divisor_terms)
-        )
-        for name in ("c_prefactor", "g_prefactor", "theta_phase"):
+        names = ("c_prefactor", "divisor_terms", "fundamental_conductors", "g_prefactor",
+                 "theta_phase")
+        for name in names:
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
         result = run_batch(BatchRequest(_WIN, 0.3, _EPS))
         assert result.n_characters > 1
-        assert sorted(calls) == ["c_prefactor", "divisor_terms", "g_prefactor", "theta_phase"]
+        assert sorted(calls) == list(names)
 
     def test_source_has_no_assert_statements(self):
         # invariants must survive python -O, so they are raised, not asserted
