@@ -85,9 +85,9 @@ class Window:
             raise DomainError("window requires integer Q >= 1")
         if not (isinstance(self.Delta, (int, np.integer)) and self.Delta >= 1):
             raise DomainError("window requires integer Delta >= 1")
-        # the Taylor variable x = (Q - q)/q needs |x| < 1/2 over the whole
-        # window; boundary Delta = Q/2 admitted so power-of-two scaling
-        # windows are expressible
+        # the Taylor variable x = (c - q)/q about the planner's balance point
+        # c then keeps |x| <= 1/5; boundary Delta = Q/2 admitted so
+        # power-of-two scaling windows are expressible
         if 2 * self.Delta > self.Q:
             raise DomainError(
                 f"window width {self.Delta} violates 1 <= Delta < Q/2 for Q={self.Q}"

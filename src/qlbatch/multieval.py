@@ -51,8 +51,10 @@ from .counters import OpCounter
 from .errors import AccuracyError, DomainError
 from .taylor import _EPS3_FLOOR, CoefficientTable
 
-# below this work volume the exact direct sum wins over transform setup
-_CROSSOVER_OPS = 1 << 22
+# the direct sum's cost is its K*H exact phases, whatever R is; up to this
+# many it beats the transform (they tie near 4*10^3 on a 2-vCPU x86 VM)
+_DIRECT_MAX_PHASES = 1 << 12
+_DIRECT_CHUNK = 1 << 22  # exact phases per direct-sum chunk: bounds its phase array
 # frequencies spread per block: bounds the transform's per-block arrays
 _SPREAD_BLOCK = 1 << 14
 _CONVENTIONS = ("sqrt_a", "plain_a")
@@ -254,7 +256,7 @@ def _direct_core(p: NodeSum, g: EvalGrid) -> np.ndarray:
     acc = np.zeros((p.R, H), dtype=np.complex128)
     comp = np.zeros_like(acc)
     k_block = 1 << 16
-    h_chunk = max(1, _CROSSOVER_OPS // max(K, 1))
+    h_chunk = max(1, _DIRECT_CHUNK // max(K, 1))
     for k0 in range(0, K, k_block):
         k1 = min(k0 + k_block, K)
         coeffs = p.block(k0, k1).T
@@ -305,7 +307,7 @@ def fast_eval(
 ) -> np.ndarray:
     """Gaussian-gridded FFT evaluation with per-value error below eps3*scale.
 
-    Small problems (K*H*R under the crossover) fall through to the direct
+    Small problems (K*H <= _DIRECT_MAX_PHASES) fall through to the direct
     sum.  force="transform" pins the transform for testing (direct_eval is
     the direct sum alone).  The transform centres the targets on
     b0 + step*Hc with Hc = H//2 and takes w and tau from _gaussian_params
@@ -320,7 +322,7 @@ def fast_eval(
     promise degrades to double-precision roundoff amplified by the
     deconvolution gain (at most e^(A/8)): 17 of 69 seeded random problems
     there exceed eps3*scale, and the planner accepts such targets
-    (eps3 = 8.69e-15 on [2*10^5, 3*10^5) at eps = 1e-6).  Carrying this
+    (eps3 = 1.97e-14 on [2*10^5, 3*10^5) at eps = 1e-6).  Carrying this
     floor into the certificate is ROADMAP item 2.
     """
     eps3 = float(eps3)
@@ -334,7 +336,7 @@ def fast_eval(
     if force not in ("auto", "transform"):
         raise DomainError(f"unknown path selector {force!r}")
     R, K, H = p.R, p.K, g.H
-    if force == "auto" and K * H * R <= _CROSSOVER_OPS:
+    if force == "auto" and K * H <= _DIRECT_MAX_PHASES:
         if counter is not None:
             counter.add("fast_eval_ops", K * H * R)
         return _direct_core(p, g)

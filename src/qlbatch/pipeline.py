@@ -8,13 +8,13 @@ assembles, for each q, the divisor combination
 
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
-with x = (Q - q)/q, and finally Z = 2 Re[e^{i theta} F].  The conductors
-and their divisor terms, read off the divisor grids, are flat arrays, and
-each divisor scatters its values at b = q/a into the columns of its own
-terms, so recovery is one segmented sum per conductor, one product with the
-powers of x and one array expression for the prefactors: O(d(q) R) work per
-conductor and no per-conductor Python; the result keeps those arrays as its
-columns.
+with x = (c - q)/q about the planner's expansion point c, and finally
+Z = 2 Re[e^{i theta} F].  The conductors and their divisor terms, read off
+the divisor grids, are flat arrays, and each divisor scatters its values at
+b = q/a into the columns of its own terms, so recovery is one segmented sum
+per conductor, one product with the powers of x and one array expression
+for the prefactors: O(d(q) R) work per conductor and no per-conductor
+Python; the result keeps those arrays as its columns.
 Every window takes this route, whatever its size: the cost argument needs a
 large window, correctness does not.  run_batch only computes; checking a
 sweep against the per-conductor oracle is compare_with_oracle.
@@ -126,7 +126,7 @@ def run_batch(
 
     budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
     qs = fundamental_conductors(win, counter)
-    table = build_coefficient_table(t, win.Q, budget.N, budget.R, counter)
+    table = build_coefficient_table(t, budget.centre, budget.N, budget.R, counter)
     owner, a, sign = divisor_terms(win, qs, budget.N)
     # a | q keeps every cofactor b = q/a inside its divisor's grid, and
     # q = 1 (mod 4) then makes every b odd, as the quarter-length Gauss
@@ -171,14 +171,14 @@ def run_batch(
     precompute_s = time.perf_counter() - t_start
 
     # recovery: sum each conductor's signed terms, apply the Taylor powers
-    # of x = (Q - q)/q, then the prefactors and the rotation, all as arrays
+    # of x = (c - q)/q, then the prefactors and the rotation, all as arrays
     # over the window
     rec_start = time.perf_counter()
     n_terms = np.bincount(owner, minlength=qs.size)
     starts = np.cumsum(n_terms) - n_terms
     sums = np.add.reduceat(terms * sign, starts, axis=1)
     R = budget.R
-    x = (budget.Q - qs) / qs
+    x = (budget.centre - qs) / qs
     inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)
     F = c_prefactor(t, qs) * g_prefactor(qs) * inner
     theta = theta_phase(t, 0, qs)

@@ -2,13 +2,15 @@
 
 The inner sum over n is cut at N with a certified tail bound; the dependence
 on the conductor q inside a window [Q, Q+Delta) is then captured by an R-term
-Taylor expansion in x = (Q - q)/q, whose n-th column of coefficients is
+Taylor expansion in x = (c - q)/q, whose n-th column of coefficients is
 
-    c_r(t, n) = (-1)^r G_(z+r)(w_n) w_n^r / r!,   w_n = pi n^2 / Q,
+    c_r(t, n) = (-1)^r G_(z+r)(w_n) w_n^r / r!,   w_n = pi n^2 / c,
 
-with z = 1/4 + it/2.  Rows are generated by the upward kernel recursion and a
-factor recurrence, so the whole (R, N) table costs one kernel column plus
-O(NR) multiplies.
+with z = 1/4 + it/2.  The expansion point c, the integer nearest the harmonic
+mean of the ends Q and L = Q+Delta-1, balances |x| at both ends, so
+|x| <= rho = max((c - Q)/Q, (L - c)/L) <= 1/5.  Rows come from the upward
+kernel recursion and a factor recurrence, so the whole (R, N) table costs
+one kernel column plus O(NR) multiplies.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ class ErrorBudget:
     R: int
     Q: int
     Delta: int
+    centre: int  # the expansion point c
+
+
+def _expansion(Q: int, Delta: int) -> tuple:
+    """The expansion point c of [Q, Q+Delta) and rho, the largest |x| there."""
+    L = Q + Delta - 1
+    c = round(2 * Q * L / (Q + L))
+    return c, max((c - Q) / Q, (L - c) / L)
 
 
 def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
@@ -58,7 +68,8 @@ def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
     eps1 = epsilon / 8.0
     eps2 = epsilon / 8.0
     N = math.ceil(math.sqrt((2.0 * Q / math.pi) * math.log(Q / eps1)))
-    R = max(1, math.ceil(math.log(N / eps2) / math.log(Q / Delta)))
+    centre, rho = _expansion(Q, Delta)
+    R = max(1, math.ceil(math.log(N / eps2) / -math.log(rho))) if rho else 1
     eps3 = epsilon / (4.0 * R * N * math.sqrt(Q))
     if eps3 < _EPS3_FLOOR:
         raise BudgetError(
@@ -77,6 +88,7 @@ def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
         R=R,
         Q=Q,
         Delta=Delta,
+        centre=centre,
     )
 
 
@@ -102,12 +114,13 @@ def taylor_remainder_bound(N: int, Q: int, Delta: int, R: int) -> float:
         raise DomainError("taylor_remainder_bound requires 0 <= Delta < Q")
     if Delta == 0:
         return 0.0
-    return (2.0 * math.sqrt(N) / R) * (math.pi / Q) ** 0.25 * (Delta / Q) ** R
+    rho = _expansion(Q, Delta)[1]  # |x| <= rho over the window
+    return (2.0 * math.sqrt(N) / R) * (math.pi / Q) ** 0.25 * rho ** R
 
 
 @dataclass(eq=False)
 class CoefficientTable:
-    """Dense (R, N) table of Taylor coefficients c_r(t, n)."""
+    """Dense (R, N) table of Taylor coefficients c_r(t, n) about the point Q."""
 
     t: float
     Q: int

@@ -177,21 +177,23 @@ def test_criterion_06_taylor_remainder_bound():
     budget = plan_budget(_Q, _DELTA, _EPS, 0.0)
     bound = taylor_remainder_bound(budget.N, _Q, _DELTA, budget.R)
     assert bound < budget.epsilon2
-    # largest fundamental conductor in the window; the expansion point Q
-    # sits a full Delta/Q away in the x variable
-    q = 14_997
-    assert _is_fundamental_odd_positive_int(q)
-    x = (_Q - q) / q
+    # the smallest and largest fundamental conductors in the window: the
+    # planner's expansion point c balances |x| between them, so each sits
+    # about rho = 1/5 away in the x variable
+    c = budget.centre
     worst = 0.0
-    for t in (0.0, 1.0):
-        table = build_coefficient_table(t, _Q, budget.N, 2 * budget.R)
-        f_r = _series_inner(q, t, table, budget.R, x)
-        f_2r = _series_inner(q, t, table, 2 * budget.R, x)
-        assert abs(f_2r - f_r) <= bound, t
-        worst = max(worst, abs(f_2r - f_r))
-        # the doubled expansion must land on the independent oracle
-        f_direct = direct_F(q, t, N=table.N, form="v")
-        assert abs(f_2r - f_direct) < 1e-9, t
+    for q in (10_001, 14_997):
+        assert _is_fundamental_odd_positive_int(q)
+        x = (c - q) / q
+        for t in (0.0, 1.0):
+            table = build_coefficient_table(t, c, budget.N, 2 * budget.R)
+            f_r = _series_inner(q, t, table, budget.R, x)
+            f_2r = _series_inner(q, t, table, 2 * budget.R, x)
+            assert abs(f_2r - f_r) <= bound, (q, t)
+            worst = max(worst, abs(f_2r - f_r))
+            # the doubled expansion must land on the independent oracle
+            f_direct = direct_F(q, t, N=table.N, form="v")
+            assert abs(f_2r - f_direct) < 1e-9, (q, t)
     print(
         f"criterion 06 PASS: measured remainder {worst:.3e} <= bound {bound:.3e} "
         f"< eps2 {budget.epsilon2:.3e}"

@@ -154,10 +154,11 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_node_floor_refused_on_small_window(self, tmp_path, capsys):
-        # 40 bits pass the precision rule, but epsilon3 falls below the
-        # planner's 2^-48 node floor, the same rule as on large windows
+        # log2(Q/epsilon) = 44.9 passes the 45-bit rule, but epsilon3 =
+        # 8.6e-17 falls below the planner's 2^-48 node floor, the same rule
+        # as on large windows
         out = tmp_path / "z.csv"
-        rc = main(["eval", "--q-min", "5001", "--q-width", "2500", "--epsilon", "1e-8",
+        rc = main(["eval", "--q-min", "5001", "--q-width", "2500", "--epsilon", "1.5e-10",
                    "--out", str(out)])
         assert "2^-48" in capsys.readouterr().err
         assert rc == 3

@@ -22,6 +22,7 @@ from qlbatch import multieval
 from qlbatch.arith import divisor_grid
 from qlbatch.gauss import gauss_sum_fast
 from qlbatch.multieval import (
+    _DIRECT_MAX_PHASES,
     _SPREAD_BLOCK,
     EvalGrid,
     NodeSum,
@@ -348,6 +349,29 @@ class TestFastEval:
         assert counter.get("fast_eval_ops") == p.K * g.H * 3
         assert np.max(np.abs(got - direct_eval(p, g))) <= 1e-12 * p.scale
 
+    def test_auto_path_switches_at_phase_threshold(self, rng):
+        # the auto path prices K*H phases alone, whatever R is
+        p = _random_problem(rng, K=50, R=8)
+        H = _DIRECT_MAX_PHASES // p.K
+        for h, setups in ((H, 0), (H + 1, 1)):
+            counter = OpCounter()
+            fast_eval(p, EvalGrid(b0=100, H=h), 1e-9, counter=counter)
+            assert counter.get("fast_eval_setup_calls") == setups, h
+
+    def test_mid_size_node_problem_takes_transform(self):
+        # the a = 5 problem of [10000, 15000): K = 874, H = 250 is under
+        # 2^22 multiply-adds at R = 14, but its K*H exact phases cost the
+        # direct sum about ten times the transform
+        window = Window(10_000, 5_000)
+        budget = plan_budget(window.Q, window.Delta, 1e-6, 0.0)
+        table = build_coefficient_table(0.0, budget.centre, budget.N, budget.R)
+        p, g = build_node_problem(5, table, window)
+        assert (p.K, g.H) == (874, 250)
+        counter = OpCounter()
+        got = fast_eval(p, g, budget.epsilon3, counter=counter)
+        assert counter.get("fast_eval_setup_calls") == 1
+        assert np.max(np.abs(got - direct_eval(p, g))) <= budget.epsilon3 * p.scale
+
     def test_forced_transform_counts_setup_once(self, rng):
         p = _random_problem(rng, K=300)
         g = EvalGrid(b0=100, H=64)
@@ -522,15 +546,15 @@ class TestSpreadBlocks:
         assert np.max(np.abs(got - direct_eval(p, g))) <= 1e-9 * p.scale
 
     def test_traced_peak_bounded_by_grid_and_block(self):
-        # the a = 1 problem of [50001, 75001): K = 96,441, R = 33, n = 2^14,
-        # 43 taps, on the 6,250 arguments b = 1 (mod 4).  The build's raw
-        # entries peak at 37 MiB traced and the evaluation at 40 MiB: the
-        # padded grid takes 9 MB, the problem 4 MB, and one block's
-        # workspace the rest; one (K, R) coefficient array would add 51 MB
-        # and the K*W spreading matrix 50 MB
+        # the a = 1 problem of [50001, 75001): K = 96,441, R = 15, n = 2^14,
+        # 41 taps, on the 6,250 arguments b = 1 (mod 4).  The build's raw
+        # entries peak at 36 MiB traced and the evaluation at 29 MiB: the
+        # padded grid takes 4 MB, the problem 5 MB, and one block's
+        # workspace the rest; one (K, R) coefficient array would add 23 MB
+        # and the K*W spreading matrix 47 MB
         Q, Delta = 50_001, 25_000
         budget = plan_budget(Q, Delta, 1e-6, 0.0)
-        table = build_coefficient_table(0.0, Q, budget.N, budget.R)
+        table = build_coefficient_table(0.0, budget.centre, budget.N, budget.R)
         tracemalloc.start()
         try:
             p, g = build_node_problem(1, table, Window(Q, Delta))
@@ -538,7 +562,7 @@ class TestSpreadBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p.K > 90_000 and table.R == 33
+        assert p.K > 90_000 and table.R == 15
         assert peak < 64 * 2 ** 20
 
 

@@ -179,7 +179,7 @@ class TestFastWindow:
         # problem and fast_eval
         result, _ = cmp_run
         b = result.budget
-        table = build_coefficient_table(0.3, _WIN.Q, b.N, b.R)
+        table = build_coefficient_table(0.3, b.centre, b.N, b.R)
         svals = {}
         for q, z in zip(result.q.tolist(), result.Z.tolist()):
             acc = np.zeros(b.R, dtype=np.complex128)
@@ -190,7 +190,7 @@ class TestFastWindow:
                     svals[a] = (g, fast_eval(p, g, b.epsilon3))
                 g, values = svals[a]
                 acc += sign * values[:, (q // a - g.b0) // g.step]
-            x = (b.Q - q) / q
+            x = (b.centre - q) / q
             F = c_prefactor(0.3, q) * g_prefactor(q) * np.dot(acc, x ** np.arange(b.R))
             Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, q)) * F).real
             assert abs(Z - z) <= 1e-13, q

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlbatch import BudgetError, DomainError, OpCounter
-from qlbatch.special import _g_kernel_arr, weight_v
+from qlbatch import BudgetError, DomainError, OpCounter, Window
+from qlbatch.arith import fundamental_conductors
+from qlbatch.oracle import _character_values
+from qlbatch.special import _g_kernel_arr, c_prefactor, weight_v
 from qlbatch.taylor import build_coefficient_table, plan_budget, tail_bound, taylor_remainder_bound
 
 
@@ -16,10 +18,13 @@ class TestPlanBudget:
     def test_reference_plan(self):
         b = plan_budget(10_000, 5_000, 1e-6, 0.0)
         assert b.N == 400
-        assert b.R == 32
+        assert b.R == 14
+        assert b.centre == 12_000
         assert b.epsilon1 == pytest.approx(1.25e-7)
         assert b.epsilon2 == pytest.approx(1.25e-7)
-        assert b.epsilon3 == pytest.approx(1.953125e-13, rel=1e-9)
+        # epsilon / (4 R N sqrt(Q)); abs=0, as pytest.approx's default 1e-12
+        # would pass any figure this small
+        assert b.epsilon3 == pytest.approx(1e-6 / (4 * 14 * 400 * 100), rel=1e-9, abs=0)
         assert (b.Q, b.Delta) == (10_000, 5_000)
 
     def test_narrow_window_needs_fewer_orders(self):
@@ -65,6 +70,53 @@ class TestPlanBudget:
         assert tail_bound(b.N, Q) < b.epsilon1
         assert taylor_remainder_bound(b.N, Q, Q // 2, b.R) < b.epsilon2
         assert b.epsilon3 >= 2.0 ** -48
+
+
+# windows with Q <= 5*10^4 whose first point is a fundamental conductor, at
+# the widths 1, 64, Q/8 and Q/2
+_WINDOWS = [(Q, D) for Q in (1001, 5001, 20001, 49_993) for D in (1, 64, Q // 8, Q // 2)]
+
+
+class TestExpansionPoint:
+    @pytest.mark.parametrize("Q, Delta", _WINDOWS)
+    def test_balances_x_at_both_ends(self, Q, Delta):
+        b = plan_budget(Q, Delta, 1e-6, 0.0)
+        L = Q + Delta - 1
+        assert Q <= b.centre <= L
+        assert abs((b.centre - Q) / Q - (L - b.centre) / L) <= 1.0 / Q
+        assert max((b.centre - Q) / Q, (L - b.centre) / L) <= 0.2
+
+    def test_single_conductor_window_needs_one_order(self):
+        b = plan_budget(10_001, 1, 1e-6, 0.0)
+        assert (b.centre, b.R) == (10_001, 1)
+        assert taylor_remainder_bound(b.N, 10_001, 1, b.R) == 0.0
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("Q, Delta", _WINDOWS)
+    def test_remainder_at_both_ends_within_bound(self, Q, Delta, t):
+        # the dropped orders r >= R of F = C(t, q) sum chi(n) G_z(pi n^2/q),
+        # at the window's first and last fundamental conductors, where |x|
+        # is largest
+        b = plan_budget(Q, Delta, 1e-6, t)
+        table = build_coefficient_table(t, b.centre, b.N, b.R)
+        bound = taylor_remainder_bound(b.N, Q, Delta, b.R)
+        n = np.arange(1, b.N + 1, dtype=np.float64)
+        qs = fundamental_conductors(Window(Q, Delta))
+        for q in {int(qs[0]), int(qs[-1])}:
+            x = (b.centre - q) / q
+            exact = _g_kernel_arr(0.25 + 0.5j * t, math.pi * n * n / q)
+            taylor = (x ** np.arange(b.R)) @ table.c
+            rem = abs(c_prefactor(t, q) * np.dot(_character_values(q, b.N), exact - taylor))
+            assert rem <= bound, q
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("Q, Delta", _WINDOWS)
+    def test_table_meets_criterion_07_caps_about_centre(self, Q, Delta, t):
+        # |c_r| w_n <= 1 with w_n = pi n^2 / c, the table's own variable
+        b = plan_budget(Q, Delta, 1e-6, t)
+        table = build_coefficient_table(t, b.centre, b.N, b.R)
+        n = np.arange(1, b.N + 1, dtype=np.float64)
+        assert np.max(np.abs(table.c) * (math.pi * n * n / b.centre)) <= 1.0 + 1e-12
 
 
 class TestBounds:
