@@ -228,7 +228,7 @@ def _st_budget_arithmetic() -> None:
     from .taylor import plan_budget, tail_bound, taylor_remainder_bound
 
     b = plan_budget(10_000, 5_000, 1e-6, 0.0)
-    if (b.N, b.R) != (400, 14):
+    if (b.N, b.R) != (257, 14):
         raise ConsistencyError(f"reference budget mismatch: N={b.N}, R={b.R}")
     if not tail_bound(b.N, 10_000) < b.epsilon1:
         raise ConsistencyError("tail bound misses its budget")

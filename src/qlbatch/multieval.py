@@ -322,7 +322,7 @@ def fast_eval(
     promise degrades to double-precision roundoff amplified by the
     deconvolution gain (at most e^(A/8)): 17 of 69 seeded random problems
     there exceed eps3*scale, and the planner accepts such targets
-    (eps3 = 1.97e-14 on [2*10^5, 3*10^5) at eps = 1e-6).  Carrying this
+    (eps3 = 3.4e-14 on [2*10^5, 3*10^5) at eps = 1e-6).  Carrying this
     floor into the certificate is ROADMAP item 2.
     """
     eps3 = float(eps3)

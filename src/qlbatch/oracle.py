@@ -7,9 +7,10 @@ tables or the multi-evaluation engine.  Each value is a direct smoothed sum
     Z(t, chi_q) = 2 Re[ e^{i theta(t, q)} sum_(n<=N) chi_q(n) n^(-1/2-it)
                          V(pi n^2 / q) ],
 
-with V(w) = Gamma(z2, w) / Gamma(z2), z2 = 1/4 + it/2, cut at an N whose
-dropped tail is certified below the returned tail_bound.  direct_Z is the
-naive route, a Jacobi symbol and a kernel evaluation per term; oracle_sweep
+with V(w) = Gamma(z2, w) / Gamma(z2), z2 = 1/4 + it/2, cut per conductor at
+the smallest N whose certified tail (the planner's bound, here at the call's
+own t) meets epsilon/8192, and returned as tail_bound.  direct_Z is the naive
+route, a Jacobi symbol and a kernel evaluation per term; oracle_sweep
 is the array-native one, with Legendre-table characters per block of
 conductors and the kernel only where chi_q(n) != 0, and returns the window
 as columns aligned with q, like the batch result it checks.
@@ -36,9 +37,12 @@ from .arith import (
 )
 from .counters import OpCounter
 from .errors import ConsistencyError, DomainError
-from .special import _g_kernel_arr, log_gamma, theta_phase
+from .special import _certified_order, _certified_tail, _g_kernel_arr, log_gamma, theta_phase
 
 _CHUNK = 64  # conductors per character table and kernel call in sweeps
+# the tail's share of epsilon: 1/1024 of the eps/8 the fast path spends, so
+# a reference's own truncation stays far below the error it checks
+_REFERENCE_SLICE = 2.0 ** -13
 
 
 @dataclass(eq=False)
@@ -54,23 +58,12 @@ class OracleResult:
     tail_bound: float | np.ndarray
 
 
-def _truncation_order(q, epsilon: float) -> tuple[np.ndarray, float]:
-    """Smallest N whose tail budget eps1 = epsilon/8 is met, per conductor
-    of q (a scalar or an array), and eps1; an epsilon past the
-    _check_precision budget at the largest q raises BudgetError first."""
-    eps1 = _check_precision(int(np.max(q, initial=1)), epsilon) / 8.0
-    N = np.ceil(np.sqrt((2.0 * q / np.pi) * np.log(q / eps1)))
-    return np.maximum(N, 1).astype(np.int64), eps1
-
-
-def _certified_tail(q, N, gamma_abs: float):
-    """Rigorous bound on 2 sum_(n>N) n^(-1/2) |V(pi n^2/q)|, per conductor.
-
-    Uses |Gamma(z2, w)| <= w^(-3/4) e^(-w) for Re z2 = 1/4 and a geometric
-    majorant for the lattice tail.
-    """
-    N = np.asarray(N, dtype=np.float64)  # an int64 N**3 would wrap past N = 2^21
-    return (q / np.pi) ** 0.75 * q * np.exp(-np.pi * N * N / q) / (np.pi * N ** 3 * gamma_abs)
+def _truncation_order(q, epsilon: float, t: float) -> tuple[np.ndarray, float]:
+    """Smallest N whose certified tail at height t meets the reference slice
+    eps1, per conductor of q (a scalar or an array), and eps1; an epsilon past
+    the _check_precision budget at the largest q raises BudgetError first."""
+    eps1 = _check_precision(int(np.max(q, initial=1)), epsilon) * _REFERENCE_SLICE
+    return _certified_order(q, eps1, t), eps1
 
 
 def _character_values(q: int, N: int) -> np.ndarray:
@@ -108,7 +101,7 @@ def direct_F(
         raise DomainError(f"q={q} is not an odd positive fundamental conductor")
     t = _check_t(t)
     if N is None:
-        N, _ = _truncation_order(q, float(epsilon))
+        N, _ = _truncation_order(q, float(epsilon), t)
     N = int(N)
     if N < 1:
         raise DomainError("direct_F requires N >= 1")
@@ -142,10 +135,10 @@ def direct_Z(
     q = int(q)
     t = float(t)
     F = direct_F(q, t, epsilon, form="v", counter=counter)  # validates q, t, epsilon
-    N, eps1 = _truncation_order(q, epsilon)
+    N, eps1 = _truncation_order(q, epsilon, t)
     theta = theta_phase(t, 0, q)
     Z = 2.0 * (cmath.exp(1j * theta) * F).real
-    tail = float(_certified_tail(q, N, math.exp(log_gamma(0.25 + 0.5j * t).real)))
+    tail = float(_certified_tail(q, N, t))
     # the planned N always beats its own budget
     if not tail < eps1:
         raise ConsistencyError(f"certified tail {tail:.3e} at N={N} misses its budget {eps1:.3e}")
@@ -175,7 +168,7 @@ def oracle_sweep(
     t = _check_t(t)
     epsilon = _check_epsilon(epsilon)
     qs = fundamental_conductors(window)
-    Ns, _ = _truncation_order(qs, epsilon)
+    Ns, _ = _truncation_order(qs, epsilon, t)
     sieve = CharacterSieve(int(Ns.max(initial=1)))
     n = np.arange(1, sieve.N + 1, dtype=np.float64)
     powers = np.exp((-0.5 - 1j * t) * np.log(n))
@@ -199,4 +192,4 @@ def oracle_sweep(
     _thread_map(run_block, range(0, qs.size, _CHUNK), threads)
     Z = 2.0 * (np.exp(1j * theta_phase(t, 0, qs)) * F).real
     return OracleResult(q=qs, t=t, Z=Z, N_used=Ns,
-                        tail_bound=_certified_tail(qs, Ns, math.exp(lg.real)))
+                        tail_bound=_certified_tail(qs, Ns, t))

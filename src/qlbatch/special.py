@@ -5,7 +5,8 @@ the exponentially weighted kernel
 
     G_z(w) = integral_1^inf exp(-w y) y^(z-1) dy = Gamma(z, w) / w^z,
 
-its derivative rows, the smoothing weight V, the rotation phase theta, and
+its derivative rows, the smoothing weight V, the rotation phase theta, the
+certified tail of the smoothed sum with its smallest truncation order, and
 the two scalar prefactors C(t, q) and g(q).
 
 The kernel is evaluated by a power series for small w and a continued
@@ -198,6 +199,27 @@ def theta_phase(t: float, parity: int, q) -> float | np.ndarray:
     t = float(t)
     lg = sc.loggamma((0.5 + parity + 1j * t) / 2.0)
     return (t / 2.0) * np.log(q / math.pi) + float(lg.imag)
+
+
+def _certified_tail(q, N, t: float):
+    """Rigorous bound on 2 sum_(n>N) n^(-1/2) |V(pi n^2/q)| over |t'| <= |t|,
+    per conductor, from |Gamma(z2, w)| <= w^(-3/4) e^(-w), a geometric
+    lattice majorant and |Gamma(z2)|, which falls as |t'| grows."""
+    N = np.asarray(N, dtype=np.float64)  # an int64 N**3 would wrap past N = 2^21
+    g = math.exp(sc.loggamma(0.25 + 0.5j * t).real)
+    return (q / np.pi) ** 0.75 * q * np.exp(-np.pi * N * N / q) / (np.pi * N ** 3 * g)
+
+
+def _certified_order(q, eps1: float, t: float) -> np.ndarray:
+    """Smallest N >= 1 with _certified_tail(q, N, t) < eps1, per conductor:
+    v = 2 pi N^2 / (3q) solves v + ln v = y by the Wright omega function,
+    and one step each way absorbs roundoff."""
+    q = np.asarray(q, dtype=np.float64)
+    y = (2.0 / 3.0) * (np.log(_certified_tail(q, 1.0, t) / eps1) + np.pi / q) - np.log(1.5 * q / np.pi)
+    N = np.maximum(np.ceil(np.sqrt(1.5 * q / np.pi * sc.wrightomega(y))), 1.0)
+    N = N + (_certified_tail(q, N, t) >= eps1)
+    N = N - ((N > 1) & (_certified_tail(q, N - 1, t) < eps1))
+    return N.astype(np.int64)
 
 
 def c_prefactor(t: float, q) -> complex | np.ndarray:

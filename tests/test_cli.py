@@ -95,7 +95,7 @@ class TestEvalOutput:
         capsys.readouterr()
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["budget"]["N"] == 400
+        assert doc["budget"]["N"] == 257
         assert doc["budget"]["R"] >= 1
         assert doc["counts"]["kernel_evals"] > 0
         assert set(doc) == {"window", "t", "epsilon", "budget", "counts", "timings", "records"}

@@ -119,18 +119,18 @@ class TestNodeSumConstruction:
 
 class TestBuildNodeProblem:
     def test_trivial_divisor_top_node(self, small_table):
-        # a = N = 400 keeps only m = 1: nodes 0 and 1/4, each with weight 2;
-        # 1/4 folds onto 0 at the factor i^a = 1, on the grid b = 0 (mod 4)
+        # a = N = 257 keeps only m = 1: nodes 0 and 1/4, each with weight 2;
+        # 1/4 folds onto 0 at the factor i^a = i, on the grid b = 1 (mod 4)
         window = Window(10_000, 5_000)
-        assert small_table.N == 400
+        assert small_table.N == 257
         p, g = build_node_problem(small_table.N, small_table, window)
         assert p.K == 1
         assert p.nums.tolist() == [0]
         assert p.dens.tolist() == [1]
-        assert (g.b0, g.H, g.step) == (28, 3, 4)
+        assert (g.b0, g.H, g.step) == (41, 5, 4)
         # coefficient (2 + 2 i^a) sqrt(a/1) c_r(t, N) with a = N
         ratio = p.coeffs[:, 0] / small_table.c[:, small_table.N - 1]
-        assert np.allclose(ratio, 4.0 * math.sqrt(small_table.N), rtol=1e-12)
+        assert np.allclose(ratio, (2.0 + 2.0j) * math.sqrt(small_table.N), rtol=1e-12)
 
     def test_oversized_divisor_returns_none(self, small_table):
         assert build_node_problem(small_table.N + 1, small_table, Window(10_000, 5_000)) is None
@@ -359,14 +359,14 @@ class TestFastEval:
             assert counter.get("fast_eval_setup_calls") == setups, h
 
     def test_mid_size_node_problem_takes_transform(self):
-        # the a = 5 problem of [10000, 15000): K = 874, H = 250 is under
+        # the a = 5 problem of [10000, 15000): K = 390, H = 250 is under
         # 2^22 multiply-adds at R = 14, but its K*H exact phases cost the
-        # direct sum about ten times the transform
+        # direct sum more than the transform
         window = Window(10_000, 5_000)
         budget = plan_budget(window.Q, window.Delta, 1e-6, 0.0)
         table = build_coefficient_table(0.0, budget.centre, budget.N, budget.R)
         p, g = build_node_problem(5, table, window)
-        assert (p.K, g.H) == (874, 250)
+        assert (p.K, g.H) == (390, 250)
         counter = OpCounter()
         got = fast_eval(p, g, budget.epsilon3, counter=counter)
         assert counter.get("fast_eval_setup_calls") == 1
@@ -546,13 +546,12 @@ class TestSpreadBlocks:
         assert np.max(np.abs(got - direct_eval(p, g))) <= 1e-9 * p.scale
 
     def test_traced_peak_bounded_by_grid_and_block(self):
-        # the a = 1 problem of [50001, 75001): K = 96,441, R = 15, n = 2^14,
-        # 41 taps, on the 6,250 arguments b = 1 (mod 4).  The build's raw
-        # entries peak at 36 MiB traced and the evaluation at 29 MiB: the
-        # padded grid takes 4 MB, the problem 5 MB, and one block's
-        # workspace the rest; one (K, R) coefficient array would add 23 MB
-        # and the K*W spreading matrix 47 MB
-        Q, Delta = 50_001, 25_000
+        # the a = 1 problem of [120001, 180001): K = 92,779, R = 14,
+        # n = 2^15, 45 taps, on the 15,000 arguments b = 1 (mod 4).  Build
+        # and evaluation peak at 34.5 MiB traced: the padded grid, the
+        # problem and one block's workspace; one (K, R) coefficient array
+        # would add 21 MB and the K*W spreading matrix more again
+        Q, Delta = 120_001, 60_000
         budget = plan_budget(Q, Delta, 1e-6, 0.0)
         table = build_coefficient_table(0.0, budget.centre, budget.N, budget.R)
         tracemalloc.start()
@@ -562,7 +561,7 @@ class TestSpreadBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p.K > 90_000 and table.R == 15
+        assert p.K > 90_000 and table.R == 14
         assert peak < 64 * 2 ** 20
 
 

@@ -17,7 +17,9 @@ from qlbatch import (
     direct_Z,
     oracle_sweep,
 )
-from qlbatch.oracle import direct_F
+from qlbatch.arith import fundamental_conductors
+from qlbatch.oracle import _truncation_order, direct_F
+from qlbatch.special import _certified_tail
 
 # (q, t, Z) frozen from a 50-digit mpmath evaluation of the smoothed sum,
 # entirely outside this package
@@ -90,6 +92,21 @@ class TestDirectZ:
         monkeypatch.setattr(qlbatch.oracle, "_certified_tail", lambda q, N, g: 1.0)
         with pytest.raises(ConsistencyError, match="budget"):
             direct_Z(101, 0.0, 1e-6)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 7.0, 10.0])
+    def test_truncation_order_is_smallest_certified(self, t):
+        q = np.concatenate([[5, 13, 101, 105], fundamental_conductors(Window(10_001, 5_000))])
+        for eps in (1e-2, 1e-6, 1e-9):
+            N, eps1 = _truncation_order(q, eps, t)
+            assert np.all(_certified_tail(q, N, t) < eps1)
+            assert np.all((N == 1) | (_certified_tail(q, N - 1, t) >= eps1))
+
+    @pytest.mark.parametrize("t", [7.0, 10.0])
+    def test_certified_at_large_height(self, t):
+        for q in (5, 101, 10_001, 14_997):
+            res = direct_Z(q, t, 1e-6)
+            N1, eps1 = _truncation_order(q, 1e-6, 1.0)
+            assert res.tail_bound < eps1 <= _certified_tail(q, N1, t)  # N1 misses here
 
     def test_counter_records_term_count(self):
         counter = OpCounter()

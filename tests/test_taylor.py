@@ -17,21 +17,42 @@ from qlbatch.taylor import build_coefficient_table, plan_budget, tail_bound, tay
 class TestPlanBudget:
     def test_reference_plan(self):
         b = plan_budget(10_000, 5_000, 1e-6, 0.0)
-        assert b.N == 400
+        assert b.N == 257
         assert b.R == 14
         assert b.centre == 12_000
         assert b.epsilon1 == pytest.approx(1.25e-7)
         assert b.epsilon2 == pytest.approx(1.25e-7)
         # epsilon / (4 R N sqrt(Q)); abs=0, as pytest.approx's default 1e-12
         # would pass any figure this small
-        assert b.epsilon3 == pytest.approx(1e-6 / (4 * 14 * 400 * 100), rel=1e-9, abs=0)
+        assert b.epsilon3 == pytest.approx(1e-6 / (4 * 14 * 257 * 100), rel=1e-9, abs=0)
         assert (b.Q, b.Delta) == (10_000, 5_000)
 
     def test_narrow_window_needs_fewer_orders(self):
         wide = plan_budget(10_000, 5_000, 1e-6, 0.0)
         narrow = plan_budget(10_000, 64, 1e-6, 0.0)
         assert narrow.R < wide.R
-        assert narrow.N == wide.N  # N depends only on Q and epsilon
+        assert narrow.N == wide.N  # N depends only on Q, epsilon and |t|
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
+    @pytest.mark.parametrize("Q", [5, 101, 10_000, 200_000])
+    def test_orders_are_the_smallest_certified(self, Q, t):
+        b = plan_budget(Q, Q // 2, 1e-6, t)
+        assert tail_bound(b.N - 1, Q, t) >= b.epsilon1 > tail_bound(b.N, Q, t)
+        assert taylor_remainder_bound(b.N, Q, Q // 2, b.R, t) < b.epsilon2
+        if b.R > 1:
+            assert taylor_remainder_bound(b.N, Q, Q // 2, b.R - 1, t) >= b.epsilon2
+
+    def test_orders_follow_height_only_past_one(self):
+        assert plan_budget(10_000, 5_000, 1e-6, 0.3) == plan_budget(10_000, 5_000, 1e-6, -1.0)
+        high = plan_budget(10_001, 5_000, 1e-6, 10.0)
+        assert (high.N, high.R) == (316, 19)
+
+    def test_ceiling_lifted_past_a_million(self):
+        # the sqrt((2Q/pi) log(Q/eps1)) rule gave N = 4,569, R = 16 and eps3 =
+        # 3.3e-15, under the 2^-48 floor
+        b = plan_budget(1_100_001, 550_000, 1e-6, 0.0)
+        assert (b.N, b.R) == (2_789, 14)
+        assert b.epsilon3 == pytest.approx(6.1e-15, rel=0.01)
 
     def test_rejects_epsilon_out_of_range(self):
         for eps in (0.0, 1.0, -0.5, 2.0):
@@ -109,6 +130,24 @@ class TestExpansionPoint:
             rem = abs(c_prefactor(t, q) * np.dot(_character_values(q, b.N), exact - taylor))
             assert rem <= bound, q
 
+    @pytest.mark.parametrize("Q, Delta, t", [(Q, D, t) for Q, D in _WINDOWS for t in (0.0, 1.0)]
+                             + [(5_001, 64, 1.0), (50_000, 25_000, 1.0), (10_001, 5_000, 10.0)])
+    def test_character_free_remainder_within_bound(self, Q, Delta, t):
+        # |C(t, q)| sum_n |G_z(pi n^2/q) - sum_(r<R) c_r(n) x^r| at the
+        # window's first and last fundamental conductors: the bound holds
+        # for every character, with no cancellation in sum chi(n) ...
+        b = plan_budget(Q, Delta, 1e-6, t)
+        table = build_coefficient_table(t, b.centre, b.N, b.R)
+        bound = taylor_remainder_bound(b.N, Q, Delta, b.R, t)
+        assert bound < b.epsilon2
+        n = np.arange(1, b.N + 1, dtype=np.float64)
+        qs = fundamental_conductors(Window(Q, Delta))
+        for q in {int(qs[0]), int(qs[-1])}:
+            x = (b.centre - q) / q
+            exact = _g_kernel_arr(0.25 + 0.5j * t, math.pi * n * n / q)
+            taylor = (x ** np.arange(b.R)) @ table.c
+            assert abs(c_prefactor(t, q)) * np.sum(np.abs(exact - taylor)) <= bound, q
+
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("Q, Delta", _WINDOWS)
     def test_table_meets_criterion_07_caps_about_centre(self, Q, Delta, t):
@@ -134,7 +173,7 @@ class TestBounds:
         # the dropped terms n in (N, 4N] of the smoothed series, at both ends
         # of the widest window, as in acceptance criterion 05
         b = plan_budget(Q, Q // 2, 1e-6, t)
-        bound = tail_bound(b.N, Q)
+        bound = tail_bound(b.N, Q, t)
         z = 0.5 + 1j * t
         for q in (Q, Q + Q // 2 - 1):
             tail = 2.0 * math.fsum(
