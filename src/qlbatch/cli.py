@@ -278,6 +278,27 @@ def _st_multieval_agreement() -> None:
         raise ConsistencyError(f"transform error {worst:.3e} above eps3 * scale")
 
 
+def _st_closed_form() -> None:
+    from .arith import divisor_terms, fundamental_conductors
+    from .multieval import build_node_problem, closed_form_terms, direct_eval
+    from .taylor import build_coefficient_table, plan_budget
+
+    window, t = Window(10_001, 512), 0.3
+    budget = plan_budget(window.Q, window.Delta, 1e-6, t)
+    table = build_coefficient_table(t, budget.centre, budget.N, budget.R)
+    qs = fundamental_conductors(window)
+    owner, a, _ = divisor_terms(window, qs, budget.N)
+    b = qs[owner] // a
+    for convention in ("sqrt_a", "plain_a"):
+        closed = closed_form_terms(a, b, table, convention=convention)
+        for d in np.unique(a).tolist():
+            p, g = build_node_problem(d, table, window, convention=convention)
+            cols = np.flatnonzero(a == d)
+            ref = direct_eval(p, g)[:, (b[cols] - g.b0) // g.step]
+            if np.max(np.abs(closed[:, cols] - ref)) > 1e-13 * np.max(np.abs(ref)):
+                raise ConsistencyError(f"closed form of a={d} ({convention}) != node problem")
+
+
 def _st_window_consistency() -> None:
     result = run_batch(BatchRequest(window=Window(10_000, 32), t=0.3, epsilon=1e-6))
     cmp = compare_with_oracle(result)
@@ -296,6 +317,7 @@ def cmd_selftest(args) -> int:
         ("budget-arithmetic", _st_budget_arithmetic),
         ("kernel-bounds", _st_kernel_bounds),
         ("multieval-agreement", _st_multieval_agreement),
+        ("closed-form", _st_closed_form),
         ("window-consistency", _st_window_consistency),
     ]
     failures = 0

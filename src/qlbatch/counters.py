@@ -9,8 +9,8 @@ class OpCounter:
     """Named integer counters behind one lock.
 
     Counts are abstract "operations" (marks, kernel evaluations, multiply-adds,
-    butterfly units) rather than wall time, so scaling assertions stay
-    machine-independent.
+    butterfly units, the closed form's (term, m) pairs as closed_pairs)
+    rather than wall time, so scaling assertions stay machine-independent.
     """
 
     def __init__(self) -> None:

@@ -36,10 +36,19 @@ float64 view (sorted-subproblem spreading, as in FINUFFT).  Frequencies stay
 exact integers (num, den) end to end: every phase used in either path is
 exp(2 pi i (integer mod den) / den).  On a step-s grid the transform spreads
 s alpha mod 1, which may wrap for a generic problem's alpha >= 1/s.
+
+A divisor's summands need no node problem at all: each m's folded inner sum
+is the complete Gauss sum G(b; 4m), which depends on b only mod 4m
+(Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998), so
+closed_form_terms reads every term off one gauss_table in a batched sparse
+product.  Its cost grows with the divisor's terms times M = N//a, a node
+problem's with M^2 and its grid, and closed_form_cheaper picks the cheaper
+per divisor; a = 1 keeps its node problem and its transform.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +66,21 @@ _DIRECT_MAX_PHASES = 1 << 12
 _DIRECT_CHUNK = 1 << 22  # exact phases per direct-sum chunk: bounds its phase array
 # frequencies spread per block: bounds the transform's per-block arrays
 _SPREAD_BLOCK = 1 << 14
+# (term, m) pairs per closed-form chunk, a term's R values counted as pairs:
+# bounds the chunk's index, value and output arrays
+_CLOSED_CHUNK = 1 << 16
+# seconds per divisor on each route, for M = N//a, H grid arguments and
+# n terms, fitted in relative least squares on a 2-vCPU x86 VM with one
+# BLAS thread.  A node problem, its build and fast_eval timed inside
+# run_batch (median of 3), takes alpha M^2 + beta H + gamma: 1,232 divisors
+# a >= 3 of [200001, 300001) at t = 0, [10001, 15001) at t = 0 and 1,
+# [50001, 75001) at t = 0 and [100003, 104099) at t = 0.25, whose
+# per-window sums it predicts at 0.84-1.23 of the measured.  The closed
+# form takes kappa per (term, m) pair, lambda per term and rho M^2 for the
+# Gauss rows it needs: 60 passes over the terms of a >= a0 on the same
+# windows, 0.13-203 ms, predicted within 0.7-1.4x with 0.15 ms per pass
+_NODE_COST = (2.4e-7, 1.56e-6, 4.0e-4)  # alpha, beta, gamma
+_CLOSED_COST = (4.3e-8, 2.0e-7, 1.6e-7)  # kappa, lambda, rho
 _CONVENTIONS = ("sqrt_a", "plain_a")
 # keeps the merge key num*stride + den and every exact angle inside int64
 _MAX_DEN = 1 << 31
@@ -171,6 +195,11 @@ def _exact_phase(nums: np.ndarray, dens: np.ndarray, shift) -> np.ndarray:
     return np.exp((2j * math.pi) * (ang / dens))
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in _CONVENTIONS:
+        raise DomainError(f"unknown assembly convention {convention!r}")
+
+
 def build_node_problem(
     a: int,
     table: CoefficientTable,
@@ -199,8 +228,7 @@ def build_node_problem(
     a = int(a)
     if a < 1:
         raise DomainError("divisor a must be positive")
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown assembly convention {convention!r}")
+    _check_convention(convention)
     N, R = table.N, table.R
     if a > N:
         return None
@@ -244,6 +272,108 @@ def build_node_problem(
     if counter is not None:
         counter.add("node_merged", int(nums.size))
     return NodeSum(nums, dens, merge, B), EvalGrid(b0=b0, H=H, step=4)
+
+
+def closed_form_cheaper(a, n_terms, N: int, H) -> np.ndarray:
+    """Whether each divisor a, with n_terms divisor terms and a grid of H
+    arguments, costs less through closed_form_terms than through its node
+    problem, by the fitted _NODE_COST and _CLOSED_COST.  a = 1 always takes
+    its node problem, the one transform every window prices."""
+    a = np.asarray(a, dtype=np.int64)
+    M = (N // a).astype(np.float64)
+    alpha, beta, gamma = _NODE_COST
+    kappa, lam, rho = _CLOSED_COST
+    closed = (kappa * M + lam) * n_terms + rho * M * M
+    return (a > 1) & (closed < alpha * M * M + beta * H + gamma)
+
+
+def gauss_table(M: int) -> np.ndarray:
+    """The complete Gauss sums G(r; 4m) = sum_(l < 4m) e(r l^2 / (4m)) for
+    1 <= m <= M and 0 <= r < 4m, flat: row m holds r = 0..4m-1 from offset
+    2m(m-1).  Each row is the length-4m DFT, with the e^(+2 pi i) sign, of
+    the histogram of l^2 mod 4m, which l and l + 2m hit alike."""
+    m = np.arange(1, M + 1, dtype=np.int64)
+    starts = 2 * m * (m - 1)
+    row = np.repeat(np.arange(M), 2 * m)  # l < 2m, counted twice
+    ell = np.arange(M * (M + 1), dtype=np.int64) - starts[row] // 2
+    ell *= ell
+    ell %= 4 * m[row]
+    ell += starts[row]
+    hist = 2.0 * np.bincount(ell, minlength=2 * M * (M + 1))
+    out = np.empty(hist.size, dtype=np.complex128)
+    for s, n in zip(starts.tolist(), (4 * m).tolist()):
+        out[s : s + n] = np.fft.ifft(hist[s : s + n], norm="forward")
+    return out
+
+
+def closed_form_terms(
+    a,
+    b,
+    table: CoefficientTable,
+    *,
+    convention: str = "sqrt_a",
+    counter: OpCounter | None = None,
+) -> np.ndarray:
+    """The summands sqrt(a) S_r(a, b) of divisor terms, without node problems.
+
+    Term j is the divisor a[j] at the argument b[j].  Each m's folded inner
+    sum in build_node_problem is the complete Gauss sum G(b; 4m), which
+    depends on b only mod 4m, so term j is
+
+        sum_(m <= N/a) u_m c_r(t, a m) G(b mod 4m; 4m),
+
+    one gather from gauss_table per (term, m) pair.  The weight
+    u_m = sqrt(a) m^(-1/2), or a under convention="plain_a", splits into an
+    m part that scales the Gauss rows and an a part that scales the term.
+    Chunks of about _CLOSED_CHUNK pairs, each term counted with its R
+    values, form one sparse (terms, N) array each, whose product with the
+    table's columns gives the chunk's terms.  Returns the (R, J) values;
+    closed_pairs counts the pairs.
+    """
+    _check_convention(convention)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise DomainError("a and b must be matching 1-d arrays")
+    if np.any(a < 1):
+        raise DomainError("divisor a must be positive")
+    N, R = table.N, table.R
+    M = N // a
+    out = np.empty((R, a.size), dtype=np.complex128)
+    if counter is not None:
+        counter.add("closed_pairs", int(M.sum()))
+    if a.size == 0:
+        return out
+    m_max = int(M.max())
+    gauss = gauss_table(m_max)
+    if convention == "sqrt_a":
+        m = np.arange(1, m_max + 1)
+        gauss *= np.repeat(1.0 / np.sqrt(m), 4 * m)
+        weight = np.sqrt(a)
+    else:
+        weight = a.astype(np.float64)
+    cT = np.ascontiguousarray(table.c.T)  # (N, R): column n - 1 of c as a row
+    work = np.cumsum(M + R)
+    starts = np.unique(np.searchsorted(work, np.arange(0, int(work[-1]), _CLOSED_CHUNK)))
+    for j0, j1 in itertools.pairwise([*starts.tolist(), a.size]):
+        Mj = M[j0:j1]
+        indptr = np.zeros(j1 - j0 + 1, dtype=np.int64)
+        np.cumsum(Mj, out=indptr[1:])
+        m = np.arange(1, indptr[-1] + 1, dtype=np.int64)
+        m -= np.repeat(indptr[:-1], Mj)
+        idx = np.repeat(b[j0:j1], Mj)
+        row = 4 * m
+        idx %= row
+        row *= m - 1
+        row >>= 1  # row m of the table starts at 2m(m-1)
+        idx += row
+        m *= np.repeat(a[j0:j1], Mj)
+        m -= 1  # the table column a m - 1
+        pairs = sparse.csr_array((gauss[idx], m, indptr), shape=(j1 - j0, N))
+        block = pairs @ cT
+        block *= weight[j0:j1, None]
+        out[:, j0:j1] = block.T
+    return out
 
 
 def _direct_core(p: NodeSum, g: EvalGrid) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Window-sweep orchestration: plan, precompute, recover Z per conductor.
 
 One batch run covers every fundamental odd conductor q in [Q, Q+Delta).  The
-precompute phase builds the shared Taylor coefficient table, then evaluates
-one node problem per realized divisor a on the rescaled grid b = q/a, whose
-values already carry the assembly weight sqrt(a); the recovery phase
+precompute phase builds the shared Taylor coefficient table, then computes
+each divisor term's summand sqrt(a) S_r(a, q/a), weight included, by the
+route a fitted cost model prices lower for its divisor a: the closed form
+reads complete Gauss sums off one table in one batched pass over the terms
+of all its divisors, and a node problem evaluates the divisor's whole
+rescaled grid b = q/a at once (a = 1 always, and the few small divisors
+whose many long terms make a transform pay).  The recovery phase
 assembles, for each q, the divisor combination
 
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
 with x = (c - q)/q about the planner's expansion point c, and finally
 Z = 2 Re[e^{i theta} F].  The conductors and their divisor terms, read off
-the divisor grids, are flat arrays, and each divisor scatters its values at
-b = q/a into the columns of its own terms, so recovery is one segmented sum
+the divisor grids, are flat arrays, and both routes write their values at
+b = q/a into the columns of their own terms, so recovery is one segmented sum
 per conductor, one product with the powers of x and one array expression
 for the prefactors: O(d(q) R) work per conductor and no per-conductor
 Python; the result keeps those arrays as its columns.
@@ -29,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (Window, _check_precision, _check_t, _thread_map, divisor_terms,
-                    fundamental_conductors)
+from .arith import (Window, _check_precision, _check_t, _thread_map, divisor_grid,
+                    divisor_terms, fundamental_conductors)
 from .counters import OpCounter
 from .errors import ConsistencyError
-from .multieval import build_node_problem, fast_eval
+from .multieval import build_node_problem, closed_form_cheaper, closed_form_terms, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
 from .taylor import ErrorBudget, build_coefficient_table, plan_budget
@@ -46,6 +50,7 @@ _PRECOMPUTE_KEYS = (
     "kernel_evals",
     "fast_eval_ops",
     "node_raw",
+    "closed_pairs",
 )
 
 
@@ -74,9 +79,12 @@ class BatchResult:
 
     The columns are aligned with q (int64, ascending): Z, theta and
     error_bound (float64) and recovery_ops (int64).  timings holds wall_s
-    and its two phases precompute_s and recovery_s, and build_s and eval_s,
+    and its two phases precompute_s and recovery_s; build_s and eval_s,
     the node-problem construction and evaluation seconds summed over the
-    divisors, so with several threads they can exceed precompute_s.
+    divisors, so with several threads they can exceed precompute_s; and
+    closed_s, the closed-form pass.  counts carries closed_divisors, the
+    divisors that took the closed form, and closed_pairs, its (term, m)
+    pairs.
     """
 
     request: BatchRequest
@@ -108,10 +116,12 @@ def run_batch(
     """Evaluate Z(t, chi_q) for every fundamental q in the request window.
 
     Every window takes the amortized fast path, and each record carries the
-    error_bound of the planned budget.  An unknown convention raises
-    DomainError from the a = 1 node problem, which every window prices.
-    Checking the sweep against the oracle is the separate
-    compare_with_oracle step.
+    error_bound of the planned budget.  closed_form_cheaper splits the
+    realized divisors between closed_form_terms, one batched pass, and
+    their node problems, which a = 1 always takes; threads run the node
+    problems.  An unknown convention raises DomainError from the a = 1
+    node problem, which every window prices.  Checking the sweep against
+    the oracle is the separate compare_with_oracle step.
     """
     if counter is None:
         counter = OpCounter()
@@ -136,15 +146,20 @@ def run_batch(
         k = int(np.argmax(rem != 0))
         raise ConsistencyError(f"divisor a={a[k]} does not divide q={qs[owner[k]]}")
 
-    # precompute: each realized divisor evaluates its node problem on its
-    # grid of arguments b = a (mod 4) and scatters sqrt(a) S_r(a, q/a) into
-    # the columns of its own divisor terms, so the thread count cannot
-    # change the bits; an empty window still prices a = 1, whose grid may
-    # then hold no b at all
+    # precompute: each realized divisor takes the cheaper of two routes to
+    # sqrt(a) S_r(a, q/a) at its terms.  The closed form reads every term
+    # of its divisors off one Gauss table in one batched pass; a node
+    # problem is evaluated on its divisor's grid of arguments b = a (mod 4)
+    # and scattered into the columns of that divisor's terms, so the thread
+    # count cannot change the bits.  An empty window still prices a = 1,
+    # which always takes its node problem, whose grid may then hold no b
     divisors = np.union1d(a, [1])
     d = np.searchsorted(divisors, a)
     by_divisor = np.argsort(d, kind="stable")
     edges = np.searchsorted(d, np.arange(divisors.size + 1), sorter=by_divisor)
+    closed = closed_form_cheaper(divisors, np.diff(edges), budget.N,
+                                 divisor_grid(win, divisors)[1])
+    counter.add("closed_divisors", int(closed.sum()))
     terms = np.empty((budget.R, a.size), dtype=np.complex128)
     seconds = np.zeros((2, divisors.size))  # build, eval
 
@@ -167,7 +182,15 @@ def run_batch(
         seconds[:, i] = t1 - t0, time.perf_counter() - t1
         terms[:, cols] = values[:, h]
 
-    _thread_map(run_one, range(divisors.size), threads)
+    _thread_map(run_one, np.flatnonzero(~closed).tolist(), threads)
+    # the closed form runs last: its freed megabyte arrays would raise
+    # malloc's mmap threshold ahead of the a = 1 problem's peak, which read
+    # 5 MB more RSS in a cold eval of [200001, 300001)
+    t_closed = time.perf_counter()
+    on_closed = np.flatnonzero(closed[d])
+    terms[:, on_closed] = closed_form_terms(a[on_closed], b[on_closed], table,
+                                            convention=convention, counter=counter)
+    closed_s = time.perf_counter() - t_closed
     precompute_s = time.perf_counter() - t_start
 
     # recovery: sum each conductor's signed terms, apply the Taylor powers
@@ -203,6 +226,7 @@ def run_batch(
             "recovery_s": recovery_s,
             "build_s": float(seconds[0].sum()),
             "eval_s": float(seconds[1].sum()),
+            "closed_s": closed_s,
         },
     )
 

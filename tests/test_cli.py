@@ -108,13 +108,19 @@ class TestEvalOutput:
         ])
         capsys.readouterr()
         assert rc == 0
-        timings = json.loads(out.read_text())["timings"]
-        assert set(timings) == {"wall_s", "precompute_s", "recovery_s", "build_s", "eval_s"}
+        doc = json.loads(out.read_text())
+        timings = doc["timings"]
+        assert set(timings) == {
+            "wall_s", "precompute_s", "recovery_s", "build_s", "eval_s", "closed_s",
+        }
         assert 0.0 < timings["precompute_s"] <= timings["wall_s"]
         assert 0.0 <= timings["recovery_s"] <= timings["wall_s"]
-        # one thread: the per-divisor sums lie inside the precompute phase
+        # one thread: the per-divisor sums and the closed-form pass lie
+        # inside the precompute phase
         assert 0.0 < timings["build_s"] and 0.0 < timings["eval_s"]
-        assert timings["build_s"] + timings["eval_s"] <= timings["precompute_s"]
+        assert 0.0 < timings["closed_s"] and doc["counts"]["closed_divisors"] > 0
+        assert (timings["build_s"] + timings["eval_s"] + timings["closed_s"]
+                <= timings["precompute_s"])
 
     def test_window_without_odd_argument(self, tmp_path, capsys):
         # [4, 5) holds no odd q, so the a = 1 node problem has no odd grid
@@ -250,7 +256,8 @@ class TestCompare:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert set(doc["timings"]) == {
-            "wall_s", "precompute_s", "recovery_s", "build_s", "eval_s", "oracle_s",
+            "wall_s", "precompute_s", "recovery_s", "build_s", "eval_s", "closed_s",
+            "oracle_s",
         }
         assert all(v >= 0.0 for v in doc["timings"].values())
         assert doc["timings"]["oracle_s"] > 0.0
@@ -465,9 +472,10 @@ class TestSelftest:
         rc = main(["selftest"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count("ok   ") == 6
+        assert out.count("ok   ") == 7
         for name in ("gauss-identities", "character-table", "budget-arithmetic",
-                     "kernel-bounds", "multieval-agreement", "window-consistency"):
+                     "kernel-bounds", "multieval-agreement", "closed-form",
+                     "window-consistency"):
             assert name in out
 
     def test_fault_injection_reported(self, capsys, monkeypatch):
@@ -478,4 +486,21 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL window-consistency" in out
-        assert out.count("ok   ") == 5
+        assert out.count("ok   ") == 6
+
+    def test_closed_form_fault_reported(self, capsys, monkeypatch):
+        import qlbatch.multieval as multieval
+
+        real = multieval.closed_form_terms
+
+        def skewed(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[:, -1] *= 1.0 + 1e-12
+            return out
+
+        monkeypatch.setattr(multieval, "closed_form_terms", skewed)
+        rc = main(["selftest"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL closed-form" in out
+        assert out.count("ok   ") == 6

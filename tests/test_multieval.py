@@ -19,17 +19,21 @@ from hypothesis import strategies as st
 
 from qlbatch import AccuracyError, DomainError, OpCounter, Window
 from qlbatch import multieval
-from qlbatch.arith import divisor_grid
-from qlbatch.gauss import gauss_sum_fast
+from qlbatch.arith import divisor_grid, divisor_terms, fundamental_conductors
+from qlbatch.gauss import gauss_sum_direct, gauss_sum_fast
 from qlbatch.multieval import (
+    _CLOSED_CHUNK,
     _DIRECT_MAX_PHASES,
     _SPREAD_BLOCK,
     EvalGrid,
     NodeSum,
     _gaussian_params,
     build_node_problem,
+    closed_form_cheaper,
+    closed_form_terms,
     direct_eval,
     fast_eval,
+    gauss_table,
 )
 from qlbatch.taylor import build_coefficient_table, plan_budget
 
@@ -248,6 +252,156 @@ class TestNodeSemantics:
         terms = [3 * table.c[0, 3 * m - 1] * gauss_sum_fast(b, m) for m in range(1, M + 1)]
         ref = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
         assert abs(values[0, h] - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+class TestGaussTable:
+    def test_rows_are_complete_gauss_sums(self):
+        # G(r; 4m) = g_r(2m); gauss_sum_direct takes the odd r, the only
+        # ones the sweep reads, and a defining sum checks the even r
+        table = gauss_table(64)
+        assert table.size == 2 * 64 * 65
+        for m in range(1, 65):
+            row = table[2 * m * (m - 1) : 2 * m * (m + 1)]
+            ell = np.arange(4 * m)
+            for r in range(4 * m):
+                if r % 2:
+                    ref = gauss_sum_direct(r, 2 * m)
+                else:
+                    ref = np.exp(2j * math.pi * ((r * ell * ell) % (4 * m)) / (4 * m)).sum()
+                assert abs(row[r] - ref) <= 1e-13 * 4 * m, (m, r)
+
+    def test_empty_table(self):
+        assert gauss_table(0).size == 0
+
+
+def _window_terms(window, t):
+    """(table, a, b) of a window's divisor terms at height t and eps 1e-6."""
+    budget = plan_budget(window.Q, window.Delta, 1e-6, t)
+    table = build_coefficient_table(t, budget.centre, budget.N, budget.R)
+    qs = fundamental_conductors(window)
+    owner, a, _ = divisor_terms(window, qs, budget.N)
+    return table, a, qs[owner] // a
+
+
+def _closed_form_error(window, t, divisors=None):
+    """Largest relative gap, over both conventions and the given divisors
+    (default: all), between closed_form_terms and the divisor's node
+    problem read by direct_eval at its terms' b = q/a."""
+    table, a, b = _window_terms(window, t)
+    if divisors is None:
+        divisors = np.unique(a)
+    keep = np.isin(a, divisors)
+    a, b = a[keep], b[keep]
+    worst = 0.0
+    for convention in ("sqrt_a", "plain_a"):
+        got = closed_form_terms(a, b, table, convention=convention)
+        for d in np.unique(a).tolist():
+            p, g = build_node_problem(d, table, window, convention=convention)
+            cols = np.flatnonzero(a == d)
+            ref = direct_eval(p, g)[:, (b[cols] - g.b0) // g.step]
+            gap = np.max(np.abs(got[:, cols] - ref)) / np.max(np.abs(ref))
+            worst = max(worst, float(gap))
+    return worst
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("t", [0.0, 0.3])
+    def test_every_divisor_of_the_compare_window(self, t):
+        assert _closed_form_error(Window(10_001, 5_000), t) <= 1e-13
+
+    def test_scan_window(self):
+        # a = 1 of this window is a 10^8-phase direct sum; every other
+        # divisor is checked
+        table, a, _ = _window_terms(Window(100_003, 4_096), 0.25)
+        divisors = np.unique(a[a > 1])
+        assert divisors.size > 300
+        assert _closed_form_error(Window(100_003, 4_096), 0.25, divisors) <= 1e-13
+
+    def test_sampled_divisors_of_the_wide_window(self):
+        window = Window(200_001, 100_000)
+        table, a, b = _window_terms(window, 0.0)
+        divisors, n_terms = np.unique(a, return_counts=True)
+        closed = closed_form_cheaper(divisors, n_terms, table.N,
+                                     divisor_grid(window, divisors)[1])
+        sample = np.random.default_rng(22).choice(divisors[closed], size=25, replace=False)
+        assert _closed_form_error(window, 0.0, sample) <= 1e-13
+
+    def test_plain_a_weights_single_rows_by_a(self, small_table):
+        # u_m = a against sqrt(a/m): at N//a = 1 the terms differ by sqrt(a)
+        a = np.array([small_table.N, 201])
+        b = np.array([41, 57])
+        kept = closed_form_terms(a, b, small_table)
+        lost = closed_form_terms(a, b, small_table, convention="plain_a")
+        assert np.allclose(lost, kept * np.sqrt(a), rtol=1e-14)
+
+    def test_counts_pairs_and_handles_no_terms(self, small_table):
+        counter = OpCounter()
+        a = np.array([1, 3, 5, 300])
+        out = closed_form_terms(a, np.array([1, 3, 5, 301]), small_table, counter=counter)
+        assert counter.get("closed_pairs") == sum(small_table.N // x for x in a.tolist())
+        assert np.all(out[:, 3] == 0.0)  # a > N: no pair, no value
+        empty = closed_form_terms(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                                  small_table)
+        assert empty.shape == (small_table.R, 0)
+
+    def test_chunks_do_not_change_the_values(self, monkeypatch):
+        table, a, b = _window_terms(Window(10_001, 5_000), 0.0)
+        whole = closed_form_terms(a, b, table)
+        monkeypatch.setattr(multieval, "_CLOSED_CHUNK", 64)
+        assert np.array_equal(closed_form_terms(a, b, table), whole)
+
+    def test_rejects_bad_inputs(self, small_table):
+        with pytest.raises(DomainError, match="unknown assembly convention"):
+            closed_form_terms(np.array([3]), np.array([3]), small_table, convention="bogus")
+        with pytest.raises(DomainError):
+            closed_form_terms(np.array([0]), np.array([3]), small_table)
+        with pytest.raises(DomainError):
+            closed_form_terms(np.array([3, 5]), np.array([3]), small_table)
+
+    def test_traced_peak_bounded_by_output_table_and_chunk(self):
+        # every divisor a >= 3 of the wide window through the closed form:
+        # 4.1M pairs in chunks of 2^16, 46,000 terms of R = 14.  The peak
+        # is the (R, J) output, the M = 391 Gauss table and one chunk's
+        # workspace; one unchunked pass would hold ~40 bytes per pair more
+        window = Window(200_001, 100_000)
+        table, a, b = _window_terms(window, 0.0)
+        keep = a >= 3
+        a, b = a[keep], b[keep]
+        pairs = int((table.N // a).sum())
+        out_bytes = 16 * table.R * a.size
+        table_bytes = 16 * 2 * (table.N // 3) * (table.N // 3 + 1)
+        tracemalloc.start()
+        try:
+            closed_form_terms(a, b, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs > 4_000_000 and table.R == 14
+        assert peak < out_bytes + table_bytes + 200 * _CLOSED_CHUNK
+
+
+class TestRouteSplit:
+    # [10003, 10004) holds no conductor, so there a = 1 has no terms and
+    # the closed form would cost nothing
+    @pytest.mark.parametrize(
+        "window", [Window(10_003, 1), Window(101, 50), Window(10_001, 5_000),
+                   Window(100_003, 4_096), Window(200_001, 100_000)],
+    )
+    def test_trivial_divisor_takes_its_node_problem(self, window):
+        N = plan_budget(window.Q, window.Delta, 1e-6, 0.0).N
+        n_terms = fundamental_conductors(window).size  # a = 1 divides every q
+        H = divisor_grid(window, 1)[1]
+        assert not closed_form_cheaper(np.array([1]), np.array([n_terms]), N, H)[0]
+
+    def test_wide_window_sends_most_divisors_closed(self):
+        window = Window(200_001, 100_000)
+        table, a, _ = _window_terms(window, 0.0)
+        divisors, n_terms = np.unique(a, return_counts=True)
+        closed = closed_form_cheaper(divisors, n_terms, table.N,
+                                     divisor_grid(window, divisors)[1])
+        assert closed.sum() > 0.9 * divisors.size
+        # the small divisors, with many terms of long rows, stay node problems
+        assert not closed[:2].any()
 
 
 class TestDirectEval:

@@ -419,6 +419,46 @@ class TestRecoveryChecks:
                 found += [f"{name}:{stmt.lineno} {b}" for b in bound if b not in used]
         assert found == []
 
+    def test_no_sweep_module_imports_gauss(self):
+        # gauss stays the independent reference of the closed form and the
+        # node problems: only the selftest's front end may import it
+        found = [
+            f"{name}:{node.lineno}"
+            for name, tree in _source_trees()
+            if name not in ("cli.py", "gauss.py")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("gauss")
+            or isinstance(node, ast.Import) and any("gauss" in a.name for a in node.names)
+        ]
+        assert found == []
+
+
+class TestRouteSplit:
+    def test_closed_route_matches_node_route(self, monkeypatch):
+        request = BatchRequest(Window(10_001, 2_000), 0.3, _EPS)
+        split = run_batch(request)
+        assert 0 < split.counts["closed_divisors"] and split.counts["closed_pairs"] > 0
+        assert split.timings["closed_s"] > 0.0
+        monkeypatch.setattr(pipeline, "closed_form_cheaper",
+                            lambda a, *_: np.zeros(np.size(a), dtype=bool))
+        node = run_batch(request)
+        assert node.counts["closed_divisors"] == node.counts["closed_pairs"] == 0
+        assert np.array_equal(split.q, node.q)
+        assert np.max(np.abs(split.Z - node.Z)) <= 1e-12
+
+    @pytest.mark.parametrize("win", [Window(10_003, 1), Window(101, 50), _WIN])
+    def test_trivial_divisor_is_always_a_node_problem(self, win, monkeypatch):
+        built = []
+        real = pipeline.build_node_problem
+
+        def recording(a, *args, **kwargs):
+            built.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_node_problem", recording)
+        result = run_batch(BatchRequest(win, 0.0, _EPS))
+        assert 1 in built and result.counts["node_raw"] > 0
+
 
 class TestCompareStep:
     def test_dropped_record_is_a_window_disagreement(self, cmp_run):
