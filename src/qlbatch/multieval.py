@@ -14,6 +14,10 @@ exp(2 pi i alpha b) exactly; so the builder folds every frequency into
 [0, 1/4), carries the power i^(j a) on a stacked table [B; iB] and a sign,
 and evaluates on the arguments b = a (mod 4) alone (step 4).  On that grid
 the transform sees the frequencies 4 alpha_k in [0, 1), still ascending.
+The builder merges its entries by one sort of an exact integer key that
+orders them by alpha, then by table row; equal (alpha, row) entries sum
+their small integer weights exactly, and a frequency whose weights all
+cancel is dropped (16% of the a = 1 frequencies on [2*10^5, 3*10^5)).
 
 Small problems go through an exact-angle direct sum.  Large ones are spread
 onto a power-of-two fine grid of n >= 2H cells with the Gaussian window
@@ -57,7 +61,7 @@ from scipy import sparse
 
 from .arith import Window, divisor_grid
 from .counters import OpCounter
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, ConsistencyError, DomainError
 from .taylor import _EPS3_FLOOR, CoefficientTable
 
 # the direct sum's cost is its K*H exact phases, whatever R is; up to this
@@ -82,57 +86,76 @@ _CLOSED_CHUNK = 1 << 16
 _NODE_COST = (2.4e-7, 1.56e-6, 4.0e-4)  # alpha, beta, gamma
 _CLOSED_COST = (4.3e-8, 2.0e-7, 1.6e-7)  # kappa, lambda, rho
 _CONVENTIONS = ("sqrt_a", "plain_a")
-# keeps the merge key num*stride + den and every exact angle inside int64
+# keeps from_fractions' key floor(alpha 2^62) and every exact angle in int64
 _MAX_DEN = 1 << 31
+_QUARTER_WEIGHTS = np.array([2.0, 4.0, -2.0, -4.0])  # a build's weight codes
 
 
-def _merge_frequencies(nums, dens, cols, weights, ncols):
-    """Merge weighted frequency entries into distinct fractions in alpha order.
+def _merge_entries(key, key_bits, cols, ncols, codes, weights):
+    """Merge entries into one CSR (K, ncols) row per distinct key, ascending.
+    Entry j adds weights[codes[j]] (codes < 4) at row key[j] < 2^key_bits,
+    column cols[j].  One sort of the packed int64 (key, column, code), which
+    raises ConsistencyError rather than wrap past 63 bits, makes each run
+    of equal (key, column) one entry, summed by reduceat; zero sums and the
+    rows they empty are dropped.  Returns (row keys, first columns, merge)."""
+    col_bits = (ncols - 1).bit_length()
+    if key_bits + col_bits + 2 > 63:
+        raise ConsistencyError(f"a {key_bits}-bit key over {ncols} columns overflows int64")
+    packed = key << (col_bits + 2)
+    packed |= cols << 2
+    packed |= codes
+    packed.sort()
+    w = weights[packed & 3]
+    packed >>= 2
+    # run starts: packed[:1] >= 0 marks the first entry, if there is one
+    runs = np.flatnonzero(np.concatenate((packed[:1] >= 0, packed[1:] != packed[:-1])))
+    w = np.add.reduceat(w, runs)
+    packed, w = packed[runs[w != 0]], w[w != 0]
+    cols = packed & ((1 << col_bits) - 1)
+    packed >>= col_bits
+    first = np.flatnonzero(np.concatenate((packed[:1] >= 0, packed[1:] != packed[:-1])))
+    merge = sparse.csr_array((w, cols, np.append(first, packed.size)), shape=(first.size, ncols))
+    return packed[first], cols[first], merge
 
-    Entry j is the frequency nums[j]/dens[j] (any integer over a positive
-    denominator) and adds the real weights[j] times table row cols[j] to that
-    frequency's coefficients.  Fractions are reduced and folded into [0, 1),
-    equal ones share a row, and rows are numbered by ascending alpha.
-    Returns (nums, dens, merge) with merge the canonical CSR (K, ncols) map
-    whose duplicate entries are summed.
-    """
-    # the entry arrays are large: each temporary is freed once it is dead
-    nums = nums % dens
-    g = np.gcd(nums, dens)  # gcd(0, d) = d folds 0/d to 0/1
-    nums //= g
-    dens = dens // g
-    del g
-    stride = int(dens.max()) + 1
-    nums *= stride
-    nums += dens  # the merge key
-    del dens
-    uniq, inv = np.unique(nums, return_inverse=True)
-    nums = uniq // stride
-    dens = uniq % stride
-    order = np.argsort(nums / dens, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    merge = sparse.coo_array((weights, (rank[inv], cols)), shape=(order.size, ncols))
-    return nums[order], dens[order], merge.tocsr()
+
+def _merge_quarters(rest, m, rows, codes, M):
+    """Merge a build's entries: entry j is alpha = rest[j]/(4 m[j]), rest < m
+    <= M, with weight _QUARTER_WEIGHTS[codes[j]] at table row rows[j] < 2M.
+    Distinct rest/m differ by at least 1/M^2, so with 2^t >= M^2 the key
+    floor(rest 2^t / m) orders them exactly and rest = ceil(key m / 2^t).
+    Returns (nums, dens, merge), the fractions not yet in lowest terms."""
+    t = (M * M - 1).bit_length()
+    rest <<= t
+    rest //= m
+    key, col, merge = _merge_entries(rest, t, rows, 2 * M, codes, _QUARTER_WEIGHTS)
+    m = col % M + 1
+    return -((-key * m) >> t), 4 * m, merge
 
 
 @dataclass(eq=False)
 class NodeSum:
     """K merged rational frequencies with R coefficient vectors, as a map.
 
-    nums/dens are reduced fractions in [0, 1), sorted by value, pairwise
-    distinct.  The coefficients of frequency k are row k of merge @ B: merge
-    is a CSR (K, M) array of real weights and B a C-contiguous complex
-    (M, R) array of table rows.  The evaluators form them one block of
-    frequencies at a time (block), so nothing of size K*R is ever held;
-    coeffs (R, K) and scale (the largest coefficient magnitude, 1.0 for an
-    all-zero problem) are computed on demand for checks.
+    nums/dens are fractions in [0, 1), put in lowest terms on construction
+    and checked strictly ascending.  The coefficients of frequency k are row
+    k of merge @ B: merge is a CSR (K, M) array of real weights, a nonzero
+    one in every row, and B a C-contiguous complex (M, R) array of table
+    rows; K may be 0.  The evaluators form them one block of frequencies at
+    a time (block), so nothing of size K*R is ever held; coeffs (R, K) and
+    scale (the largest coefficient magnitude, 1.0 for an all-zero problem)
+    are computed on demand for checks.
     """
 
     nums: np.ndarray
     dens: np.ndarray
     merge: sparse.csr_array
     B: np.ndarray
+
+    def __post_init__(self) -> None:
+        g = np.gcd(self.nums, self.dens)  # lowest terms, 0 as 0/1
+        self.nums, self.dens = self.nums // g, self.dens // g
+        if np.any(self.nums[1:] * self.dens[:-1] <= self.nums[:-1] * self.dens[1:]):
+            raise ConsistencyError("frequencies are not strictly ascending")
 
     @property
     def K(self) -> int:
@@ -156,7 +179,11 @@ class NodeSum:
 
     @classmethod
     def from_fractions(cls, nums, dens, coeffs) -> "NodeSum":
-        """Reduce, fold into [0, 1), merge duplicates, sort by value."""
+        """Reduce, fold into [0, 1), merge duplicates, sort by value.
+
+        Distinct fractions over dens < 2^31 differ by more than 2^-62, so
+        the key floor(alpha 2^62), formed in two 31-bit steps, ranks them.
+        """
         nums = np.asarray(nums, dtype=np.int64)
         dens = np.asarray(dens, dtype=np.int64)
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.complex128))
@@ -166,9 +193,14 @@ class NodeSum:
             raise DomainError("coefficient columns must match the frequency count")
         if np.any(dens <= 0) or np.any(dens >= _MAX_DEN):
             raise DomainError("denominators must lie in [1, 2^31)")
-        cols = np.arange(nums.size, dtype=np.int64)
-        nums, dens, merge = _merge_frequencies(nums, dens, cols, np.ones(nums.size), nums.size)
-        return cls(nums, dens, merge, np.ascontiguousarray(coeffs.T))
+        nums = nums % dens
+        hi, lo = np.divmod(nums << 31, dens)
+        lo <<= 31
+        lo //= dens
+        rank = np.unique((hi << 31) + lo, return_inverse=True)[1]
+        n = rank.size
+        _, first, merge = _merge_entries(rank, n.bit_length(), np.arange(n), n, 0, np.ones(1))
+        return cls(nums[first], dens[first], merge, np.ascontiguousarray(coeffs.T))
 
 
 @dataclass(frozen=True)
@@ -215,15 +247,15 @@ def build_node_problem(
     remainder: alpha = (l^2 mod m)/(4m) lies in [0, 1/4), and the factor
     i^(j a) that is exact at the grid's arguments b = a (mod 4) becomes a
     sign and, for odd j a, a read of row m - 1 + M of the stacked table
-    [B; iB].  Equal reduced fractions across all m <= N/a merge into one
-    sparse (K, 2M) map whose rows are in alpha order; the map is not applied
-    here.  Row m of B carries the whole assembly weight u_m = sqrt(a/m), or
-    a under convention="plain_a", so evaluating the problem on its grid
-    gives the divisor's summand sqrt(a) S_r(a, b) at every
-    b = b0, b0+4, .., b0+4(H-1).  Returns (NodeSum, EvalGrid) with grid
-    step 4, or None when the divisor contributes nothing (a > N or the
-    rescaled window holds no b = a mod 4); the raw entries are counted
-    either way once a <= N.
+    [B; iB].  Equal fractions across all m <= N/a merge into one sparse
+    (K, 2M) map whose rows are in alpha order, without the weights that
+    cancel to 0 or the rows they leave empty; the map is not applied here.
+    Row m of B carries the whole assembly weight u_m = sqrt(a/m), or a under
+    convention="plain_a", so evaluating the problem on its grid gives the
+    divisor's summand sqrt(a) S_r(a, b) at every b = b0, b0+4, ..,
+    b0+4(H-1).  Returns (NodeSum, EvalGrid) with grid step 4, or None when
+    the divisor contributes nothing (a > N or the rescaled window holds no
+    b = a mod 4); the raw entries are counted either way once a <= N.
     """
     a = int(a)
     if a < 1:
@@ -241,23 +273,21 @@ def build_node_problem(
 
     sizes = np.arange(2, M + 2, dtype=np.int64)  # segment m has l = 0..m
     starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    total = int(sizes.sum())
     row = np.repeat(np.arange(M, dtype=np.int64), sizes)  # m - 1, the row of B
-    ell = np.arange(total, dtype=np.int64)
+    ell = np.arange(row.size, dtype=np.int64)
     ell -= np.repeat(starts, sizes)
     m = row + 1
-    weight = np.where((ell == 0) | (ell == m), 2.0, 4.0)
+    code = np.where((ell == 0) | (ell == m), 0, 1)  # weight 2, else 4
     ell *= ell
     # l^2 = (4 s + j) m + rest: alpha = rest/(4m) at the factor i^(j a)
     quarter, ell = np.divmod(ell, m)
     quarter *= a
     quarter &= 3
-    weight[quarter >= 2] *= -1.0
+    code |= quarter & 2  # i^(j a) in {-1, -i}: a negative weight
     quarter &= 1
     quarter *= M
     row += quarter  # odd j a reads iB
     del quarter
-    m *= 4  # the denominator 4m
 
     # per-m coefficient row: weight u_m times c_r(t, a m)
     cols = a * np.arange(1, M + 1, dtype=np.int64) - 1
@@ -268,7 +298,7 @@ def build_node_problem(
         u = np.full(M, float(a))
     B = (base * u).T  # (M, R)
     B = np.concatenate((B, 1j * B))  # [B; iB]
-    nums, dens, merge = _merge_frequencies(ell, m, row, weight, 2 * M)
+    nums, dens, merge = _merge_quarters(ell, m, row, code, M)
     if counter is not None:
         counter.add("node_merged", int(nums.size))
     return NodeSum(nums, dens, merge, B), EvalGrid(b0=b0, H=H, step=4)

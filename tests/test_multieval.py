@@ -14,20 +14,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from qlbatch import AccuracyError, DomainError, OpCounter, Window
+from qlbatch import AccuracyError, ConsistencyError, DomainError, OpCounter, Window
 from qlbatch import multieval
 from qlbatch.arith import divisor_grid, divisor_terms, fundamental_conductors
 from qlbatch.gauss import gauss_sum_direct, gauss_sum_fast
 from qlbatch.multieval import (
     _CLOSED_CHUNK,
     _DIRECT_MAX_PHASES,
+    _QUARTER_WEIGHTS,
     _SPREAD_BLOCK,
     EvalGrid,
     NodeSum,
     _gaussian_params,
+    _merge_entries,
+    _merge_quarters,
     build_node_problem,
     closed_form_cheaper,
     closed_form_terms,
@@ -61,6 +65,204 @@ def _tiny_reference(p: NodeSum, g: EvalGrid) -> np.ndarray:
                 im.append(z.imag)
             out[r, h] = complex(math.fsum(re), math.fsum(im))
     return out
+
+
+def _reference_merge(nums, dens, cols, weights, ncols):
+    """The merge by np.unique, kept as a reference: reduce and fold every
+    fraction, rank the distinct ones by value, sum duplicate (frequency,
+    column) entries in a COO to CSR conversion, then drop the entries that
+    sum to 0 and the rows they leave empty.  Returns (nums, dens, merge)."""
+    nums = np.asarray(nums, dtype=np.int64) % dens
+    g = np.gcd(nums, dens)
+    nums, dens = nums // g, dens // g
+    del g
+    stride = int(dens.max()) + 1
+    nums *= stride
+    nums += dens
+    del dens
+    uniq, inv = np.unique(nums, return_inverse=True)
+    del nums
+    nums, dens = uniq // stride, uniq % stride
+    order = np.argsort(nums / dens, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    merge = sparse.coo_array((weights, (rank[inv], cols)), shape=(order.size, ncols)).tocsr()
+    merge.eliminate_zeros()
+    kept = np.flatnonzero(np.diff(merge.indptr))
+    return nums[order][kept], dens[order][kept], merge[kept]
+
+
+def _assert_same_merge(p: NodeSum, ref) -> None:
+    """p holds ref's fractions and its merge, entry for entry, bit for bit."""
+    nums, dens, merge = ref
+    assert np.array_equal(p.nums, nums) and np.array_equal(p.dens, dens)
+    merge.sort_indices()
+    assert p.merge.has_sorted_indices
+    assert p.merge.shape == merge.shape
+    assert np.array_equal(p.merge.indptr, merge.indptr)
+    assert np.array_equal(p.merge.indices, merge.indices)
+    assert np.array_equal(p.merge.data, merge.data)
+
+
+def _columns(entries):
+    """Entry tuples (m, rest, odd, code) as four int64 columns."""
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*entries))
+
+
+def _quarter_problem(M, columns) -> NodeSum:
+    """The build's merge of entries (m, rest, odd, code): alpha = rest/(4m)
+    at table row m - 1 + odd M with weight _QUARTER_WEIGHTS[code]."""
+    m, rest, odd, code = columns
+    merged = _merge_quarters(rest % m, m, m - 1 + odd * M, code, M)
+    return NodeSum(*merged, np.zeros((2 * M, 1), dtype=np.complex128))
+
+
+def _quarter_reference(M, columns):
+    m, rest, odd, code = columns
+    return _reference_merge(rest % m, 4 * m, m - 1 + odd * M, _QUARTER_WEIGHTS[code], 2 * M)
+
+
+def _raw_quarter_entries(a, M):
+    """The build's entries of divisor a as columns (m, rest, odd, code):
+    l = 0..m for every m <= M, l^2 = (4 s + j) m + rest, weight 2 at l in
+    {0, m}, else 4, negative when i^(j a) is -1 or -i, odd when it is +-i."""
+    m = np.repeat(np.arange(1, M + 1), np.arange(2, M + 2))
+    ell = np.concatenate([np.arange(k + 1) for k in range(1, M + 1)])
+    code = np.where((ell == 0) | (ell == m), 0, 1).astype(np.int8)
+    j, rest = np.divmod(ell * ell, m)
+    del ell
+    power = ((j * a) % 4).astype(np.int8)
+    del j
+    code += 2 * (power >= 2)
+    return m, rest, (power % 2).astype(np.int64), code
+
+
+_QUARTER_ENTRIES = st.integers(1, 8).flatmap(lambda M: st.tuples(st.just(M), st.lists(
+    st.tuples(st.integers(1, M), st.integers(0, 63), st.integers(0, 1), st.integers(0, 3)),
+    min_size=1, max_size=60)))
+
+
+class TestMergeAgainstReference:
+    """One sort of the packed exact key against the np.unique merge."""
+
+    # 1/8 over m = 2 and 2/16 over m = 4; a cancellation inside one column;
+    # 1/8 cancelling in one column and kept in another, and 1/12 cancelling
+    # in both; a single entry; everything cancelling
+    @example((4, [(2, 1, 0, 0), (4, 2, 1, 1)]))
+    @example((3, [(3, 1, 0, 1), (2, 0, 0, 0), (3, 1, 0, 3)]))
+    @example((4, [(2, 1, 0, 0), (2, 1, 0, 2), (4, 2, 1, 1), (3, 1, 0, 0), (3, 1, 0, 2),
+                  (3, 1, 1, 1), (3, 1, 1, 3)]))
+    @example((5, [(5, 3, 1, 2)]))
+    @example((2, [(1, 0, 0, 0), (2, 1, 1, 1), (1, 0, 0, 2), (2, 1, 1, 3)]))
+    @given(_QUARTER_ENTRIES)
+    def test_build_merge_equals_reference(self, case):
+        M, entries = case
+        columns = _columns(entries)
+        _assert_same_merge(_quarter_problem(M, columns), _quarter_reference(M, columns))
+
+    # denominators up to 2^20 keep the reference's float ranking exact
+    @example([(2, 8), (1, 4)])
+    @example([(5, 7)])
+    @given(st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 1 << 20)),
+                    min_size=1, max_size=40))
+    def test_from_fractions_merge_equals_reference(self, pairs):
+        nums, dens = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+        p = NodeSum.from_fractions(nums, dens, np.ones((1, nums.size)))
+        n = nums.size
+        _assert_same_merge(p, _reference_merge(nums, dens, np.arange(n), np.ones(n), n))
+
+    def test_everything_cancels(self):
+        # K = 0: both evaluators return zeros on any grid
+        entries = [(1, 0, 0, 0), (2, 1, 1, 1), (1, 0, 0, 2), (2, 1, 1, 3)]
+        p = _quarter_problem(2, _columns(entries))
+        p.B = np.ones((4, 3), dtype=np.complex128)
+        assert p.K == 0 and p.merge.shape == (0, 4) and p.scale == 1.0
+        g = EvalGrid(b0=5, H=40, step=4)
+        for values in (direct_eval(p, g), fast_eval(p, g, 1e-9),
+                       fast_eval(p, g, 1e-9, force="transform")):
+            assert values.shape == (3, 40) and not values.any()
+
+    def test_packed_key_capacity(self):
+        # 40 key bits, 21 column bits and the 2-bit code fill 63 bits: the
+        # largest key and column come back whole; one bit more raises
+        key = np.array([(1 << 40) - 1, 0])
+        cols = np.array([(1 << 21) - 1, 0])
+        got, first, merge = _merge_entries(key.copy(), 40, cols, 1 << 21, np.array([3, 0]),
+                                           _QUARTER_WEIGHTS)
+        assert got.tolist() == [0, (1 << 40) - 1] and first.tolist() == [0, (1 << 21) - 1]
+        assert merge.data.tolist() == [2.0, -4.0]
+        with pytest.raises(ConsistencyError):
+            _merge_entries(key.copy(), 41, cols, 1 << 21, np.array([3, 0]), _QUARTER_WEIGHTS)
+        with pytest.raises(ConsistencyError):
+            _merge_entries(key.copy(), 40, cols, (1 << 21) + 1, np.array([3, 0]),
+                           _QUARTER_WEIGHTS)
+
+    def test_build_key_capacity(self):
+        # M = 2^20 packs into exactly 63 bits; its extreme entries rest =
+        # M - 1 over 4M and 0 at the last row survive, and M + 1 raises
+        M = 1 << 20
+        p = _quarter_problem(M, _columns([(M, M - 1, 1, 1), (1, 0, 0, 0)]))
+        assert p.nums.tolist() == [0, M - 1] and p.dens.tolist() == [1, 4 * M]
+        assert p.merge.indices.tolist() == [0, 2 * M - 1]
+        with pytest.raises(ConsistencyError):
+            _quarter_problem(M + 1, _columns([(M + 1, M, 1, 1), (1, 0, 0, 0)]))
+
+    def test_unsorted_frequencies_raise(self):
+        # a real check, not an assert: it holds under python -O too
+        B = np.ones((2, 1), dtype=np.complex128)
+        merge = sparse.csr_array(np.eye(2))
+        for nums, dens in (([1, 1], [3, 3]), ([2, 1], [3, 3]), ([1, 2], [4, 8])):
+            with pytest.raises(ConsistencyError):
+                NodeSum(np.array(nums), np.array(dens), merge, B)
+
+    def test_from_fractions_orders_float_ties_exactly(self):
+        # two Farey neighbours with one float64 value: the larger numerator
+        # is the smaller fraction, which a float sort could not tell
+        a, b, c, d = 487_214_897, 1_103_213_277, 355_200_278, 804_289_165
+        assert a / b == c / d and a * d < c * b
+        for order in ((0, 1), (1, 0)):
+            nums, dens = np.array([a, c])[list(order)], np.array([b, d])[list(order)]
+            p = NodeSum.from_fractions(nums, dens, [[1.0, 2.0]])
+            assert p.nums.tolist() == [a, c] and p.dens.tolist() == [b, d]
+
+    def test_large_trivial_divisor(self):
+        # the a = 1 problem of [1100001, 1650001) at eps = 1e-6: N = 2789,
+        # past the M ~ 2700 where a packed entry index would overflow
+        window = Window(1_100_001, 550_000)
+        budget = plan_budget(window.Q, window.Delta, 1e-6, 0.0)
+        table = build_coefficient_table(0.0, budget.centre, budget.N, 1)
+        p, g = build_node_problem(1, table, window)
+        M = budget.N
+        assert M == 2789
+        assert np.all(p.nums >= 0) and np.all(4 * p.nums < p.dens)
+        assert np.all(np.gcd(p.nums, p.dens) == np.where(p.nums == 0, p.dens, 1))
+        assert np.all(p.nums[1:] * p.dens[:-1] > p.nums[:-1] * p.dens[1:])
+        assert np.all(np.diff(p.merge.indptr) > 0) and np.all(p.merge.data != 0)
+        # the reference's entry arrays, each freed once it is dead
+        m, rest, odd, code = _raw_quarter_entries(1, M)
+        weights = _QUARTER_WEIGHTS[code]
+        del code
+        odd *= M
+        odd += m
+        odd -= 1  # the table row
+        m *= 4
+        ref = _reference_merge(rest, m, odd, weights, 2 * M)
+        assert p.K == ref[0].size
+        _assert_same_merge(p, ref)
+
+
+def _sums_to_zero(ref: NodeSum, raw: np.ndarray) -> np.ndarray:
+    """Whether the raw coefficient columns merged into each frequency of ref
+    (built by from_fractions over them) sum to exactly 0, by fsum."""
+    rows = ref.merge.tocoo()
+    owner = np.empty(raw.shape[1], dtype=np.int64)
+    owner[rows.col] = rows.row
+    order = np.argsort(owner, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(owner[order])) + 1)
+    return np.array([
+        all(math.fsum(part) == 0.0 for part in (*raw[:, g].real, *raw[:, g].imag))
+        for g in groups
+    ])
 
 
 class TestNodeSumConstruction:
@@ -175,7 +377,9 @@ class TestBuildNodeProblem:
         # the builder's merge against the general one, fed every raw
         # (l^2, 4m) entry folded into [0, 1/4) with its weight,
         # u_m = sqrt(a/m), c_r(t, a m) and the factor i^(j a) of its
-        # quarter j: the builder's stacked table [B; iB] with a real sign
+        # quarter j: the builder's stacked table [B; iB] with a real sign.
+        # The builder drops exactly the frequencies whose raw coefficients
+        # sum to 0, and keeps every other one
         window = Window(10_000, 5_000)
         for a in (1, 4, 13):
             p, g = build_node_problem(a, small_table, window)
@@ -188,9 +392,12 @@ class TestBuildNodeProblem:
             weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m) * factor
             raw = small_table.c[:, a * m - 1] * weight
             ref = NodeSum.from_fractions(num, den, raw)
-            assert np.array_equal(p.nums, ref.nums)
-            assert np.array_equal(p.dens, ref.dens)
-            assert np.max(np.abs(p.coeffs - ref.coeffs)) <= 1e-13 * p.scale
+            kept = ~_sums_to_zero(ref, raw)
+            # a = 4 has i^(j a) = 1, so its positive weights never cancel
+            assert kept.all() == (a == 4)
+            assert np.array_equal(p.nums, ref.nums[kept])
+            assert np.array_equal(p.dens, ref.dens[kept])
+            assert np.max(np.abs(p.coeffs - ref.coeffs[:, kept])) <= 1e-13 * p.scale
             assert p.scale == pytest.approx(ref.scale, rel=1e-13)
 
     @pytest.mark.parametrize("a", [1, 3, 5, 7, 13])
@@ -513,14 +720,14 @@ class TestFastEval:
             assert counter.get("fast_eval_setup_calls") == setups, h
 
     def test_mid_size_node_problem_takes_transform(self):
-        # the a = 5 problem of [10000, 15000): K = 390, H = 250 is under
+        # the a = 5 problem of [10000, 15000): K = 323, H = 250 is under
         # 2^22 multiply-adds at R = 14, but its K*H exact phases cost the
         # direct sum more than the transform
         window = Window(10_000, 5_000)
         budget = plan_budget(window.Q, window.Delta, 1e-6, 0.0)
         table = build_coefficient_table(0.0, budget.centre, budget.N, budget.R)
         p, g = build_node_problem(5, table, window)
-        assert (p.K, g.H) == (390, 250)
+        assert (p.K, g.H) == (323, 250)
         counter = OpCounter()
         got = fast_eval(p, g, budget.epsilon3, counter=counter)
         assert counter.get("fast_eval_setup_calls") == 1
@@ -700,11 +907,11 @@ class TestSpreadBlocks:
         assert np.max(np.abs(got - direct_eval(p, g))) <= 1e-9 * p.scale
 
     def test_traced_peak_bounded_by_grid_and_block(self):
-        # the a = 1 problem of [120001, 180001): K = 92,779, R = 14,
+        # the a = 1 problem of [120001, 180001): K = 77,618, R = 14,
         # n = 2^15, 45 taps, on the 15,000 arguments b = 1 (mod 4).  Build
-        # and evaluation peak at 34.5 MiB traced: the padded grid, the
+        # and evaluation peak at 32.7 MiB traced: the padded grid, the
         # problem and one block's workspace; one (K, R) coefficient array
-        # would add 21 MB and the K*W spreading matrix more again
+        # would add 17 MB and the K*W spreading matrix more again
         Q, Delta = 120_001, 60_000
         budget = plan_budget(Q, Delta, 1e-6, 0.0)
         table = build_coefficient_table(0.0, budget.centre, budget.N, budget.R)
@@ -715,7 +922,7 @@ class TestSpreadBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p.K > 90_000 and table.R == 14
+        assert p.K == 77_618 and table.R == 14
         assert peak < 64 * 2 ** 20
 
 
