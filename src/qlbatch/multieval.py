@@ -94,15 +94,17 @@ _QUARTER_WEIGHTS = np.array([2.0, 4.0, -2.0, -4.0])  # a build's weight codes
 def _merge_entries(key, key_bits, cols, ncols, codes, weights):
     """Merge entries into one CSR (K, ncols) row per distinct key, ascending.
     Entry j adds weights[codes[j]] (codes < 4) at row key[j] < 2^key_bits,
-    column cols[j].  One sort of the packed int64 (key, column, code), which
-    raises ConsistencyError rather than wrap past 63 bits, makes each run
-    of equal (key, column) one entry, summed by reduceat; zero sums and the
-    rows they empty are dropped.  Returns (row keys, first columns, merge)."""
+    column cols[j].  One sort of the int64 (key, column, code), packed in
+    key's array and raising ConsistencyError rather than wrap past 63 bits,
+    makes each run of equal (key, column) one entry, summed by reduceat;
+    zero sums and the rows they empty are dropped.  Returns (row keys,
+    first columns, merge)."""
     col_bits = (ncols - 1).bit_length()
     if key_bits + col_bits + 2 > 63:
         raise ConsistencyError(f"a {key_bits}-bit key over {ncols} columns overflows int64")
-    packed = key << (col_bits + 2)
-    packed |= cols << 2
+    packed = np.left_shift(key, col_bits, out=key)
+    packed |= cols
+    packed <<= 2
     packed |= codes
     packed.sort()
     w = weights[packed & 3]
@@ -118,15 +120,16 @@ def _merge_entries(key, key_bits, cols, ncols, codes, weights):
     return packed[first], cols[first], merge
 
 
-def _merge_quarters(rest, m, rows, codes, M):
-    """Merge a build's entries: entry j is alpha = rest[j]/(4 m[j]), rest < m
-    <= M, with weight _QUARTER_WEIGHTS[codes[j]] at table row rows[j] < 2M.
-    Distinct rest/m differ by at least 1/M^2, so with 2^t >= M^2 the key
-    floor(rest 2^t / m) orders them exactly and rest = ceil(key m / 2^t).
-    Returns (nums, dens, merge), the fractions not yet in lowest terms."""
+def _merge_quarters(rest, rows, codes, M):
+    """Merge a build's entries: entry j is alpha = rest[j]/(4m), rest < m =
+    rows[j] % M + 1 <= M, with weight _QUARTER_WEIGHTS[codes[j]] at table
+    row rows[j] < 2M; the int64 rest array is consumed.  Distinct rest/m
+    differ by at least 1/M^2, so with 2^t >= M^2 the key floor(rest 2^t / m)
+    orders them exactly and rest = ceil(key m / 2^t).  Returns (nums, dens,
+    merge), the fractions not yet in lowest terms."""
     t = (M * M - 1).bit_length()
     rest <<= t
-    rest //= m
+    rest //= rows % M + 1
     key, col, merge = _merge_entries(rest, t, rows, 2 * M, codes, _QUARTER_WEIGHTS)
     m = col % M + 1
     return -((-key * m) >> t), 4 * m, merge
@@ -272,18 +275,20 @@ def build_node_problem(
         return None
 
     sizes = np.arange(2, M + 2, dtype=np.int64)  # segment m has l = 0..m
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    ends = np.cumsum(sizes)
     row = np.repeat(np.arange(M, dtype=np.int64), sizes)  # m - 1, the row of B
     ell = np.arange(row.size, dtype=np.int64)
-    ell -= np.repeat(starts, sizes)
-    m = row + 1
-    code = np.where((ell == 0) | (ell == m), 0, 1)  # weight 2, else 4
+    ell -= np.repeat(ends - sizes, sizes)
+    code = np.ones(row.size, dtype=np.int8)  # weight 4, but 2 at l in {0, m}
+    code[ends - sizes] = code[ends - 1] = 0
     ell *= ell
     # l^2 = (4 s + j) m + rest: alpha = rest/(4m) at the factor i^(j a)
-    quarter, ell = np.divmod(ell, m)
+    row += 1  # m
+    quarter, ell = np.divmod(ell, row)
+    row -= 1
     quarter *= a
     quarter &= 3
-    code |= quarter & 2  # i^(j a) in {-1, -i}: a negative weight
+    code |= (quarter >= 2).view(np.int8) << 1  # i^(j a) in {-1, -i}: a negative weight
     quarter &= 1
     quarter *= M
     row += quarter  # odd j a reads iB
@@ -298,7 +303,7 @@ def build_node_problem(
         u = np.full(M, float(a))
     B = (base * u).T  # (M, R)
     B = np.concatenate((B, 1j * B))  # [B; iB]
-    nums, dens, merge = _merge_quarters(ell, m, row, code, M)
+    nums, dens, merge = _merge_quarters(ell, row, code, M)
     if counter is not None:
         counter.add("node_merged", int(nums.size))
     return NodeSum(nums, dens, merge, B), EvalGrid(b0=b0, H=H, step=4)

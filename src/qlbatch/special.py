@@ -10,13 +10,14 @@ certified tail of the smoothed sum with its smallest truncation order, and
 the two scalar prefactors C(t, q) and g(q).
 
 The kernel is evaluated by a power series for small w and a continued
-fraction for large w, with the crossover at w = |z| + 1.  Both branches are
-vectorized over w with an active-set compaction so large batches pay only
-for entries that have not yet converged.
+fraction for large w, with the crossover at w = |z| + 1, each in geometric
+buckets of w run to one depth fixed at the bucket's edge (Gil, Segura and
+Temme, Numerical Methods for Special Functions, SIAM 2007, ch. 6).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,8 +30,9 @@ _TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 _EXP_UNDERFLOW = 745.0  # exp(-w) == 0.0 in binary64 beyond this
 _SERIES_TOL = 1e-18
 _LENTZ_TOL = 1e-16
-_LENTZ_TINY = 1e-300
 _MAX_ITER = 800
+_OCTAVE_SPLITS = 4  # kernel buckets per octave of w
+_EDGES = 40  # kernel bucket edges each side of the crossover; 2^10 > _EXP_UNDERFLOW
 
 
 def log_gamma(z: complex) -> complex:
@@ -41,79 +43,98 @@ def log_gamma(z: complex) -> complex:
     return complex(sc.loggamma(z))
 
 
+@functools.lru_cache(maxsize=4096)
+def _series_depth(z: complex, w: float) -> int:
+    """First k whose power-series term w^k / (z (z+1) .. (z+k)) is at most
+    _SERIES_TOL times the partial sum through it, the last term summed."""
+    term = total = 1.0 / z
+    for k in range(1, _MAX_ITER + 1):
+        term *= w / (z + k)
+        total += term
+        if abs(term) <= _SERIES_TOL * abs(total):
+            return k
+    raise AccuracyError("kernel series failed to converge")
+
+
+@functools.lru_cache(maxsize=4096)
+def _cf_depth(z: complex, w: float) -> int:
+    """First level j at which the modified Lentz step delta_j of the
+    Legendre continued fraction has |delta_j - 1| <= _LENTZ_TOL.  delta_j - 1
+    is formed as the product a_j e_(j-1) d_j, e_j = 1/c_j - d_j = -(delta_j
+    - 1)/c_j: as c_j d_j - 1 it carries rounding noise near 1e-16 that would
+    decide the count by chance."""
+    c = w + (1.0 - z)
+    e, d = 1.0 / c, 0.0
+    for j in range(1, _MAX_ITER + 1):
+        a = -j * (j - z)
+        b = w + (1.0 - z + 2.0 * j)
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        step = a * e * d
+        e = -step / c
+        if abs(step) <= _LENTZ_TOL:
+            return j
+    raise AccuracyError("kernel continued fraction failed to converge")
+
+
 def _g_kernel_arr(z: complex, w: np.ndarray) -> np.ndarray:
-    """Vectorized G_z(w) over an array of positive w."""
+    """Vectorized G_z(w) over an array of positive w.  The sorted w are cut
+    at c 2^(k/_OCTAVE_SPLITS), |k| <= _EDGES, c = |z| + 1 the crossover, and
+    each bucket runs to the depth needed at its top (series) or bottom
+    (continued fraction) edge, made monotone in w, so a level is three
+    in-place operations on one end of the sorted w.  AccuracyError when a
+    depth passes _MAX_ITER or a value is not finite."""
     z = complex(z)
+    zr = z.real if z.imag == 0.0 else z  # real z runs in real arithmetic
     w = np.asarray(w, dtype=np.float64)
     flat = w.ravel()
     if flat.size and (not np.all(np.isfinite(flat)) or np.any(flat <= 0.0)):
         raise DomainError("g_kernel requires finite w > 0")
+    c = abs(z) + 1.0
+    edges = c * 2.0 ** (np.arange(-_EDGES, _EDGES + 1) / _OCTAVE_SPLITS)
+    order = np.argsort(flat)
+    ws = flat[order]
+    ns, nc = np.searchsorted(ws, (min(c, _EXP_UNDERFLOW), _EXP_UNDERFLOW))
+    bucket = np.searchsorted(edges, ws[:nc], side="right")
+    res = np.zeros(ws.shape, dtype=np.complex128)  # zero past _EXP_UNDERFLOW
+
+    if ns:
+        # G = Gamma(z) w^-z - exp(-w) * sum_k w^k / (z (z+1) ... (z+k)),
+        # the sum by Horner from the depth at the bucket's top edge
+        x = ws[:ns]
+        tops = edges[: bucket[ns - 1] + 1].tolist()
+        depth = np.maximum.accumulate([_series_depth(z, e) for e in tops])[bucket[:ns]]
+        s = np.ones(ns, dtype=np.result_type(zr, 1.0))
+        for k in range(depth[-1], 0, -1):
+            i = np.searchsorted(depth, k)  # w with depth >= k
+            v = s[i:]
+            v *= x[i:]
+            v *= 1.0 / (zr + k)
+            v += 1.0
+        res[:ns] = np.exp(sc.loggamma(z) - z * np.log(x)) - np.exp(-x) * s / z
+
+    if nc > ns:
+        # Legendre continued fraction Gamma(z,w) = exp(-w) w^z / f with
+        # f = b0 + a_1/(b1 + a_2/(b2 + ..)), b_j = w + 1 - z + 2j,
+        # a_j = -j (j - z), by backward recurrence from the bottom edge's depth
+        x = ws[ns:nc]
+        lo = bucket[ns] - 1
+        depth = [_cf_depth(z, e) for e in edges[lo : bucket[nc - 1]].tolist()]
+        depth = np.maximum.accumulate(depth[::-1])[::-1][bucket[ns:nc] - 1 - lo]
+        b0 = x + (1.0 - zr)
+        f = b0 + 2.0 * depth
+        for j in range(depth[0], 0, -1):
+            n = depth.size - np.searchsorted(depth[::-1], j)  # w with depth >= j
+            v = f[:n]
+            np.divide(-j * (j - zr), v, out=v)
+            v += b0[:n]
+            v += 2.0 * (j - 1)
+        res[ns:nc] = np.exp(-x) / f
+
+    if not np.all(np.isfinite(res)):
+        raise AccuracyError("kernel value is not finite")
     out = np.empty(flat.shape, dtype=np.complex128)
-
-    crossover = abs(z) + 1.0
-    tiny = flat >= _EXP_UNDERFLOW
-    small = ~tiny & (flat < crossover)
-    large = ~tiny & ~small
-    out[tiny] = 0.0
-
-    if np.any(small):
-        idx = np.nonzero(small)[0]
-        ws = flat[idx]
-        # G = Gamma(z) w^-z - exp(-w) * sum_k w^k / (z (z+1) ... (z+k))
-        lg = sc.loggamma(z)
-        term = np.full(idx.size, 1.0 / z, dtype=np.complex128)
-        total = term.copy()
-        pos = np.arange(idx.size)
-        t_act = term
-        w_act = ws
-        k = 0
-        while pos.size:
-            k += 1
-            if k > _MAX_ITER:
-                raise AccuracyError("kernel series failed to converge")
-            t_act = t_act * (w_act / (z + k))
-            total[pos] += t_act
-            keep = np.abs(t_act) > _SERIES_TOL * np.abs(total[pos])
-            if not keep.all():
-                pos = pos[keep]
-                t_act = t_act[keep]
-                w_act = w_act[keep]
-        out[idx] = np.exp(lg - z * np.log(ws)) - np.exp(-ws) * total
-
-    if np.any(large):
-        idx = np.nonzero(large)[0]
-        x = flat[idx]
-        # Legendre continued fraction by the modified Lentz scheme:
-        # Gamma(z,w) = exp(-w) w^z / (b0 + K_j(a_j / b_j)),
-        # b0 = w + 1 - z, a_j = -j (j - z), b_j = b_(j-1) + 2.
-        f = (x + 1.0 - z).astype(np.complex128)
-        f[np.abs(f) < _LENTZ_TINY] = _LENTZ_TINY
-        pos = np.arange(idx.size)
-        b_act = f.copy()
-        c_act = f.copy()
-        d_act = np.zeros(idx.size, dtype=np.complex128)
-        j = 0
-        while pos.size:
-            j += 1
-            if j > _MAX_ITER:
-                raise AccuracyError("kernel continued fraction failed to converge")
-            a_j = -j * (j - z)
-            b_act = b_act + 2.0
-            d_act = b_act + a_j * d_act
-            d_act[np.abs(d_act) < _LENTZ_TINY] = _LENTZ_TINY
-            c_act = b_act + a_j / c_act
-            c_act[np.abs(c_act) < _LENTZ_TINY] = _LENTZ_TINY
-            d_act = 1.0 / d_act
-            delta = c_act * d_act
-            f[pos] *= delta
-            keep = np.abs(delta - 1.0) > _LENTZ_TOL
-            if not keep.all():
-                pos = pos[keep]
-                b_act = b_act[keep]
-                c_act = c_act[keep]
-                d_act = d_act[keep]
-        out[idx] = np.exp(-x) / f
-
+    out[order] = res
     return out.reshape(w.shape)
 
 

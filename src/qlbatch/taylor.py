@@ -33,6 +33,7 @@ from .special import _certified_order, _certified_tail, _g_rows_arr, c_prefactor
 # gets the per-coefficient epsilon3 below; the factor 4 R N sqrt(Q) absorbs
 # term counts and the sqrt(a) assembly weights.
 _EPS3_FLOOR = 2.0 ** -48  # double-precision floor of the transform tolerance
+_MAX_N = 1 << 20  # the node builder's int64 merge key holds M = N//a up to this
 _CAUCHY_GAPS = 2.0 ** (-0.5 * np.arange(1, 17))  # 1 - rho' in units of 1 - rho
 
 
@@ -75,10 +76,10 @@ def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
     """Choose N, R and the error splits for a window [Q, Q+Delta).
 
     N is the smallest order with tail_bound(N, Q, t) < eps1 and R the least
-    with taylor_remainder_bound(N, Q, Delta, R, t) < eps2.  Raises
-    BudgetError when the request cannot be met in double precision: either
-    log2(Q/epsilon) exceeds 45 bits or the resulting per-coefficient target
-    epsilon3 falls below 2^-48.  An epsilon outside (0, 1) raises DomainError.
+    with taylor_remainder_bound(N, Q, Delta, R, t) < eps2.  BudgetError when
+    log2(Q/epsilon) exceeds 45 bits, N passes the node builder's _MAX_N or
+    the per-coefficient target epsilon3 falls below the 2^-48 floor; an
+    epsilon outside (0, 1) raises DomainError.
     """
     window = Window(int(Q), int(Delta))  # validates 1 <= Delta <= Q/2
     Q, Delta = window.Q, window.Delta
@@ -87,6 +88,8 @@ def plan_budget(Q: int, Delta: int, epsilon: float, t: float) -> ErrorBudget:
     eps1 = epsilon / 8.0
     eps2 = epsilon / 8.0
     N = int(_certified_order(1.5 * Q, eps1, max(1.0, abs(t))))
+    if N > _MAX_N:
+        raise BudgetError(f"N = {N} passes the node builder's 2^20 capacity; raise epsilon")
     centre = _expansion(Q, Delta)[0]
     orders = np.arange(1, 257)  # the coarsest rho' alone puts order 256 below 1e-80
     R = int(orders[np.argmax(_cauchy_majorant(N, Q, Delta, orders, t) < eps2)])

@@ -148,6 +148,15 @@ class TestExitCodes:
         assert rc == 3
         assert "error:" in err
 
+    def test_node_capacity_breach(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        # N = 5,479,979 at t = 0 passes the node builder's 2^20 capacity
+        rc = main(["eval", "--q-min", str(10**13 + 1), "--q-width", "1", "--epsilon", "0.99",
+                   "--out", str(out)])
+        assert "2^20" in capsys.readouterr().err
+        assert rc == 3
+        assert not out.exists()
+
     @pytest.mark.parametrize("q_min,eps", [("101", "1e-17"), ("5001", "5e-324")])
     def test_precision_breach_refused_before_sweep(self, q_min, eps, tmp_path, capsys):
         # log2(Q/epsilon) <= 45 holds at every Q, checked before any sweep:

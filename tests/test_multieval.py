@@ -39,7 +39,7 @@ from qlbatch.multieval import (
     fast_eval,
     gauss_table,
 )
-from qlbatch.taylor import build_coefficient_table, plan_budget
+from qlbatch.taylor import _MAX_N, build_coefficient_table, plan_budget
 
 # the two evaluation paths of a node problem, as (problem, grid) -> values
 _ROUTES = {
@@ -113,7 +113,7 @@ def _quarter_problem(M, columns) -> NodeSum:
     """The build's merge of entries (m, rest, odd, code): alpha = rest/(4m)
     at table row m - 1 + odd M with weight _QUARTER_WEIGHTS[code]."""
     m, rest, odd, code = columns
-    merged = _merge_quarters(rest % m, m, m - 1 + odd * M, code, M)
+    merged = _merge_quarters(rest % m, m - 1 + odd * M, code, M)
     return NodeSum(*merged, np.zeros((2 * M, 1), dtype=np.complex128))
 
 
@@ -198,9 +198,11 @@ class TestMergeAgainstReference:
                            _QUARTER_WEIGHTS)
 
     def test_build_key_capacity(self):
-        # M = 2^20 packs into exactly 63 bits; its extreme entries rest =
-        # M - 1 over 4M and 0 at the last row survive, and M + 1 raises
-        M = 1 << 20
+        # M = 2^20, the planner's _MAX_N, packs into exactly 63 bits; its
+        # extreme entries rest = M - 1 over 4M and 0 at the last row
+        # survive, and M + 1 raises
+        M = _MAX_N
+        assert M == 1 << 20
         p = _quarter_problem(M, _columns([(M, M - 1, 1, 1), (1, 0, 0, 0)]))
         assert p.nums.tolist() == [0, M - 1] and p.dens.tolist() == [1, 4 * M]
         assert p.merge.indices.tolist() == [0, 2 * M - 1]
@@ -231,9 +233,17 @@ class TestMergeAgainstReference:
         window = Window(1_100_001, 550_000)
         budget = plan_budget(window.Q, window.Delta, 1e-6, 0.0)
         table = build_coefficient_table(0.0, budget.centre, budget.N, 1)
-        p, g = build_node_problem(1, table, window)
+        tracemalloc.start()
+        try:
+            p, g = build_node_problem(1, table, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         M = budget.N
         assert M == 2789
+        # 3.9M raw entries: an int64 row, remainder and packed key, an int8
+        # weight code and the merge's temporaries, about 36 bytes an entry
+        assert peak <= 170 * 2**20
         assert np.all(p.nums >= 0) and np.all(4 * p.nums < p.dens)
         assert np.all(np.gcd(p.nums, p.dens) == np.where(p.nums == 0, p.dens, 1))
         assert np.all(p.nums[1:] * p.dens[:-1] > p.nums[:-1] * p.dens[1:])

@@ -12,10 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import loggamma
 
-from qlbatch import DomainError
+from qlbatch import AccuracyError, DomainError
+from qlbatch import special
 from qlbatch.special import (
+    _cf_depth,
     _g_kernel_arr,
+    _series_depth,
     g_derivative_row,
     g_kernel,
     g_prefactor,
@@ -68,6 +72,136 @@ _V_REFERENCE = [
     (0.3, 2.2, (0.011740051266940913 + 0.010616739648003177j)),
     (1.0, 29.0, (-1.3701540091776442e-14 + 3.446993837899878e-15j)),
 ]
+
+
+def _active_set_kernel(z, w):
+    """The kernel before fixed depths, kept as a reference: each argument
+    runs its branch until its own stopping rule holds, the converged ones
+    compacted out of the working arrays at every level."""
+    z = complex(z)
+    flat = np.asarray(w, dtype=np.float64).ravel()
+    out = np.zeros(flat.shape, dtype=np.complex128)
+    small = flat < abs(z) + 1.0
+    large = ~small & (flat < 745.0)
+    if np.any(small):
+        idx = np.nonzero(small)[0]
+        ws = flat[idx]
+        term = np.full(idx.size, 1.0 / z, dtype=np.complex128)
+        total = term.copy()
+        pos, t_act, w_act, k = np.arange(idx.size), term, ws, 0
+        while pos.size:
+            k += 1
+            t_act = t_act * (w_act / (z + k))
+            total[pos] += t_act
+            keep = np.abs(t_act) > 1e-18 * np.abs(total[pos])
+            pos, t_act, w_act = pos[keep], t_act[keep], w_act[keep]
+        out[idx] = np.exp(loggamma(z) - z * np.log(ws)) - np.exp(-ws) * total
+    if np.any(large):
+        idx = np.nonzero(large)[0]
+        x = flat[idx]
+        f = (x + 1.0 - z).astype(np.complex128)
+        pos = np.arange(idx.size)
+        b, c, d, j = f.copy(), f.copy(), np.zeros(idx.size, dtype=np.complex128), 0
+        while pos.size:
+            j += 1
+            a = -j * (j - z)
+            b = b + 2.0
+            d = b + a * d
+            d[np.abs(d) < 1e-300] = 1e-300
+            c = b + a / c
+            c[np.abs(c) < 1e-300] = 1e-300
+            d = 1.0 / d
+            delta = c * d
+            f[pos] *= delta
+            keep = np.abs(delta - 1.0) > 1e-16
+            pos, b, c, d = pos[keep], b[keep], c[keep], d[keep]
+        out[idx] = np.exp(-x) / f
+    return out.reshape(np.shape(w))
+
+
+_KERNEL_HEIGHTS = (0.0, 0.3, 1.0, 3.0, 10.0)
+
+
+def _kernel_edges(z):
+    """The kernel's bucket edges c 2^(k/4), the crossover c among them."""
+    return (abs(z) + 1.0) * 2.0 ** (np.arange(-special._EDGES, special._EDGES + 1)
+                                    / special._OCTAVE_SPLITS)
+
+
+def _kernel_grid(z, size):
+    """size geometric points of [1e-6, 744.9] with every bucket edge and the
+    crossover, each also 1 ulp to either side."""
+    marks = _kernel_edges(z)
+    w = np.concatenate((np.geomspace(1e-6, 744.9, size), marks,
+                        np.nextafter(marks, 0.0), np.nextafter(marks, np.inf)))
+    return np.unique(w[(w >= 1e-6) & (w <= 744.9)])
+
+
+def _relative(val, ref):
+    # a subnormal value is judged in units of the smallest normal double
+    return np.abs(val - ref) / np.maximum(np.abs(ref), np.finfo(np.float64).tiny)
+
+
+class TestKernelBuckets:
+    @pytest.mark.parametrize("t", _KERNEL_HEIGHTS)
+    def test_matches_active_set_reference(self, t):
+        z = 0.25 + 0.5j * t
+        w = _kernel_grid(z, 20_000)
+        assert _relative(_g_kernel_arr(z, w), _active_set_kernel(z, w)).max() <= 3e-14
+
+    @pytest.mark.parametrize("t", _KERNEL_HEIGHTS)
+    def test_against_mpmath(self, t):
+        mp = pytest.importorskip("mpmath")
+        z = 0.25 + 0.5j * t
+        w = _kernel_grid(z, 400)
+        with mp.workdps(30):
+            zm = mp.mpc(z)
+            ref = np.array([complex(mp.gammainc(zm, x) / mp.power(x, zm))
+                            for x in map(mp.mpf, w.tolist())])
+        assert _relative(_g_kernel_arr(z, w), ref).max() <= 5e-14
+
+    @pytest.mark.parametrize("t", _KERNEL_HEIGHTS)
+    def test_bucket_depth_covers_every_argument(self, t):
+        # each bucket runs to the stopping count at its top (series) or
+        # bottom (continued fraction) edge; the count of every argument
+        # inside must not exceed it
+        z = 0.25 + 0.5j * t
+        edges = _kernel_edges(z)
+        c = edges[special._EDGES]
+        w = np.geomspace(1e-6, 744.9, 20_001)
+        ws, wc = w[w < c].tolist(), w[w >= c].tolist()
+        tops = edges[np.searchsorted(edges, ws, side="right")].tolist()
+        assert all(_series_depth(z, x) <= _series_depth(z, e) for x, e in zip(ws, tops))
+        bottoms = edges[np.searchsorted(edges, wc, side="right") - 1].tolist()
+        assert all(_cf_depth(z, x) <= _cf_depth(z, e) for x, e in zip(wc, bottoms))
+
+    def test_max_iter_raises(self, monkeypatch):
+        # a branch raises only when one of its occupied buckets needs more;
+        # cached depths would skip the lowered limit
+        _series_depth.cache_clear()
+        _cf_depth.cache_clear()
+        monkeypatch.setattr(special, "_MAX_ITER", 6)
+        assert _g_kernel_arr(0.25, np.array([1e-5, 800.0])).shape == (2,)
+        with pytest.raises(AccuracyError, match="series"):
+            _g_kernel_arr(0.25, np.array([1e-3, 1.0]))
+        with pytest.raises(AccuracyError, match="continued fraction"):
+            _g_kernel_arr(0.25, np.array([3.0, 500.0]))
+
+    def test_overflow_raises(self):
+        # G_200(0.01) ~ Gamma(200) 100^200 is past the largest double
+        with pytest.raises(AccuracyError, match="not finite"), np.errstate(over="ignore"):
+            _g_kernel_arr(200.0, np.array([0.01, 5.0]))
+
+    def test_shapes(self):
+        z = 0.25 + 0.15j
+        empty = _g_kernel_arr(z, np.empty((0, 3)))
+        assert empty.shape == (0, 3) and empty.dtype == np.complex128
+        scalar = _g_kernel_arr(z, 2.0)
+        assert scalar.shape == () and scalar == g_kernel(z, 2.0)
+        w = np.array([[0.01, 900.0, 3.0], [1.2, 40.0, 1e-5]])
+        grid = _g_kernel_arr(z, w)
+        assert grid.shape == (2, 3) and grid[0, 1] == 0.0
+        assert np.all(grid.ravel() == _g_kernel_arr(z, w.ravel()))
 
 
 class TestGKernel:

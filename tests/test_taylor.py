@@ -68,6 +68,12 @@ class TestPlanBudget:
         with pytest.raises(BudgetError, match="2\\^-48"):
             plan_budget(1 << 32, 1 << 31, 2.0 ** -12, 0.0)
 
+    def test_rejects_node_capacity_breach(self):
+        # N = 7,845,209 would pass the 2^20 frequencies the node builder's
+        # packed merge key holds; refused before R is sized
+        with pytest.raises(BudgetError, match="2\\^20"):
+            plan_budget(10**13 + 1, 1, 0.99, 10.0)
+
     def test_rejects_large_t(self):
         for t in (10.5, float("nan")):
             with pytest.raises(DomainError):
