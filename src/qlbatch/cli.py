@@ -79,14 +79,27 @@ def _make_request(args) -> BatchRequest:
     return BatchRequest(window=window, t=args.t, epsilon=args.epsilon)
 
 
+# json.dump's text for the values whose repr is not JSON
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "True": "true", "False": "false"}
+
+
+def _json_cell(value) -> str:
+    """One value as json.dump writes it: ints and floats by repr, non-finite
+    floats as NaN and +-Infinity, bools as true and false."""
+    text = repr(value)
+    return _JSON_WORDS.get(text, text)
+
+
 def _write_table(out, fmt, fields, columns, doc=None, key="rows") -> None:
     """Write one row per entry of the array columns, as CSV or JSON records.
 
-    A column is an array or a scalar repeated on every row.  CSV picks each
-    column's format once from its dtype: floats as %.16e, which round-trips
-    a double, ints and bools as integers; a scalar is formatted once, into
-    the line template.  JSON writes the records under doc[key] when a doc is
-    given, else as a bare list.
+    A column is an array or a scalar repeated on every row.  Each format
+    writes its rows from one template, into which a scalar is formatted
+    once.  CSV picks each column's format once from its dtype: floats as
+    %.16e, which round-trips a double, ints and bools as integers.  JSON
+    writes, byte for byte, what json.dump(..., indent=2) writes: the records
+    under doc[key], after doc's own keys, when a doc is given, else a bare
+    list.
     """
     cols = [np.asarray(c) for c in columns]
     with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
@@ -102,10 +115,22 @@ def _write_table(out, fmt, fields, columns, doc=None, key="rows") -> None:
             fh.write(",".join(fields) + "\n")
             fh.writelines(itertools.starmap((",".join(parts) + "\n").format, zip(*arrays)))
             return
-        vals = [itertools.repeat(c.item()) if c.ndim == 0 else c.tolist() for c in cols]
-        records = [dict(zip(fields, row)) for row in zip(*vals)]
-        json.dump(records if doc is None else {**doc, key: records}, fh, indent=2)
-        fh.write("\n")
+        pad = "  " if doc is None else "    "  # a record's indent
+        lines, arrays = [], []
+        for field, c in zip(fields, cols):
+            if c.ndim == 0:
+                cell = _json_cell(c.item())
+            else:
+                cell = "{}"
+                arrays.append(list(map(_json_cell, c.tolist())))
+            lines.append(f"{pad}  {json.dumps(field)}: {cell}")
+        record = pad + "{{\n" + ",\n".join(lines) + "\n" + pad + "}}"
+        records = ",\n".join(itertools.starmap(record.format, zip(*arrays)))
+        table = f"[\n{records}\n{pad[2:]}]" if records else "[]"
+        if doc is not None:
+            # the doc's text with the table as a last key, its null cut off
+            table = json.dumps({**doc, key: None}, indent=2)[: -len("null\n}")] + table + "\n}"
+        fh.write(table + "\n")
 
 
 def cmd_eval(args) -> int:

@@ -1,6 +1,7 @@
 """Command line front end: formats, exit codes, no table cache."""
 
 import functools
+import itertools
 import json
 import os
 import re
@@ -14,7 +15,8 @@ import pytest
 from qlbatch import (AccuracyError, BudgetError, ConsistencyError, DomainError, Window,
                      run_batch)
 from qlbatch.arith import fundamental_conductors
-from qlbatch.cli import main
+import qlbatch.cli
+from qlbatch.cli import _write_table, main
 
 _SCI = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,}$")
 
@@ -318,6 +320,65 @@ class TestOneTable:
             cells = line.split(",")
             # %.16e round-trips a double, so every value is exactly equal
             assert [int(cells[0]), *map(float, cells[1:])] == [record[f] for f in fields]
+
+
+def _json_dump_table(out, fields, columns, doc=None, key="rows"):
+    """The JSON writer before row templates, kept as the reference: one dict
+    per record, json.dump with indent=2 and a closing newline."""
+    cols = [np.asarray(c) for c in columns]
+    vals = [itertools.repeat(c.item()) if c.ndim == 0 else c.tolist() for c in cols]
+    records = [dict(zip(fields, row)) for row in zip(*vals)]
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(records if doc is None else {**doc, key: records}, fh, indent=2)
+        fh.write("\n")
+
+
+class TestJsonWriter:
+    """The row-template JSON writer against json.dump, byte for byte."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("argv,key", [
+        (["eval", "--q-min", "101", "--q-width", "50", "--t", "0.3"], "records"),
+        (["compare", "--q-min", "101", "--q-width", "50", "--t", "0.3"], "rows"),
+        (["eval", "--q-min", "4", "--q-width", "1"], "records"),
+        (["compare", "--q-min", "2", "--q-width", "1"], "rows"),
+        (["scan", "--q-min", "101", "--q-width", "50", "--epsilon", "1e-4",
+          "--t-min", "0.0", "--t-max", "1.5", "--t-step", "0.5"], None),
+        (["scan", "--q-min", "4", "--q-width", "1",
+          "--t-min", "0.0", "--t-max", "0.5", "--t-step", "0.5"], None),
+    ])
+    def test_commands_match_json_dump(self, argv, key, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def spy(out, fmt, fields, columns, doc=None, key="rows"):
+            calls.append((fields, columns, doc, key))
+            _write_table(out, fmt, fields, columns, doc, key)
+
+        monkeypatch.setattr(qlbatch.cli, "_write_table", spy)
+        out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        capsys.readouterr()
+        (fields, columns, doc, written_key), = calls
+        _json_dump_table(ref, fields, columns, doc, written_key)
+        assert out.read_bytes() == ref.read_bytes()
+        table = json.loads(out.read_text())
+        rows = table if key is None else table[key]
+        assert bool(rows) == ("101" in argv)  # [4, 5) and [2, 3) hold no conductor
+
+    @pytest.mark.parametrize("doc,key", [(None, "rows"), ({"n": 5, "max_dev": 1e-300}, "rows"),
+                                         ({"timings": {"a": 0.1}, "flag": True}, "records"),
+                                         ({}, "rows")])
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    def test_tables_match_json_dump(self, doc, key, size, tmp_path):
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0, 0.1, 1e300])
+        columns = (np.arange(10_001, 10_001 + 2 * size, 2, dtype=np.int64), 0.3,
+                   special[:size], np.array([True, False, True, False, True][:size]),
+                   np.full(size, np.nan), float("-inf"), np.int64(7), np.bool_(True))
+        fields = ("q", "t", "Z", "certified", "dev", "low", "n", "ok")
+        out, ref = tmp_path / "out.json", tmp_path / "ref.json"
+        _write_table(out, "json", fields, columns, doc, key)
+        _json_dump_table(ref, fields, columns, doc, key)
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestScan:

@@ -3,9 +3,12 @@
 import ast
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qlbatch.oracle
 from qlbatch import (
@@ -18,7 +21,7 @@ from qlbatch import (
     oracle_sweep,
 )
 from qlbatch.arith import fundamental_conductors
-from qlbatch.oracle import _truncation_order, direct_F
+from qlbatch.oracle import _segment_sums, _truncation_order, direct_F
 from qlbatch.special import _certified_tail
 
 # (q, t, Z) frozen from a 50-digit mpmath evaluation of the smoothed sum,
@@ -197,6 +200,118 @@ class TestOracleSweep:
         counter = OpCounter()
         sweep = oracle_sweep(Window(101, 50), 0.0, 1e-6, counter=counter)
         assert counter.get("oracle_special_calls") == sweep.N_used.sum()
+
+
+def _fsum_segments(x, counts):
+    """The sweep's sum before Sum2, kept as the reference: math.fsum, which
+    is correctly rounded, over each run of terms, real and imaginary parts
+    apart."""
+    return np.array([complex(math.fsum(p.real.tolist()), math.fsum(p.imag.tolist()))
+                     for p in np.split(np.asarray(x), np.cumsum(counts)[:-1])])
+
+
+_numpy_cumsum = np.cumsum
+
+
+def _blocked_cumsum(x, axis=None, dtype=None, out=None):
+    """A cumsum as a parallel scan forms it: the second half restarts from 0
+    and is shifted by the first half's total.  The same sum, but not the
+    sequential rounding."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "fc" or x.size < 2:
+        return _numpy_cumsum(x, axis=axis, dtype=dtype, out=out)
+    half = x.size // 2
+    first = _numpy_cumsum(x[:half])
+    blocked = np.concatenate((first, _numpy_cumsum(x[half:]) + first[-1]))
+    if out is None:
+        return blocked
+    out[...] = blocked
+    return out
+
+
+# runs whose terms cancel badly: x next to -x, 1e16 + 1 - 1e16, mixed signs
+_finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+_segment = st.one_of(
+    st.just([]),
+    st.lists(_finite, min_size=1, max_size=1),
+    st.lists(_finite, max_size=12),
+    st.lists(_finite, min_size=1, max_size=6).flatmap(
+        lambda xs: st.permutations(xs + [-x for x in xs])),
+    st.tuples(st.floats(1e15, 1e300), st.floats(-4.0, 4.0)).map(
+        lambda bs: [bs[0], bs[1], -bs[0]]),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=12).map(
+        lambda xs: [v * 10.0 ** (8 * (i % 3)) * (-1) ** i for i, v in enumerate(xs)]),
+)
+
+
+class TestSegmentSums:
+    @given(st.lists(_segment, max_size=10))
+    def test_within_sum2_bound_of_exact_sum(self, segments):
+        x = np.array([v for seg in segments for v in seg], dtype=np.float64)
+        counts = np.array([len(seg) for seg in segments], dtype=np.int64)
+        F = _segment_sums(x, counts)
+        assert F.shape == counts.shape and F.dtype == np.float64
+        u = Fraction(1, 2 ** 53)
+        p = np.cumsum(x)
+        P = np.concatenate(([0.0], p))
+        ends = np.cumsum(counts)
+        for k, seg in enumerate(segments):
+            m = len(seg)
+            if m == 0:
+                assert F[k] == 0.0
+                continue
+            exact = sum(map(Fraction, seg))
+            # the m+1 values the run rounds to: its partial sums and D
+            rounded = [*p[ends[k] - m : ends[k]].tolist(), P[ends[k]] - P[ends[k] - m]]
+            gamma = (m + 1) * u / (1 - (m + 1) * u)
+            bound = u * abs(Fraction(F[k])) + gamma * u * sum(abs(Fraction(v)) for v in rounded)
+            assert abs(Fraction(F[k]) - exact) <= bound, (k, seg)
+
+    def test_cancellations_sum_exactly(self):
+        x = np.array([1e16, 1.0, -1e16, 3.0, -3.0, 0.1, 2.5, 0.5, -2.5])
+        assert _segment_sums(x, [3, 0, 2, 1, 3, 0]).tolist() == [1.0, 0.0, 0.0, 0.1, 0.5, 0.0]
+
+    def test_complex_parts_sum_apart(self, rng):
+        x = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
+        y = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
+        counts = np.array([0, 1, 120, 0, 79, 300])
+        F = _segment_sums(x + 1j * y, counts)
+        assert np.array_equal(F.real, _segment_sums(x, counts))
+        assert np.array_equal(F.imag, _segment_sums(y, counts))
+        assert np.array_equal(F, _fsum_segments(x + 1j * y, counts))
+
+    def test_empty_input(self):
+        assert _segment_sums(np.empty(0), np.empty(0, dtype=np.int64)).shape == (0,)
+        assert _segment_sums(np.empty(0), [0, 0]).tolist() == [0.0, 0.0]
+
+    def test_non_sequential_cumsum_refused(self, monkeypatch, rng):
+        monkeypatch.setattr(np, "cumsum", _blocked_cumsum)
+        with pytest.raises(ConsistencyError, match="sequential"):
+            _segment_sums(rng.standard_normal(1_000), [400, 600])
+
+
+class TestSweepSum:
+    """oracle_sweep's Sum2 against the fsum it replaced."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 10.0])
+    def test_bit_identical_to_fsum_sweep(self, t, monkeypatch):
+        window = Window(10_033, 5_000)
+        sweep = oracle_sweep(window, t, 1e-6)
+        monkeypatch.setattr(qlbatch.oracle, "_segment_sums", _fsum_segments)
+        ref = oracle_sweep(window, t, 1e-6)
+        assert sweep.q.size > 1_000
+        assert np.array_equal(sweep.Z, ref.Z)
+
+    def test_threads_bit_identical(self):
+        window = Window(10_033, 5_000)
+        one = oracle_sweep(window, 0.3, 1e-6, threads=1)
+        two = oracle_sweep(window, 0.3, 1e-6, threads=2)
+        assert np.array_equal(one.Z, two.Z) and np.array_equal(one.q, two.q)
+
+    def test_non_sequential_cumsum_refused(self, monkeypatch):
+        monkeypatch.setattr(np, "cumsum", _blocked_cumsum)
+        with pytest.raises(ConsistencyError, match="sequential"):
+            oracle_sweep(Window(10_001, 512), 0.3, 1e-6)
 
 
 class TestIndependence:

@@ -310,6 +310,25 @@ class TestLogGamma:
         with pytest.raises(DomainError):
             log_gamma(-3.0)
 
+    @pytest.mark.parametrize("z", [0.0, -1.0, -2 + 0j, -7.0])
+    @pytest.mark.parametrize("w", [0.5, 2.5, 40.0])
+    def test_kernel_pole_raises(self, z, w):
+        # the series divides by z + k = 0 below the crossover |z| + 1; every
+        # entry point refuses such z on both sides of it
+        with pytest.raises(DomainError, match="poles"):
+            _g_kernel_arr(z, np.array([w]))
+        with pytest.raises(DomainError, match="poles"):
+            g_kernel(z, w)
+        with pytest.raises(DomainError, match="poles"):
+            incomplete_gamma_upper(z, w)
+        with pytest.raises(DomainError, match="poles"):
+            weight_v(2.0 * z, w)
+
+    def test_kernel_near_pole_has_values(self):
+        # one ulp off a pole, or off the real axis, z is in the domain
+        for z in (np.nextafter(-1.0, 0.0), -1.0 + 1e-9j, 1e-300):
+            assert np.isfinite(_g_kernel_arr(z, np.array([0.5, 40.0]))).all()
+
 
 class TestIncompleteGamma:
     def test_against_kernel_relation(self):
