@@ -30,8 +30,8 @@ from .arith import Window, _check_t
 from .errors import AccuracyError, BudgetError, ConsistencyError, DomainError
 from .pipeline import BatchRequest, compare_with_oracle, run_batch
 
-# each scan height is a full window sweep (0.8-1.1 s for 4096 conductors near
-# 10^5 on a 2-vCPU Xeon VM), so a longer grid is refused, not run
+# each scan height is a full window sweep (0.08-0.10 s warm for a window of
+# width 4096 near 10^5 on a 2-vCPU x86 VM), so a longer grid is refused, not run
 _SCAN_MAX_HEIGHTS = 10_000
 
 # exit code of each refusal main reports on stderr
@@ -314,14 +314,13 @@ def _st_closed_form() -> None:
     qs = fundamental_conductors(window)
     owner, a, _ = divisor_terms(window, qs, budget.N)
     b = qs[owner] // a
-    for convention in ("sqrt_a", "plain_a"):
-        closed = closed_form_terms(a, b, table, convention=convention)
-        for d in np.unique(a).tolist():
-            p, g = build_node_problem(d, table, window, convention=convention)
-            cols = np.flatnonzero(a == d)
-            ref = direct_eval(p, g)[:, (b[cols] - g.b0) // g.step]
-            if np.max(np.abs(closed[:, cols] - ref)) > 1e-13 * np.max(np.abs(ref)):
-                raise ConsistencyError(f"closed form of a={d} ({convention}) != node problem")
+    closed = closed_form_terms(a, b, table)
+    for d in np.unique(a).tolist():
+        p, g = build_node_problem(d, table, window)
+        cols = np.flatnonzero(a == d)
+        ref = direct_eval(p, g)[:, (b[cols] - g.b0) // g.step]
+        if np.max(np.abs(closed[:, cols] - ref)) > 1e-13 * np.max(np.abs(ref)):
+            raise ConsistencyError(f"closed form of a={d} != node problem")
 
 
 def _st_window_consistency() -> None:

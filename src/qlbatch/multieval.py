@@ -2,7 +2,7 @@
 
 A node problem holds K rational frequencies alpha_k = num_k/den_k in [0, 1)
 and their R stacked coefficient vectors as the linear map coeffs = merge @ B
-from M weighted table rows, and both evaluators compute
+from M table rows, and both evaluators compute
 
     Z_r(h) = sum_k coeffs[r, k] exp(2 pi i alpha_k (b0 + step h)),  0 <= h < H,
 
@@ -85,7 +85,6 @@ _CLOSED_CHUNK = 1 << 16
 # windows, 0.13-203 ms, predicted within 0.7-1.4x with 0.15 ms per pass
 _NODE_COST = (2.4e-7, 1.56e-6, 4.0e-4)  # alpha, beta, gamma
 _CLOSED_COST = (4.3e-8, 2.0e-7, 1.6e-7)  # kappa, lambda, rho
-_CONVENTIONS = ("sqrt_a", "plain_a")
 # keeps from_fractions' key floor(alpha 2^62) and every exact angle in int64
 _MAX_DEN = 1 << 31
 _QUARTER_WEIGHTS = np.array([2.0, 4.0, -2.0, -4.0])  # a build's weight codes
@@ -230,17 +229,11 @@ def _exact_phase(nums: np.ndarray, dens: np.ndarray, shift) -> np.ndarray:
     return np.exp((2j * math.pi) * (ang / dens))
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown assembly convention {convention!r}")
-
-
 def build_node_problem(
     a: int,
     table: CoefficientTable,
     window: Window,
     *,
-    convention: str = "sqrt_a",
     counter: OpCounter | None = None,
 ):
     """Assemble the divisor-a node problem for one coefficient table.
@@ -253,17 +246,16 @@ def build_node_problem(
     [B; iB].  Equal fractions across all m <= N/a merge into one sparse
     (K, 2M) map whose rows are in alpha order, without the weights that
     cancel to 0 or the rows they leave empty; the map is not applied here.
-    Row m of B carries the whole assembly weight u_m = sqrt(a/m), or a under
-    convention="plain_a", so evaluating the problem on its grid gives the
-    divisor's summand sqrt(a) S_r(a, b) at every b = b0, b0+4, ..,
-    b0+4(H-1).  Returns (NodeSum, EvalGrid) with grid step 4, or None when
-    the divisor contributes nothing (a > N or the rescaled window holds no
-    b = a mod 4); the raw entries are counted either way once a <= N.
+    Row m of B is table column a m, unweighted, so evaluating the problem on
+    its grid gives sum_m c_r(t, a m) G(b; 4m) at every b = b0, b0+4, ..,
+    b0+4(H-1); the caller's table carries any weight.  Returns (NodeSum,
+    EvalGrid) with grid step 4, or None when the divisor contributes nothing
+    (a > N or the rescaled window holds no b = a mod 4); the raw entries are
+    counted either way once a <= N.
     """
     a = int(a)
     if a < 1:
         raise DomainError("divisor a must be positive")
-    _check_convention(convention)
     N, R = table.N, table.R
     if a > N:
         return None
@@ -294,15 +286,11 @@ def build_node_problem(
     row += quarter  # odd j a reads iB
     del quarter
 
-    # per-m coefficient row: weight u_m times c_r(t, a m)
-    cols = a * np.arange(1, M + 1, dtype=np.int64) - 1
-    base = table.c[:, cols]
-    if convention == "sqrt_a":
-        u = np.sqrt(a / np.arange(1, M + 1, dtype=np.float64))
-    else:
-        u = np.full(M, float(a))
-    B = (base * u).T  # (M, R)
-    B = np.concatenate((B, 1j * B))  # [B; iB]
+    # [B; iB], row m - 1 of B the table column a m, C-contiguous as the
+    # float64 view in NodeSum.block needs
+    B = np.empty((2 * M, R), dtype=np.complex128)
+    B[:M] = table.c[:, a - 1 : a * M : a].T
+    np.multiply(B[:M], 1j, out=B[M:])
     nums, dens, merge = _merge_quarters(ell, row, code, M)
     if counter is not None:
         counter.add("node_merged", int(nums.size))
@@ -346,26 +334,22 @@ def closed_form_terms(
     b,
     table: CoefficientTable,
     *,
-    convention: str = "sqrt_a",
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """The summands sqrt(a) S_r(a, b) of divisor terms, without node problems.
+    """Divisor terms read off the Gauss table, without node problems.
 
     Term j is the divisor a[j] at the argument b[j].  Each m's folded inner
     sum in build_node_problem is the complete Gauss sum G(b; 4m), which
-    depends on b only mod 4m, so term j is
+    depends on b only mod 4m, so term j is the node problem's value
 
-        sum_(m <= N/a) u_m c_r(t, a m) G(b mod 4m; 4m),
+        sum_(m <= N/a) c_r(t, a m) G(b mod 4m; 4m),
 
-    one gather from gauss_table per (term, m) pair.  The weight
-    u_m = sqrt(a) m^(-1/2), or a under convention="plain_a", splits into an
-    m part that scales the Gauss rows and an a part that scales the term.
-    Chunks of about _CLOSED_CHUNK pairs, each term counted with its R
-    values, form one sparse (terms, N) array each, whose product with the
-    table's columns gives the chunk's terms.  Returns the (R, J) values;
-    closed_pairs counts the pairs.
+    one gather from gauss_table per (term, m) pair.  Chunks of about
+    _CLOSED_CHUNK pairs, each term counted with its R values, form one
+    sparse (terms, N) array each, whose product with the table's columns
+    gives the chunk's terms.  Returns the (R, J) values; closed_pairs counts
+    the pairs.
     """
-    _check_convention(convention)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.ndim != 1 or a.shape != b.shape:
@@ -379,14 +363,7 @@ def closed_form_terms(
         counter.add("closed_pairs", int(M.sum()))
     if a.size == 0:
         return out
-    m_max = int(M.max())
-    gauss = gauss_table(m_max)
-    if convention == "sqrt_a":
-        m = np.arange(1, m_max + 1)
-        gauss *= np.repeat(1.0 / np.sqrt(m), 4 * m)
-        weight = np.sqrt(a)
-    else:
-        weight = a.astype(np.float64)
+    gauss = gauss_table(int(M.max()))
     cT = np.ascontiguousarray(table.c.T)  # (N, R): column n - 1 of c as a row
     work = np.cumsum(M + R)
     starts = np.unique(np.searchsorted(work, np.arange(0, int(work[-1]), _CLOSED_CHUNK)))
@@ -405,9 +382,7 @@ def closed_form_terms(
         m *= np.repeat(a[j0:j1], Mj)
         m -= 1  # the table column a m - 1
         pairs = sparse.csr_array((gauss[idx], m, indptr), shape=(j1 - j0, N))
-        block = pairs @ cT
-        block *= weight[j0:j1, None]
-        out[:, j0:j1] = block.T
+        out[:, j0:j1] = (pairs @ cT).T
     return out
 
 
@@ -546,7 +521,7 @@ def fast_eval(
     core[: w + 1] += padded[n + w :]
     core[n - w :] += padded[:w]
 
-    # DFT with the e^{+2 pi i} sign convention, unnormalized, in place
+    # DFT with the e^{+2 pi i} sign, unnormalized, in place
     U = np.fft.ifft(core, axis=0, norm="forward", out=core)
 
     rel = np.arange(H, dtype=np.int64) - Hc

@@ -2,26 +2,28 @@
 
 One batch run covers every fundamental odd conductor q in [Q, Q+Delta).  The
 precompute phase builds the shared Taylor coefficient table, then computes
-each divisor term's summand sqrt(a) S_r(a, q/a), weight included, by the
-route a fitted cost model prices lower for its divisor a: the closed form
-reads complete Gauss sums off one table in one batched pass over the terms
-of all its divisors, and a node problem evaluates the divisor's whole
-rescaled grid b = q/a at once (a = 1 always, and the few small divisors
-whose many long terms make a transform pay).  The recovery phase
-assembles, for each q, the divisor combination
+each divisor term by the route a fitted cost model prices lower for its
+divisor a: the closed form reads complete Gauss sums off one table in one
+batched pass over the terms of all its divisors, and a node problem
+evaluates the divisor's whole rescaled grid b = q/a at once (a = 1 always,
+and the few small divisors whose many long terms make a transform pay).
+The recovery phase assembles, for each q, the divisor combination
 
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
 with x = (c - q)/q about the planner's expansion point c, and finally
-Z = 2 Re[e^{i theta} F].  The conductors and their divisor terms, read off
-the divisor grids, are flat arrays, and both routes write their values at
-b = q/a into the columns of their own terms, so recovery is one segmented sum
-per conductor, one product with the powers of x and one array expression
-for the prefactors: O(d(q) R) work per conductor and no per-conductor
-Python; the result keeps those arrays as its columns.
-Every window takes this route, whatever its size: the cost argument needs a
-large window, correctness does not.  run_batch only computes; checking a
-sweep against the per-conductor oracle is compare_with_oracle.
+Z = 2 Re[e^{i theta} F].  sqrt(a) S_r(a, b) weighs table column n = a m by
+sqrt(a/m) = a n^(-1/2): the table is scaled by n^(-1/2) once, both routes
+read it unweighted and recovery multiplies each term by a.  The conductors
+and their divisor terms, read off the divisor grids, are flat arrays, and
+both routes write their values at b = q/a into the columns of their own
+terms, so recovery is one segmented sum per conductor, one product with
+the powers of x and one array expression for the prefactors: O(d(q) R)
+work per conductor and no per-conductor Python; the result keeps those
+arrays as its columns.  Every window takes this route, whatever its size:
+the cost argument needs a large window, correctness does not.  run_batch
+only computes; checking a sweep against the per-conductor oracle is
+compare_with_oracle.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arith import (Window, _check_precision, _check_t, _thread_map, divisor_grid,
                     divisor_terms, fundamental_conductors)
 from .counters import OpCounter
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .multieval import build_node_problem, closed_form_cheaper, closed_form_terms, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
@@ -119,10 +121,13 @@ def run_batch(
     error_bound of the planned budget.  closed_form_cheaper splits the
     realized divisors between closed_form_terms, one batched pass, and
     their node problems, which a = 1 always takes; threads run the node
-    problems.  An unknown convention raises DomainError from the a = 1
-    node problem, which every window prices.  Checking the sweep against
-    the oracle is the separate compare_with_oracle step.
+    problems.  convention="plain_a" weighs column a m by a alone, in place
+    of sqrt(a/m); any other value than these two raises DomainError on
+    every window.  Checking the sweep against the oracle is the separate
+    compare_with_oracle step.
     """
+    if convention not in ("sqrt_a", "plain_a"):
+        raise DomainError(f"unknown assembly convention {convention!r}")
     if counter is None:
         counter = OpCounter()
     t_start = time.perf_counter()
@@ -137,6 +142,8 @@ def run_batch(
     budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
     qs = fundamental_conductors(win, counter)
     table = build_coefficient_table(t, budget.centre, budget.N, budget.R, counter)
+    if convention == "sqrt_a":
+        table = replace(table, c=table.c / np.sqrt(np.arange(1, budget.N + 1)))
     owner, a, sign = divisor_terms(win, qs, budget.N)
     # a | q keeps every cofactor b = q/a inside its divisor's grid, and
     # q = 1 (mod 4) then makes every b odd, as the quarter-length Gauss
@@ -147,12 +154,12 @@ def run_batch(
         raise ConsistencyError(f"divisor a={a[k]} does not divide q={qs[owner[k]]}")
 
     # precompute: each realized divisor takes the cheaper of two routes to
-    # sqrt(a) S_r(a, q/a) at its terms.  The closed form reads every term
-    # of its divisors off one Gauss table in one batched pass; a node
-    # problem is evaluated on its divisor's grid of arguments b = a (mod 4)
-    # and scattered into the columns of that divisor's terms, so the thread
-    # count cannot change the bits.  An empty window still prices a = 1,
-    # which always takes its node problem, whose grid may then hold no b
+    # its terms.  The closed form reads every term of its divisors off one
+    # Gauss table in one batched pass; a node problem is evaluated on its
+    # divisor's grid of arguments b = a (mod 4) and scattered into the
+    # columns of that divisor's terms, so the thread count cannot change the
+    # bits.  An empty window still prices a = 1, which always takes its node
+    # problem, whose grid may then hold no b
     divisors = np.union1d(a, [1])
     d = np.searchsorted(divisors, a)
     by_divisor = np.argsort(d, kind="stable")
@@ -165,9 +172,7 @@ def run_batch(
 
     def run_one(i: int) -> None:
         t0 = time.perf_counter()
-        built = build_node_problem(
-            int(divisors[i]), table, win, convention=convention, counter=counter
-        )
+        built = build_node_problem(int(divisors[i]), table, win, counter=counter)
         cols = by_divisor[edges[i] : edges[i + 1]]
         if built is None:
             if cols.size:
@@ -189,7 +194,7 @@ def run_batch(
     t_closed = time.perf_counter()
     on_closed = np.flatnonzero(closed[d])
     terms[:, on_closed] = closed_form_terms(a[on_closed], b[on_closed], table,
-                                            convention=convention, counter=counter)
+                                            counter=counter)
     closed_s = time.perf_counter() - t_closed
     precompute_s = time.perf_counter() - t_start
 
@@ -199,7 +204,7 @@ def run_batch(
     rec_start = time.perf_counter()
     n_terms = np.bincount(owner, minlength=qs.size)
     starts = np.cumsum(n_terms) - n_terms
-    sums = np.add.reduceat(terms * sign, starts, axis=1)
+    sums = np.add.reduceat(terms * (sign * a), starts, axis=1)
     R = budget.R
     x = (budget.centre - qs) / qs
     inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)

@@ -17,6 +17,7 @@ Temme, Numerical Methods for Special Functions, SIAM 2007, ch. 6).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -35,16 +36,16 @@ _OCTAVE_SPLITS = 4  # kernel buckets per octave of w
 _EDGES = 40  # kernel bucket edges each side of the crossover; 2^10 > _EXP_UNDERFLOW
 
 
-def _gamma_pole(z: complex) -> bool:
-    """Whether z is one of the poles 0, -1, -2, ... of Gamma."""
-    return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
+def _outside_gamma(z: complex) -> bool:
+    """Whether z is not finite or one of the poles 0, -1, -2, ... of Gamma."""
+    return not cmath.isfinite(z) or (z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer())
 
 
 def log_gamma(z: complex) -> complex:
     """Principal branch of log Gamma(z)."""
     z = complex(z)
-    if _gamma_pole(z):
-        raise DomainError(f"log_gamma pole at z={z}")
+    if _outside_gamma(z):
+        raise DomainError(f"log_gamma requires finite z off the poles of Gamma, got z={z}")
     return complex(sc.loggamma(z))
 
 
@@ -87,13 +88,13 @@ def _g_kernel_arr(z: complex, w: np.ndarray) -> np.ndarray:
     at c 2^(k/_OCTAVE_SPLITS), |k| <= _EDGES, c = |z| + 1 the crossover, and
     each bucket runs to the depth needed at its top (series) or bottom
     (continued fraction) edge, made monotone in w, so a level is three
-    in-place operations on one end of the sorted w.  DomainError at a pole
-    z = 0, -1, -2, ... of Gamma, where the series' Gamma(z) w^-z and its
-    divisor z + k fail, whatever the w; AccuracyError when a depth passes
-    _MAX_ITER or a value is not finite."""
+    in-place operations on one end of the sorted w.  DomainError for z not
+    finite or at a pole z = 0, -1, -2, ... of Gamma, where the series'
+    Gamma(z) w^-z and its divisor z + k fail, whatever the w; AccuracyError
+    when a depth passes _MAX_ITER or a value is not finite."""
     z = complex(z)
-    if _gamma_pole(z):
-        raise DomainError(f"g_kernel requires z off the poles of Gamma, got z={z}")
+    if _outside_gamma(z):
+        raise DomainError(f"g_kernel requires finite z off the poles of Gamma, got z={z}")
     zr = z.real if z.imag == 0.0 else z  # real z runs in real arithmetic
     w = np.asarray(w, dtype=np.float64)
     flat = w.ravel()

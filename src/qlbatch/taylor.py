@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .arith import Window, _check_precision, _check_t
 from .counters import OpCounter
 from .errors import BudgetError, ConsistencyError, DomainError
-from .special import _certified_order, _certified_tail, _g_rows_arr, c_prefactor
+from .special import (_certified_order, _certified_tail, _g_kernel_arr, _g_rows_arr,
+                      c_prefactor)
 
 # epsilon splits: tail and Taylor truncation each get epsilon/8, multi-eval
 # gets the per-coefficient epsilon3 below; the factor 4 R N sqrt(Q) absorbs
@@ -65,8 +65,7 @@ def _cauchy_majorant(N: int, Q: int, Delta: int, R: np.ndarray, t: float) -> np.
     c, rho = _expansion(Q, Delta)
     gap = (1.0 - rho) * _CAUCHY_GAPS  # 1 - rho'
     v = (math.pi / c) * np.arange(1, N + 1, dtype=np.float64) ** 2 * gap[:, None]
-    # G_(1/4)(v) = Gamma(1/4, v) / v^(1/4); 1 - P runs 8x faster than gammaincc
-    S = math.gamma(0.25) * ((1.0 - gammainc(0.25, v)) / v ** 0.25).sum(axis=1)
+    S = _g_kernel_arr(0.25, v).real.sum(axis=1)
     ratio = rho / (1.0 - gap[:, None])
     A = abs(c_prefactor(max(1.0, abs(t)), Q)) * S[:, None] / (1.0 - ratio)
     return np.min(A * ratio ** R, axis=0)

@@ -1,8 +1,8 @@
 """Node problems and the two evaluation paths.
 
 The semantic anchor: after build_node_problem, a direct evaluation at an odd
-argument b must reproduce sum_m u_m c_r(t, a m) g_b(2m), with the weight
-u_m = sqrt(a/m) and g_b computed by the independent Gauss-sum route.
+argument b must reproduce sum_m c_r(t, a m) g_b(2m), the table columns read
+unweighted and g_b computed by the independent Gauss-sum route.
 Everything else (merging, folding, the gridded transform and its centring
 phase) is interior detail behind that contract.
 """
@@ -344,9 +344,9 @@ class TestBuildNodeProblem:
         assert p.nums.tolist() == [0]
         assert p.dens.tolist() == [1]
         assert (g.b0, g.H, g.step) == (41, 5, 4)
-        # coefficient (2 + 2 i^a) sqrt(a/1) c_r(t, N) with a = N
+        # coefficient (2 + 2 i^a) c_r(t, N) with a = N
         ratio = p.coeffs[:, 0] / small_table.c[:, small_table.N - 1]
-        assert np.allclose(ratio, (2.0 + 2.0j) * math.sqrt(small_table.N), rtol=1e-12)
+        assert np.allclose(ratio, 2.0 + 2.0j, rtol=1e-12)
 
     def test_oversized_divisor_returns_none(self, small_table):
         assert build_node_problem(small_table.N + 1, small_table, Window(10_000, 5_000)) is None
@@ -380,13 +380,11 @@ class TestBuildNodeProblem:
     def test_rejects_bad_inputs(self, small_table):
         with pytest.raises(DomainError):
             build_node_problem(0, small_table, Window(10_000, 5_000))
-        with pytest.raises(DomainError):
-            build_node_problem(1, small_table, Window(10_000, 5_000), convention="bogus")
 
     def test_equals_from_fractions_over_raw_fractions(self, small_table):
         # the builder's merge against the general one, fed every raw
         # (l^2, 4m) entry folded into [0, 1/4) with its weight,
-        # u_m = sqrt(a/m), c_r(t, a m) and the factor i^(j a) of its
+        # c_r(t, a m) and the factor i^(j a) of its
         # quarter j: the builder's stacked table [B; iB] with a real sign.
         # The builder drops exactly the frequencies whose raw coefficients
         # sum to 0, and keeps every other one
@@ -399,7 +397,7 @@ class TestBuildNodeProblem:
             den = 4 * m
             quarter, num = np.divmod((ell * ell) % den, m)
             factor = 1j ** ((quarter * a) % 4)
-            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m) * factor
+            weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * factor
             raw = small_table.c[:, a * m - 1] * weight
             ref = NodeSum.from_fractions(num, den, raw)
             kept = ~_sums_to_zero(ref, raw)
@@ -424,7 +422,7 @@ class TestBuildNodeProblem:
         M = small_table.N // a
         m = np.repeat(np.arange(1, M + 1), np.arange(2, M + 2))
         ell = np.concatenate([np.arange(k + 1) for k in range(1, M + 1)])
-        weight = np.where((ell == 0) | (ell == m), 2.0, 4.0) * np.sqrt(a / m)
+        weight = np.where((ell == 0) | (ell == m), 2.0, 4.0)
         unfolded = NodeSum.from_fractions(ell * ell, 4 * m, small_table.c[:, a * m - 1] * weight)
         assert np.any(4 * unfolded.nums >= unfolded.dens)
         got = direct_eval(p, g)
@@ -435,7 +433,7 @@ class TestBuildNodeProblem:
 class TestNodeSemantics:
     def test_matches_gauss_sum_route(self):
         # dual route: the node values at b must equal
-        # sqrt(a) S_r(a, b) = sum_m c_r(t, a m) sqrt(a/m) g_b(2m)
+        # sum_m c_r(t, a m) g_b(2m)
         t, Q, N, R = 0.3, 1_000, 36, 4
         table = build_coefficient_table(t, Q, N, R)
         window = Window(Q, 220)
@@ -447,7 +445,7 @@ class TestNodeSemantics:
                 b = g.b0 + g.step * h
                 for r in range(R):
                     terms = [
-                        table.c[r, a * m - 1] * math.sqrt(a / m) * gauss_sum_fast(b, m)
+                        table.c[r, a * m - 1] * gauss_sum_fast(b, m)
                         for m in range(1, M + 1)
                     ]
                     ref = complex(
@@ -455,20 +453,6 @@ class TestNodeSemantics:
                     )
                     got = values[r, h]
                     assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (a, b, r)
-
-    def test_plain_a_convention_drops_weights(self):
-        # plain_a replaces u_m = sqrt(a/m) by the flat weight a
-        t, Q, N, R = 0.0, 1_000, 24, 2
-        table = build_coefficient_table(t, Q, N, R)
-        window = Window(Q, 100)
-        p, g = build_node_problem(3, table, window, convention="plain_a")
-        values = direct_eval(p, g)
-        M = N // 3
-        h = 1
-        b = g.b0 + g.step * h
-        terms = [3 * table.c[0, 3 * m - 1] * gauss_sum_fast(b, m) for m in range(1, M + 1)]
-        ref = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
-        assert abs(values[0, h] - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 class TestGaussTable:
@@ -501,23 +485,22 @@ def _window_terms(window, t):
 
 
 def _closed_form_error(window, t, divisors=None):
-    """Largest relative gap, over both conventions and the given divisors
-    (default: all), between closed_form_terms and the divisor's node
-    problem read by direct_eval at its terms' b = q/a."""
+    """Largest relative gap, over the given divisors (default: all), between
+    closed_form_terms and the divisor's node problem read by direct_eval at
+    its terms' b = q/a."""
     table, a, b = _window_terms(window, t)
     if divisors is None:
         divisors = np.unique(a)
     keep = np.isin(a, divisors)
     a, b = a[keep], b[keep]
     worst = 0.0
-    for convention in ("sqrt_a", "plain_a"):
-        got = closed_form_terms(a, b, table, convention=convention)
-        for d in np.unique(a).tolist():
-            p, g = build_node_problem(d, table, window, convention=convention)
-            cols = np.flatnonzero(a == d)
-            ref = direct_eval(p, g)[:, (b[cols] - g.b0) // g.step]
-            gap = np.max(np.abs(got[:, cols] - ref)) / np.max(np.abs(ref))
-            worst = max(worst, float(gap))
+    got = closed_form_terms(a, b, table)
+    for d in np.unique(a).tolist():
+        p, g = build_node_problem(d, table, window)
+        cols = np.flatnonzero(a == d)
+        ref = direct_eval(p, g)[:, (b[cols] - g.b0) // g.step]
+        gap = np.max(np.abs(got[:, cols] - ref)) / np.max(np.abs(ref))
+        worst = max(worst, float(gap))
     return worst
 
 
@@ -543,14 +526,6 @@ class TestClosedForm:
         sample = np.random.default_rng(22).choice(divisors[closed], size=25, replace=False)
         assert _closed_form_error(window, 0.0, sample) <= 1e-13
 
-    def test_plain_a_weights_single_rows_by_a(self, small_table):
-        # u_m = a against sqrt(a/m): at N//a = 1 the terms differ by sqrt(a)
-        a = np.array([small_table.N, 201])
-        b = np.array([41, 57])
-        kept = closed_form_terms(a, b, small_table)
-        lost = closed_form_terms(a, b, small_table, convention="plain_a")
-        assert np.allclose(lost, kept * np.sqrt(a), rtol=1e-14)
-
     def test_counts_pairs_and_handles_no_terms(self, small_table):
         counter = OpCounter()
         a = np.array([1, 3, 5, 300])
@@ -568,8 +543,6 @@ class TestClosedForm:
         assert np.array_equal(closed_form_terms(a, b, table), whole)
 
     def test_rejects_bad_inputs(self, small_table):
-        with pytest.raises(DomainError, match="unknown assembly convention"):
-            closed_form_terms(np.array([3]), np.array([3]), small_table, convention="bogus")
         with pytest.raises(DomainError):
             closed_form_terms(np.array([0]), np.array([3]), small_table)
         with pytest.raises(DomainError):

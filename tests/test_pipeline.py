@@ -49,6 +49,32 @@ def _source_trees():
     return trees
 
 
+def _assert_matches_conductor_loop(result, convention):
+    """Reference recovery of a run of _WIN at t = 0.3: the per-conductor loop
+    over divisor terms, each divisor's S-values, weight included, from its
+    own node problem and fast_eval.  Column a m of the divisor's table
+    carries u_m = sqrt(a/m) under sqrt_a and a under plain_a, so the loop
+    adds no weight."""
+    b = result.budget
+    table = build_coefficient_table(0.3, b.centre, b.N, b.R)
+    n = np.arange(1, b.N + 1)
+    svals = {}
+    for q, z in zip(result.q.tolist(), result.Z.tolist()):
+        acc = np.zeros(b.R, dtype=np.complex128)
+        _, a_terms, signs = _conductor_terms(q, b.N)
+        for a, sign in zip(a_terms.tolist(), signs.tolist()):
+            if a not in svals:
+                u = np.sqrt(a / (n / a)) if convention == "sqrt_a" else a  # m = n/a
+                p, g = build_node_problem(a, dataclasses.replace(table, c=table.c * u), _WIN)
+                svals[a] = (g, fast_eval(p, g, b.epsilon3))
+            g, values = svals[a]
+            acc += sign * values[:, (q // a - g.b0) // g.step]
+        x = (b.centre - q) / q
+        F = c_prefactor(0.3, q) * g_prefactor(q) * np.dot(acc, x ** np.arange(b.R))
+        Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, q)) * F).real
+        assert abs(Z - z) <= 1e-13, q
+
+
 @pytest.fixture(scope="module")
 def cmp_run():
     counter = OpCounter()
@@ -174,26 +200,11 @@ class TestFastWindow:
             assert bound == pytest.approx(expect, rel=1e-12)
 
     def test_array_recovery_matches_per_conductor_loop(self, cmp_run):
-        # reference: the per-conductor loop over divisor terms, with each
-        # divisor's weighted S-values sqrt(a) S_r(a, b) from its own node
-        # problem and fast_eval
-        result, _ = cmp_run
-        b = result.budget
-        table = build_coefficient_table(0.3, b.centre, b.N, b.R)
-        svals = {}
-        for q, z in zip(result.q.tolist(), result.Z.tolist()):
-            acc = np.zeros(b.R, dtype=np.complex128)
-            _, a_terms, signs = _conductor_terms(q, b.N)
-            for a, sign in zip(a_terms.tolist(), signs.tolist()):
-                if a not in svals:
-                    p, g = build_node_problem(a, table, _WIN)
-                    svals[a] = (g, fast_eval(p, g, b.epsilon3))
-                g, values = svals[a]
-                acc += sign * values[:, (q // a - g.b0) // g.step]
-            x = (b.centre - q) / q
-            F = c_prefactor(0.3, q) * g_prefactor(q) * np.dot(acc, x ** np.arange(b.R))
-            Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, q)) * F).real
-            assert abs(Z - z) <= 1e-13, q
+        _assert_matches_conductor_loop(cmp_run[0], "sqrt_a")
+
+    def test_plain_a_recovery_matches_per_conductor_loop(self):
+        result = run_batch(BatchRequest(_WIN, 0.3, _EPS), convention="plain_a")
+        _assert_matches_conductor_loop(result, "plain_a")
 
     def test_recovery_ops_formula(self, cmp_run):
         result, counter = cmp_run
@@ -244,6 +255,17 @@ class TestMethodAgreement:
         four = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=4)
         assert np.array_equal(one.q, four.q) and np.array_equal(one.Z, four.Z)
 
+    def test_overlapping_node_problems_do_not_change_bits(self, monkeypatch):
+        # with every divisor on its node problem, worker threads overlap on
+        # the shared terms array and counter
+        monkeypatch.setattr(pipeline, "closed_form_cheaper",
+                            lambda a, *_: np.zeros(np.size(a), dtype=bool))
+        one = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=1)
+        two = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=2)
+        assert one.counts["closed_divisors"] == 0 and one.counts["node_raw"] > 0
+        assert np.array_equal(one.q, two.q) and np.array_equal(one.Z, two.Z)
+        assert one.counts == two.counts
+
     def test_all_cores_matches_one_thread(self):
         one = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=1)
         every = run_batch(BatchRequest(_WIN, 0.3, _EPS), threads=0)
@@ -269,12 +291,40 @@ class TestConvention:
         with pytest.raises(DomainError):
             run_batch(BatchRequest(_WIN, 0.0, _EPS), convention="cube_a")
 
-    # the a = 1 node problem is built on every window, also one without
-    # fundamentals, and it refuses the convention
+    # run_batch checks the convention first, also on a window without
+    # fundamentals
     @pytest.mark.parametrize("win", [Window(101, 50), Window(10_003, 1)])
     def test_bogus_convention_raises_on_every_window(self, win):
         with pytest.raises(DomainError, match="unknown assembly convention"):
             run_batch(BatchRequest(win, 0.0, _EPS), convention="bogus")
+
+    def test_routes_read_the_table_of_each_convention(self, monkeypatch):
+        # column n = a m carries sqrt(a/m) = a n^(-1/2) under sqrt_a and a
+        # under plain_a: run_batch hands both routes the table times
+        # n^(-1/2), or the table itself, and recovery multiplies by a
+        handed = []
+
+        def recording(route, pos):
+            real = getattr(pipeline, route)
+
+            def wrapper(*args, **kwargs):
+                handed.append((route, args[pos]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, route, wrapper)
+
+        recording("build_node_problem", 1)
+        recording("closed_form_terms", 2)
+        request = BatchRequest(Window(10_001, 2_000), 0.3, _EPS)
+        for convention, power in (("sqrt_a", -0.5), ("plain_a", 0.0)):
+            handed.clear()
+            b = run_batch(request, convention=convention).budget
+            plain = build_coefficient_table(0.3, b.centre, b.N, b.R).c
+            assert {route for route, _ in handed} == {"build_node_problem", "closed_form_terms"}
+            for _, table in handed:
+                assert table.t == 0.3 and table.N == b.N
+                want = plain * np.arange(1, b.N + 1, dtype=np.float64) ** power
+                assert np.allclose(table.c, want, rtol=1e-15, atol=0)
 
 
 def _shifted_builder(shift):

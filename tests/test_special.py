@@ -305,16 +305,17 @@ class TestLogGamma:
         )
 
     def test_pole_raises(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-3.0)
+        # the poles, and z that is not finite
+        for z in (0.0, -3.0, float("-inf"), float("nan"), complex("inf+1j")):
+            with pytest.raises(DomainError):
+                log_gamma(z)
 
-    @pytest.mark.parametrize("z", [0.0, -1.0, -2 + 0j, -7.0])
+    @pytest.mark.parametrize("z", [0.0, -1.0, -2 + 0j, -7.0, complex("inf"), float("-inf"),
+                                   float("nan"), complex("inf+1j")])
     @pytest.mark.parametrize("w", [0.5, 2.5, 40.0])
     def test_kernel_pole_raises(self, z, w):
         # the series divides by z + k = 0 below the crossover |z| + 1; every
-        # entry point refuses such z on both sides of it
+        # entry point refuses such z on both sides of it, and z not finite
         with pytest.raises(DomainError, match="poles"):
             _g_kernel_arr(z, np.array([w]))
         with pytest.raises(DomainError, match="poles"):
