@@ -42,7 +42,7 @@ from .errors import ConsistencyError, DomainError
 from .multieval import build_node_problem, closed_form_cheaper, closed_form_terms, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
-from .taylor import ErrorBudget, build_coefficient_table, plan_budget
+from .taylor import CoefficientTable, ErrorBudget, build_coefficient_table, plan_budget
 
 _T_WARN = 1.0
 
@@ -108,6 +108,24 @@ class BatchResult:
         return sum(self.counts.get(k, 0) for k in _PRECOMPUTE_KEYS)
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in ("sqrt_a", "plain_a"):
+        raise DomainError(f"unknown assembly convention {convention!r}")
+
+
+def assembly_table(table: CoefficientTable, convention: str) -> CoefficientTable:
+    """The table both divisor routes read under convention.
+
+    Recovery multiplies every divisor term by a, so column n = a m must
+    carry sqrt(a/m) / a = n^(-1/2) under sqrt_a; under plain_a, whose weight
+    is a alone, the table is returned as it is.
+    """
+    _check_convention(convention)
+    if convention == "plain_a":
+        return table
+    return replace(table, c=table.c / np.sqrt(np.arange(1, table.N + 1)))
+
+
 def run_batch(
     request: BatchRequest,
     *,
@@ -126,8 +144,7 @@ def run_batch(
     every window.  Checking the sweep against the oracle is the separate
     compare_with_oracle step.
     """
-    if convention not in ("sqrt_a", "plain_a"):
-        raise DomainError(f"unknown assembly convention {convention!r}")
+    _check_convention(convention)
     if counter is None:
         counter = OpCounter()
     t_start = time.perf_counter()
@@ -142,8 +159,7 @@ def run_batch(
     budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
     qs = fundamental_conductors(win, counter)
     table = build_coefficient_table(t, budget.centre, budget.N, budget.R, counter)
-    if convention == "sqrt_a":
-        table = replace(table, c=table.c / np.sqrt(np.arange(1, budget.N + 1)))
+    table = assembly_table(table, convention)
     owner, a, sign = divisor_terms(win, qs, budget.N)
     # a | q keeps every cofactor b = q/a inside its divisor's grid, and
     # q = 1 (mod 4) then makes every b odd, as the quarter-length Gauss

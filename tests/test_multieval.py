@@ -39,6 +39,7 @@ from qlbatch.multieval import (
     fast_eval,
     gauss_table,
 )
+from qlbatch.pipeline import assembly_table
 from qlbatch.taylor import _MAX_N, build_coefficient_table, plan_budget
 
 # the two evaluation paths of a node problem, as (problem, grid) -> values
@@ -454,6 +455,21 @@ class TestNodeSemantics:
                     got = values[r, h]
                     assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (a, b, r)
 
+    def test_plain_a_convention_drops_weights(self):
+        # plain_a replaces u_m = sqrt(a/m) by the flat weight a: the node
+        # problem of its table, times recovery's a, reads a c_r(t, a m) g_b(2m)
+        t, Q, N, R = 0.0, 1_000, 24, 2
+        table = build_coefficient_table(t, Q, N, R)
+        window = Window(Q, 100)
+        p, g = build_node_problem(3, assembly_table(table, "plain_a"), window)
+        values = 3 * direct_eval(p, g)
+        M = N // 3
+        h = 1
+        b = g.b0 + g.step * h
+        terms = [3 * table.c[0, 3 * m - 1] * gauss_sum_fast(b, m) for m in range(1, M + 1)]
+        ref = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        assert abs(values[0, h] - ref) <= 1e-10 * max(1.0, abs(ref))
+
 
 class TestGaussTable:
     def test_rows_are_complete_gauss_sums(self):
@@ -525,6 +541,14 @@ class TestClosedForm:
                                      divisor_grid(window, divisors)[1])
         sample = np.random.default_rng(22).choice(divisors[closed], size=25, replace=False)
         assert _closed_form_error(window, 0.0, sample) <= 1e-13
+
+    def test_plain_a_weights_single_rows_by_a(self, small_table):
+        # u_m = a against sqrt(a/m): at N//a = 1 the terms differ by sqrt(a)
+        a = np.array([small_table.N, 201])
+        b = np.array([41, 57])
+        kept = a * closed_form_terms(a, b, assembly_table(small_table, "sqrt_a"))
+        lost = a * closed_form_terms(a, b, assembly_table(small_table, "plain_a"))
+        assert np.allclose(lost, kept * np.sqrt(a), rtol=1e-14)
 
     def test_counts_pairs_and_handles_no_terms(self, small_table):
         counter = OpCounter()
