@@ -1,15 +1,18 @@
 """Brute-force reference evaluation of Z(t, chi_q), one conductor at a time.
 
 Independent of the batch pipeline by construction: this module touches only
-the special-function kernel and the arithmetic helpers, never the Taylor
-tables or the multi-evaluation engine.  Each value is a direct smoothed sum
+special and the arithmetic helpers, never the Taylor tables or the
+multi-evaluation engine.  Each value is a direct smoothed sum
 
     Z(t, chi_q) = 2 Re[ e^{i theta(t, q)} sum_(n<=N) chi_q(n) n^(-1/2-it)
                          V(pi n^2 / q) ],
 
-with V(w) = Gamma(z2, w) / Gamma(z2), z2 = 1/4 + it/2, cut per conductor at
-the smallest N whose certified tail (the planner's bound, here at the call's
-own t) meets epsilon/8192, and returned as tail_bound.  direct_Z is the naive
+with V(w) = Gamma(z2, w) / Gamma(z2), z2 = 1/4 + it/2, from special.weight_v
+and theta from special.theta_phase.  The fast path takes |C(t, q)| in place
+of this rotation, so compare checks the phase; the kernel, log_gamma and the
+certified tail are shared.  The sum is cut per conductor at the smallest N
+whose certified tail (the planner's bound, here at the call's own t) meets
+epsilon/8192, and returned as tail_bound.  direct_Z is the naive
 route, a Jacobi symbol and a kernel evaluation per term summed by fsum;
 oracle_sweep is the array-native one, with Legendre-table characters per
 block of conductors and the kernel only where chi_q(n) != 0, and returns
@@ -41,7 +44,8 @@ from .arith import (
 )
 from .counters import OpCounter
 from .errors import ConsistencyError, DomainError
-from .special import _certified_order, _certified_tail, _g_kernel_arr, log_gamma, theta_phase
+from .special import (_certified_order, _certified_tail, _g_kernel_arr, c_prefactor,
+                      theta_phase, weight_v)
 
 _CHUNK = 64  # conductors per character table and kernel call in sweeps
 # the tail's share of epsilon: 1/1024 of the eps/8 the fast path spends, so
@@ -75,7 +79,14 @@ def _character_values(q: int, N: int) -> np.ndarray:
     return np.array([jacobi(n % q, q) for n in range(1, N + 1)], dtype=np.float64)
 
 
-def _smoothed_sum(q: int, t: float, chi: np.ndarray, V: np.ndarray) -> complex:
+def _check_conductor(q) -> int:
+    q = int(q)
+    if not _is_fundamental_odd_positive_int(q):
+        raise DomainError(f"q={q} is not an odd positive fundamental conductor")
+    return q
+
+
+def _smoothed_sum(t: float, chi: np.ndarray, V: np.ndarray) -> complex:
     """sum chi(n) n^(-1/2-it) V_n with compensated real/imag accumulation."""
     n = np.arange(1, chi.size + 1, dtype=np.float64)
     terms = chi * np.exp((-0.5 - 1j * t) * np.log(n)) * V
@@ -132,16 +143,17 @@ def direct_F(
 ) -> complex:
     """The inner smoothed sum F(t, chi_q) alone, truncated at N.
 
-    form="v" uses chi(n) n^(-1/2-it) V(pi n^2/q); form="cg" uses the
-    algebraically equal product C(t, q) sum chi(n) G_z2(pi n^2/q).  The two
-    routes share only the incomplete-gamma kernel, so their agreement checks
-    the prefactor identity.
+    form="v" uses chi(n) n^(-1/2-it) V(pi n^2/q) with V from weight_v;
+    form="cg" uses the algebraically equal product C(t, q) sum chi(n)
+    G_z2(pi n^2/q) with the c_prefactor the fast path ships.  The two routes
+    share the kernel, so their agreement checks the prefactor identity.  An
+    unknown form raises DomainError before any term is computed.
     """
-    q = int(q)
+    if form not in ("v", "cg"):
+        raise DomainError(f"unknown form {form!r}")
     if epsilon is None and N is None:
         raise DomainError("direct_F needs either epsilon or an explicit N")
-    if not _is_fundamental_odd_positive_int(q):
-        raise DomainError(f"q={q} is not an odd positive fundamental conductor")
+    q = _check_conductor(q)
     t = _check_t(t)
     if N is None:
         N, _ = _truncation_order(q, float(epsilon), t)
@@ -150,20 +162,14 @@ def direct_F(
         raise DomainError("direct_F requires N >= 1")
     if counter is not None:
         counter.add("oracle_special_calls", N)
-    z2 = 0.25 + 0.5j * t
     n = np.arange(1, N + 1, dtype=np.float64)
     w = math.pi * n * n / q
-    G = _g_kernel_arr(z2, w)
     chi = _character_values(q, N)
     if form == "v":
-        V = np.exp(z2 * np.log(w) - log_gamma(z2)) * G
-        return _smoothed_sum(q, t, chi, V)
-    if form == "cg":
-        pref = cmath.exp(z2 * cmath.log(math.pi / q) - log_gamma(z2))
-        terms = chi * G
-        inner = complex(math.fsum(terms.real), math.fsum(terms.imag))
-        return pref * inner
-    raise DomainError(f"unknown form {form!r}")
+        return _smoothed_sum(t, chi, weight_v(0.5 + 1j * t, w))
+    terms = chi * _g_kernel_arr(0.25 + 0.5j * t, w)
+    inner = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return complex(c_prefactor(t, q) * inner)
 
 
 def direct_Z(
@@ -175,12 +181,10 @@ def direct_Z(
 ) -> OracleResult:
     """Certified reference Z(t, chi_q) for a single conductor; BudgetError
     when log2(q/epsilon) exceeds the double-precision budget."""
-    q = int(q)
-    t = float(t)
-    F = direct_F(q, t, epsilon, form="v", counter=counter)  # validates q, t, epsilon
-    N, eps1 = _truncation_order(q, epsilon, t)
-    theta = theta_phase(t, 0, q)
-    Z = 2.0 * (cmath.exp(1j * theta) * F).real
+    q, t = _check_conductor(q), _check_t(t)
+    N, eps1 = _truncation_order(q, float(epsilon), t)  # validates epsilon
+    F = direct_F(q, t, N=int(N), counter=counter)
+    Z = 2.0 * (cmath.exp(1j * theta_phase(t, q)) * F).real
     tail = float(_certified_tail(q, N, t))
     # the planned N always beats its own budget
     if not tail < eps1:
@@ -217,8 +221,6 @@ def oracle_sweep(
     sieve = CharacterSieve(int(Ns.max(initial=1)))
     n = np.arange(1, sieve.N + 1, dtype=np.float64)
     powers = np.exp((-0.5 - 1j * t) * np.log(n))
-    z2 = 0.25 + 0.5j * t
-    lg = log_gamma(z2)
     if counter is not None:
         counter.add("oracle_special_calls", int(Ns.sum()))
     F = np.empty(qs.size, dtype=np.complex128)
@@ -228,11 +230,10 @@ def oracle_sweep(
         chi = sieve.table(block)[:, 1:]
         rows, cols = np.nonzero((chi != 0.0) & (n <= Ns[lo : lo + _CHUNK, None]))
         w = math.pi * n[cols] * n[cols] / block[rows]
-        V = np.exp(z2 * np.log(w) - lg) * _g_kernel_arr(z2, w)
-        terms = chi[rows, cols] * powers[cols] * V
+        terms = chi[rows, cols] * powers[cols] * weight_v(0.5 + 1j * t, w)
         F[lo : lo + _CHUNK] = _segment_sums(terms, np.bincount(rows, minlength=block.size))
 
     _thread_map(run_block, range(0, qs.size, _CHUNK), threads)
-    Z = 2.0 * (np.exp(1j * theta_phase(t, 0, qs)) * F).real
+    Z = 2.0 * (np.exp(1j * theta_phase(t, qs)) * F).real
     return OracleResult(q=qs, t=t, Z=Z, N_used=Ns,
                         tail_bound=_certified_tail(qs, Ns, t))

@@ -11,10 +11,13 @@ The recovery phase assembles, for each q, the divisor combination
 
     F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
 
-with x = (c - q)/q about the planner's expansion point c, and finally
-Z = 2 Re[e^{i theta} F].  sqrt(a) S_r(a, b) weighs table column n = a m by
-sqrt(a/m) = a n^(-1/2): the table is scaled by n^(-1/2) once, both routes
-read it unweighted and recovery multiplies each term by a.  The conductors
+with x = (c - q)/q about the planner's expansion point c.  The phase
+theta = -arg C(t, q) makes e^{i theta} C(t, q) = |C(t, q)|, so recovery
+takes Z = 2 Re[e^{i theta} F] as 2 |C(t, q)| Re[F / C(t, q)] and rotates
+nothing; theta is computed for its column alone.  sqrt(a) S_r(a, b) weighs
+table column n = a m by sqrt(a/m) = a n^(-1/2): the table is scaled by
+n^(-1/2) once, both routes read it unweighted and recovery multiplies each
+term by a.  The conductors
 and their divisor terms, read off the divisor grids, are flat arrays, and
 both routes write their values at b = q/a into the columns of their own
 terms, so recovery is one segmented sum per conductor, one product with
@@ -215,8 +218,7 @@ def run_batch(
     precompute_s = time.perf_counter() - t_start
 
     # recovery: sum each conductor's signed terms, apply the Taylor powers
-    # of x = (c - q)/q, then the prefactors and the rotation, all as arrays
-    # over the window
+    # of x = (c - q)/q, then the prefactors, all as arrays over the window
     rec_start = time.perf_counter()
     n_terms = np.bincount(owner, minlength=qs.size)
     starts = np.cumsum(n_terms) - n_terms
@@ -224,9 +226,8 @@ def run_batch(
     R = budget.R
     x = (budget.centre - qs) / qs
     inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)
-    F = c_prefactor(t, qs) * g_prefactor(qs) * inner
-    theta = theta_phase(t, 0, qs)
-    Z = 2.0 * (np.exp(1j * theta) * F).real
+    Z = 2.0 * np.abs(c_prefactor(t, qs)) * (g_prefactor(qs) * inner).real
+    theta = theta_phase(t, qs)
     a_total = np.add.reduceat(a, starts)
     bounds = 2.0 * budget.epsilon1 + 2.0 * budget.epsilon2 + budget.epsilon3 * R * a_total
     ops = R * (n_terms + 2) + 8

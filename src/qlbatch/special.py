@@ -1,13 +1,15 @@
 """Complex special functions for the main sum.
 
-Everything here is a pure function: log-gamma, the upper incomplete gamma,
-the exponentially weighted kernel
+Everything here is a pure function: log-gamma, the exponentially weighted
+kernel
 
     G_z(w) = integral_1^inf exp(-w y) y^(z-1) dy = Gamma(z, w) / w^z,
 
 its derivative rows, the smoothing weight V, the rotation phase theta, the
 certified tail of the smoothed sum with its smallest truncation order, and
-the two scalar prefactors C(t, q) and g(q).
+the two scalar prefactors C(t, q) and g(q).  Each quantity built on Gamma
+has its one definition here, and log_gamma is the only caller of
+scipy.special.loggamma.
 
 The kernel is evaluated by a power series for small w and a continued
 fraction for large w, with the crossover at w = |z| + 1, each in geometric
@@ -121,7 +123,7 @@ def _g_kernel_arr(z: complex, w: np.ndarray) -> np.ndarray:
             v *= x[i:]
             v *= 1.0 / (zr + k)
             v += 1.0
-        res[:ns] = np.exp(sc.loggamma(z) - z * np.log(x)) - np.exp(-x) * s / z
+        res[:ns] = np.exp(log_gamma(z) - z * np.log(x)) - np.exp(-x) * s / z
 
     if nc > ns:
         # Legendre continued fraction Gamma(z,w) = exp(-w) w^z / f with
@@ -153,17 +155,6 @@ def g_kernel(z: complex, w: float) -> complex:
     if not (isinstance(w, (int, float)) and math.isfinite(w) and w > 0):
         raise DomainError("g_kernel requires finite w > 0")
     return complex(_g_kernel_arr(z, np.array([float(w)]))[0])
-
-
-def incomplete_gamma_upper(z: complex, w: float) -> complex:
-    """Upper incomplete gamma Gamma(z, w) = w^z G_z(w), w > 0."""
-    if not (isinstance(w, (int, float)) and math.isfinite(w) and w > 0):
-        raise DomainError("incomplete_gamma_upper requires finite w > 0")
-    z = complex(z)
-    g = g_kernel(z, w)
-    if g == 0.0:
-        return 0.0 + 0.0j
-    return complex(np.exp(z * np.log(w)) * g)
 
 
 @dataclass(eq=False)
@@ -209,27 +200,30 @@ def g_derivative_row(z: complex, w: float, R: int) -> GDerivativeRow:
     return GDerivativeRow(z=z, w=float(w), values=rows * signs)
 
 
-def weight_v(z: complex, w: float) -> complex:
-    """Smoothing weight V_z(w) = Gamma(z/2, w) / Gamma(z/2)."""
-    z = complex(z)
-    return complex(incomplete_gamma_upper(z / 2.0, w) * np.exp(-sc.loggamma(z / 2.0)))
+def weight_v(z: complex, w) -> complex | np.ndarray:
+    """Smoothing weight V_z(w) = Gamma(z/2, w) / Gamma(z/2) = (w^(z/2) /
+    Gamma(z/2)) G_(z/2)(w), w > 0 a scalar or an array.  The kernel comes
+    first, so w <= 0 or a pole z/2 raises DomainError before any log."""
+    z2 = complex(z) / 2.0
+    G = _g_kernel_arr(z2, w)
+    V = np.exp(z2 * np.log(w) - log_gamma(z2)) * G
+    return complex(V) if np.ndim(w) == 0 else V
 
 
-def theta_phase(t: float, parity: int, q) -> float | np.ndarray:
-    """Rotation phase theta(t, parity) for conductor q (a scalar or an array).
+def theta_phase(t: float, q) -> float | np.ndarray:
+    """Rotation phase theta(t) of the even character of conductor q (a
+    scalar or an array): every odd fundamental q = 1 (mod 4) has one.
 
-    theta = (t/2) log(q/pi) + Im log Gamma((1/2 + parity + i t)/2).  Exact
-    for any t; accuracy degrades slowly for |t| >> 1 (no large-t
+    theta = (t/2) log(q/pi) + Im log Gamma((1/2 + i t)/2) = -arg C(t, q).
+    Exact for any t; accuracy degrades slowly for |t| >> 1 (no large-t
     reformulation here; run_batch warns past |t| = 1, the oracle does not).
     """
-    if parity not in (0, 1):
-        raise DomainError("parity must be 0 or 1")
     q = np.asarray(q, dtype=np.float64)
     if not np.all(q >= 1):
         raise DomainError("theta_phase requires q >= 1")
     t = float(t)
-    lg = sc.loggamma((0.5 + parity + 1j * t) / 2.0)
-    return (t / 2.0) * np.log(q / math.pi) + float(lg.imag)
+    lg = log_gamma((0.5 + 1j * t) / 2.0)
+    return (t / 2.0) * np.log(q / math.pi) + lg.imag
 
 
 def _certified_tail(q, N, t: float):
@@ -237,7 +231,7 @@ def _certified_tail(q, N, t: float):
     per conductor, from |Gamma(z2, w)| <= w^(-3/4) e^(-w), a geometric
     lattice majorant and |Gamma(z2)|, which falls as |t'| grows."""
     N = np.asarray(N, dtype=np.float64)  # an int64 N**3 would wrap past N = 2^21
-    g = math.exp(sc.loggamma(0.25 + 0.5j * t).real)
+    g = math.exp(log_gamma(0.25 + 0.5j * t).real)
     return (q / np.pi) ** 0.75 * q * np.exp(-np.pi * N * N / q) / (np.pi * N ** 3 * g)
 
 
@@ -259,7 +253,7 @@ def c_prefactor(t: float, q) -> complex | np.ndarray:
     if not np.all(q >= 1):
         raise DomainError("c_prefactor requires q >= 1")
     zq = 0.25 + 0.5j * float(t)
-    return np.exp(zq * np.log(math.pi / q) - sc.loggamma(zq))
+    return np.exp(zq * np.log(math.pi / q) - log_gamma(zq))
 
 
 def g_prefactor(q) -> complex | np.ndarray:

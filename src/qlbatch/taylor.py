@@ -131,43 +131,46 @@ def taylor_remainder_bound(N: int, Q: int, Delta: int, R: int, t: float = 0.0) -
 
 @dataclass(eq=False)
 class CoefficientTable:
-    """Dense (R, N) table of Taylor coefficients c_r(t, n) about the point Q."""
+    """Dense (R, N) table c of Taylor coefficients c_r(t, n) about the
+    expansion point centre."""
 
     t: float
-    Q: int
-    N: int
-    R: int
+    centre: int
     c: np.ndarray
 
     def __post_init__(self) -> None:
         self.c = np.ascontiguousarray(self.c, dtype=np.complex128)
-        if self.c.shape != (self.R, self.N):
-            raise DomainError(
-                f"coefficient array shape {self.c.shape} does not match (R, N)=({self.R}, {self.N})"
-            )
+
+    @property
+    def R(self) -> int:
+        return self.c.shape[0]
+
+    @property
+    def N(self) -> int:
+        return self.c.shape[1]
 
 
 def build_coefficient_table(
     t: float,
-    Q: int,
+    centre: int,
     N: int,
     R: int,
     counter: OpCounter | None = None,
 ) -> CoefficientTable:
-    """Tabulate c_r(t, n) for 0 <= r < R, 1 <= n <= N.
+    """Tabulate c_r(t, n) for 0 <= r < R, 1 <= n <= N about centre.
 
     One vectorized kernel-row call produces G_(z+r)(w_n) for all r; the
     remaining factor (-w)^r / r! follows the recurrence f_r = f_(r-1)(-w)/r.
     """
     t = float(t)
-    Q = int(Q)
+    centre = int(centre)
     N = int(N)
     R = int(R)
-    if Q < 1 or N < 1 or R < 1:
-        raise DomainError("build_coefficient_table requires Q, N, R >= 1")
+    if centre < 1 or N < 1 or R < 1:
+        raise DomainError("build_coefficient_table requires centre, N, R >= 1")
     z = 0.25 + 0.5j * t
     n = np.arange(1, N + 1, dtype=np.float64)
-    w = math.pi * n * n / Q
+    w = math.pi * n * n / centre
     rows = _g_rows_arr(z, w, R)
     if counter is not None:
         counter.add("kernel_evals", N * R)
@@ -177,4 +180,4 @@ def build_coefficient_table(
     for r in range(1, R):
         factor = factor * (-w) / r
         c[r] = rows[r] * factor
-    return CoefficientTable(t=t, Q=Q, N=N, R=R, c=c)
+    return CoefficientTable(t=t, centre=centre, c=c)

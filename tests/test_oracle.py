@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qlbatch.oracle
+import qlbatch.special
 from qlbatch import (
     BudgetError,
     ConsistencyError,
@@ -55,7 +56,7 @@ class TestDirectZ:
             from qlbatch.special import theta_phase
 
             F2 = direct_F(q, 0.3, N=2 * res.N_used)
-            th = theta_phase(0.3, 0, q)
+            th = theta_phase(0.3, q)
             Z2 = 2.0 * (cmath.exp(1j * th) * F2).real
             assert abs(Z2 - res.Z) <= res.tail_bound, q
 
@@ -116,6 +117,17 @@ class TestDirectZ:
         res = direct_Z(101, 0.0, 1e-6, counter=counter)
         assert counter.get("oracle_special_calls") == res.N_used
 
+    def test_plans_truncation_once(self, monkeypatch):
+        plans = []
+
+        def counting(*args):
+            plans.append(args)
+            return _truncation_order(*args)
+
+        monkeypatch.setattr(qlbatch.oracle, "_truncation_order", counting)
+        direct_Z(101, 0.3, 1e-6)
+        assert len(plans) == 1
+
 
 class TestDirectF:
     def test_dual_forms_agree(self):
@@ -129,8 +141,14 @@ class TestDirectF:
         with pytest.raises(DomainError):
             direct_F(5, 0.0)
 
-    def test_unknown_form_rejected(self):
-        with pytest.raises(DomainError):
+    def test_unknown_form_rejected(self, monkeypatch):
+        # refused before any term is computed: the kernel never runs
+        def no_kernel(*args):
+            raise AssertionError("kernel ran for an unknown form")
+
+        monkeypatch.setattr(qlbatch.oracle, "_g_kernel_arr", no_kernel)
+        monkeypatch.setattr(qlbatch.special, "_g_kernel_arr", no_kernel)
+        with pytest.raises(DomainError, match="unknown form"):
             direct_F(5, 0.0, N=10, form="zeta")
 
     def test_epsilon_chooses_same_n_as_direct_z(self):

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import qlbatch.oracle
 from qlbatch import (
     BatchRequest,
     BudgetError,
@@ -71,7 +72,7 @@ def _assert_matches_conductor_loop(result, convention):
             acc += sign * values[:, (q // a - g.b0) // g.step]
         x = (b.centre - q) / q
         F = c_prefactor(0.3, q) * g_prefactor(q) * np.dot(acc, x ** np.arange(b.R))
-        Z = 2.0 * (np.exp(1j * theta_phase(0.3, 0, q)) * F).real
+        Z = 2.0 * (np.exp(1j * theta_phase(0.3, q)) * F).real
         assert abs(Z - z) <= 1e-13, q
 
 
@@ -482,6 +483,27 @@ class TestRecoveryChecks:
         ]
         assert found == []
 
+    def test_scipy_special_serves_two_functions(self):
+        # special.log_gamma is the one caller of loggamma and
+        # special._certified_order of wrightomega, so replacing scipy.special
+        # replaces the bodies of these two functions alone
+        uses = set()
+        for name, tree in _source_trees():
+            aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                       for a in node.names if a.name == "scipy.special"}
+            for stmt in tree.body:
+                scope = getattr(stmt, "name", "<module>")
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.ImportFrom) and (
+                            node.module == "scipy.special"
+                            or node.module == "scipy" and any(a.name == "special" for a in node.names)):
+                        uses.add((name, scope, "from-import"))
+                    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                            and node.value.id in aliases:
+                        uses.add((name, scope, node.attr))
+        assert uses == {("special.py", "log_gamma", "loggamma"),
+                        ("special.py", "_certified_order", "wrightomega")}
+
 
 class TestRouteSplit:
     def test_closed_route_matches_node_route(self, monkeypatch):
@@ -533,6 +555,18 @@ class TestCompareStep:
             if f.name == "timings":  # wall seconds, not values
                 continue
             assert np.array_equal(getattr(again, f.name), getattr(comparison, f.name)), f.name
+
+    def test_phase_bug_is_flagged(self, monkeypatch):
+        # the fast path takes |C(t, q)| where the oracle rotates by theta, so
+        # a wrong theta shows in compare: flip the sign of its t log(q/pi)
+        # term in both modules
+        def flipped(t, q):
+            return theta_phase(t, q) - t * np.log(np.asarray(q, dtype=np.float64) / np.pi)
+
+        for module in (pipeline, qlbatch.oracle):
+            monkeypatch.setattr(module, "theta_phase", flipped)
+        cmp = compare_with_oracle(run_batch(BatchRequest(_WIN, 0.3, _EPS)))
+        assert cmp.devs.size > 1 and np.all(cmp.devs > cmp.tolerances)
 
     def test_empty_window_compares_to_empty_columns(self):
         # [2, 3) holds no fundamental conductor; the summary reads zero

@@ -6,6 +6,7 @@ adaptive quadrature of the defining integral, then frozen here.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from qlbatch.special import (
     g_derivative_row,
     g_kernel,
     g_prefactor,
-    incomplete_gamma_upper,
     log_gamma,
     theta_phase,
     weight_v,
@@ -57,12 +57,11 @@ _ROW_REFERENCE = [
     (17.0, 7, (-3.6907999267310364e-09 - 4.42569027843767e-11j)),
 ]
 
-# (t, parity, q, theta) frozen from mpmath.loggamma
+# (t, q, theta) frozen from mpmath.loggamma
 _THETA_REFERENCE = [
-    (0.3, 0, 10007, 0.6361506111049187),
-    (1.0, 0, 5, -0.9628289965952402),
-    (0.7, 1, 33, 0.4770545707994726),
-    (2.5, 0, 101, 2.982828465914762),
+    (0.3, 10007, 0.6361506111049187),
+    (1.0, 5, -0.9628289965952402),
+    (2.5, 101, 2.982828465914762),
 ]
 
 # (t, w, V) for the s-parameter z = 1/2 + it, frozen from mpmath
@@ -321,8 +320,6 @@ class TestLogGamma:
         with pytest.raises(DomainError, match="poles"):
             g_kernel(z, w)
         with pytest.raises(DomainError, match="poles"):
-            incomplete_gamma_upper(z, w)
-        with pytest.raises(DomainError, match="poles"):
             weight_v(2.0 * z, w)
 
     def test_kernel_near_pole_has_values(self):
@@ -331,44 +328,28 @@ class TestLogGamma:
             assert np.isfinite(_g_kernel_arr(z, np.array([0.5, 40.0]))).all()
 
 
-class TestIncompleteGamma:
-    def test_against_kernel_relation(self):
-        # Gamma(z, w) = w^z G_z(w) by definition of the kernel
-        for z, w in [(0.25 + 0.15j, 0.9), (1.5, 12.0)]:
-            lhs = incomplete_gamma_upper(z, w)
-            rhs = cmath.exp(z * cmath.log(w)) * g_kernel(z, w)
-            assert abs(lhs - rhs) <= 1e-14 * abs(rhs)
-
-    def test_z_one_value(self):
-        assert incomplete_gamma_upper(1.0, 3.0) == pytest.approx(math.exp(-3.0), rel=1e-13)
-
-
 class TestThetaPhase:
-    @pytest.mark.parametrize("t,parity,q,ref", _THETA_REFERENCE)
-    def test_frozen_references(self, t, parity, q, ref):
-        assert theta_phase(t, parity, q) == pytest.approx(ref, abs=1e-13)
+    @pytest.mark.parametrize("t,q,ref", _THETA_REFERENCE)
+    def test_frozen_references(self, t, q, ref):
+        assert theta_phase(t, q) == pytest.approx(ref, abs=1e-13)
 
     def test_t_zero_even_parity_vanishes(self):
         for q in (5, 101, 10007):
-            assert theta_phase(0.0, 0, q) == 0.0
+            assert theta_phase(0.0, q) == 0.0
 
     def test_odd_in_t(self):
         for t in (0.2, 1.7):
-            assert theta_phase(-t, 0, 33) == pytest.approx(-theta_phase(t, 0, 33), rel=1e-13)
+            assert theta_phase(-t, 33) == pytest.approx(-theta_phase(t, 33), rel=1e-13)
 
     def test_asymptotic_form(self):
         # Stirling with the 1/(12z) correction pins theta to ~1e-4 at t = 8
         t, q = 8.0, 9973
-        direct = theta_phase(t, 0, q)
+        direct = theta_phase(t, q)
         z = (0.5 + 1j * t) / 2.0
         stirling = (
             (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + 1.0 / (12.0 * z)
         ).imag + (t / 2.0) * math.log(q / math.pi)
         assert direct == pytest.approx(stirling, abs=1e-3)
-
-    def test_parity_validation(self):
-        with pytest.raises(DomainError):
-            theta_phase(0.3, 2, 5)
 
 
 class TestWeightV:
@@ -387,6 +368,22 @@ class TestWeightV:
 
     def test_decay(self):
         assert abs(weight_v(0.5, 60.0)) < 1e-24
+
+    def test_array_matches_scalar_calls(self):
+        # to a few ulps, as the kernel's own vectorized test
+        w = np.array([[0.4, 6.0], [29.0, 900.0]])
+        V = weight_v(0.5 + 0.3j, w)
+        assert V.shape == w.shape
+        for v, x in zip(V.ravel().tolist(), w.ravel().tolist()):
+            assert abs(v - weight_v(0.5 + 0.3j, x)) <= 5e-15 * abs(v)
+
+    @pytest.mark.parametrize("z,w", [(0.5, [0.4, 0.0]), (0.5, [-1.0, 2.0]), (-2.0, [0.4, 2.0])])
+    def test_refuses_before_any_log(self, z, w):
+        # the kernel checks w > 0 and z/2 off the poles ahead of log(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                weight_v(z, np.array(w))
 
 
 class TestPrefactors:

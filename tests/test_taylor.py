@@ -207,7 +207,7 @@ class TestCoefficientTable:
     def test_row_zero_is_plain_kernel(self, small_table):
         N = small_table.N
         n = np.arange(1, N + 1, dtype=np.float64)
-        w = math.pi * n * n / small_table.Q
+        w = math.pi * n * n / small_table.centre
         direct = _g_kernel_arr(0.25 + 0.0j, w)
         assert np.max(np.abs(small_table.c[0] - direct)) == 0.0
 
@@ -229,7 +229,7 @@ class TestCoefficientTable:
         # |c_r(t, n)| <= Q / (pi n^2) uniformly in r
         N = small_table.N
         n = np.arange(1, N + 1, dtype=np.float64)
-        cap = small_table.Q / (math.pi * n * n)
+        cap = small_table.centre / (math.pi * n * n)
         assert np.all(np.abs(small_table.c) <= cap[None, :] * (1.0 + 1e-12))
 
     def test_counter_reports_kernel_volume(self):
