@@ -30,8 +30,9 @@ from .arith import Window, _check_t
 from .errors import AccuracyError, BudgetError, ConsistencyError, DomainError
 from .pipeline import BatchRequest, compare_with_oracle, run_batch
 
-# each scan height is a full window sweep (0.08-0.10 s warm for a window of
-# width 4096 near 10^5 on a 2-vCPU x86 VM), so a longer grid is refused, not run
+# each scan height is a full window sweep (0.07-0.11 s warm for a window of
+# width 4096 near 10^5, which carries 5 Chebyshev columns, on a 2-vCPU x86
+# VM), so a longer grid is refused, not run
 _SCAN_MAX_HEIGHTS = 10_000
 
 # exit code of each refusal main reports on stderr
@@ -146,6 +147,8 @@ def cmd_eval(args) -> int:
             "epsilon3": budget.epsilon3,
             "N": budget.N,
             "R": budget.R,
+            "columns": budget.columns,
+            "dropped": budget.dropped,
         },
         "counts": result.counts,
         "timings": result.timings,
@@ -253,12 +256,13 @@ def _st_budget_arithmetic() -> None:
     from .taylor import plan_budget, tail_bound, taylor_remainder_bound
 
     b = plan_budget(10_000, 5_000, 1e-6, 0.0)
-    if (b.N, b.R) != (257, 14):
-        raise ConsistencyError(f"reference budget mismatch: N={b.N}, R={b.R}")
+    if (b.N, b.R, b.columns) != (257, 14, 9):
+        raise ConsistencyError(f"reference budget mismatch: N={b.N}, R={b.R}, "
+                               f"columns={b.columns}")
     if not tail_bound(b.N, 10_000) < b.epsilon1:
         raise ConsistencyError("tail bound misses its budget")
-    if not taylor_remainder_bound(b.N, 10_000, 5_000, b.R) < b.epsilon2:
-        raise ConsistencyError("Taylor remainder misses its budget")
+    if not taylor_remainder_bound(b.N, 10_000, 5_000, b.R) + b.dropped <= b.epsilon2:
+        raise ConsistencyError("Taylor remainder and dropped columns miss their budget")
     try:
         plan_budget(1 << 40, 1 << 39, 1e-6, 0.0)
     except BudgetError:
@@ -306,11 +310,10 @@ def _st_multieval_agreement() -> None:
 def _st_closed_form() -> None:
     from .arith import divisor_terms, fundamental_conductors
     from .multieval import build_node_problem, closed_form_terms, direct_eval
-    from .taylor import build_coefficient_table, plan_budget
+    from .taylor import plan_sweep
 
     window, t = Window(10_001, 512), 0.3
-    budget = plan_budget(window.Q, window.Delta, 1e-6, t)
-    table = build_coefficient_table(t, budget.centre, budget.N, budget.R)
+    budget, table = plan_sweep(window.Q, window.Delta, 1e-6, t)
     qs = fundamental_conductors(window)
     owner, a, _ = divisor_terms(window, qs, budget.N)
     b = qs[owner] // a

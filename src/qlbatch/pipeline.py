@@ -1,32 +1,33 @@
 """Window-sweep orchestration: plan, precompute, recover Z per conductor.
 
 One batch run covers every fundamental odd conductor q in [Q, Q+Delta).  The
-precompute phase builds the shared Taylor coefficient table, then computes
-each divisor term by the route a fitted cost model prices lower for its
+precompute phase plans the window and builds its shared coefficient table,
+the Taylor table economized into R_c Chebyshev columns, then computes each
+divisor term by the route a fitted cost model prices lower for its
 divisor a: the closed form reads complete Gauss sums off one table in one
 batched pass over the terms of all its divisors, and a node problem
 evaluates the divisor's whole rescaled grid b = q/a at once (a = 1 always,
 and the few small divisors whose many long terms make a transform pay).
 The recovery phase assembles, for each q, the divisor combination
 
-    F = C(t, q) g(q) sum_r x^r sum_(a|q) mu-sign(a) sqrt(a) S_r(a, q/a),
+    F = C(t, q) g(q) sum_(k < R_c) T_k(u) sum_(a|q) mu-sign(a) sqrt(a) S_k(a, q/a),
 
-with x = (c - q)/q about the planner's expansion point c.  The phase
+with u in [-1, 1] the image of x = (c - q)/q, about the planner's expansion
+point c, under the map of the window's x interval (ErrorBudget.u).  The phase
 theta = -arg C(t, q) makes e^{i theta} C(t, q) = |C(t, q)|, so recovery
 takes Z = 2 Re[e^{i theta} F] as 2 |C(t, q)| Re[F / C(t, q)] and rotates
-nothing; theta is computed for its column alone.  sqrt(a) S_r(a, b) weighs
+nothing; theta is computed for its column alone.  sqrt(a) S_k(a, b) weighs
 table column n = a m by sqrt(a/m) = a n^(-1/2): the table is scaled by
 n^(-1/2) once, both routes read it unweighted and recovery multiplies each
-term by a.  The conductors
-and their divisor terms, read off the divisor grids, are flat arrays, and
-both routes write their values at b = q/a into the columns of their own
-terms, so recovery is one segmented sum per conductor, one product with
-the powers of x and one array expression for the prefactors: O(d(q) R)
-work per conductor and no per-conductor Python; the result keeps those
-arrays as its columns.  Every window takes this route, whatever its size:
-the cost argument needs a large window, correctness does not.  run_batch
-only computes; checking a sweep against the per-conductor oracle is
-compare_with_oracle.
+term by a.  The conductors and their divisor terms, read off the divisor
+grids, are flat arrays, and both routes write their values at b = q/a into
+the columns of their own terms, so recovery is one segmented sum per
+conductor, one Clenshaw recurrence over the window's arrays and one array
+expression for the prefactors: O(d(q) R_c) work per conductor and no
+per-conductor Python; the result keeps those arrays as its columns.  Every
+window takes this route, whatever its size: the cost argument needs a large
+window, correctness does not.  run_batch only computes; checking a sweep
+against the per-conductor oracle is compare_with_oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import ConsistencyError, DomainError
 from .multieval import build_node_problem, closed_form_cheaper, closed_form_terms, fast_eval
 from .oracle import oracle_sweep
 from .special import c_prefactor, g_prefactor, theta_phase
-from .taylor import CoefficientTable, ErrorBudget, build_coefficient_table, plan_budget
+from .taylor import CoefficientTable, ErrorBudget, clenshaw, plan_sweep
 
 _T_WARN = 1.0
 
@@ -159,9 +160,8 @@ def run_batch(
             stacklevel=2,
         )
 
-    budget = plan_budget(win.Q, win.Delta, request.epsilon, t)
+    budget, table = plan_sweep(win.Q, win.Delta, request.epsilon, t, counter)
     qs = fundamental_conductors(win, counter)
-    table = build_coefficient_table(t, budget.centre, budget.N, budget.R, counter)
     table = assembly_table(table, convention)
     owner, a, sign = divisor_terms(win, qs, budget.N)
     # a | q keeps every cofactor b = q/a inside its divisor's grid, and
@@ -186,7 +186,7 @@ def run_batch(
     closed = closed_form_cheaper(divisors, np.diff(edges), budget.N,
                                  divisor_grid(win, divisors)[1])
     counter.add("closed_divisors", int(closed.sum()))
-    terms = np.empty((budget.R, a.size), dtype=np.complex128)
+    terms = np.empty((budget.columns, a.size), dtype=np.complex128)
     seconds = np.zeros((2, divisors.size))  # build, eval
 
     def run_one(i: int) -> None:
@@ -217,20 +217,20 @@ def run_batch(
     closed_s = time.perf_counter() - t_closed
     precompute_s = time.perf_counter() - t_start
 
-    # recovery: sum each conductor's signed terms, apply the Taylor powers
-    # of x = (c - q)/q, then the prefactors, all as arrays over the window
+    # recovery: sum each conductor's signed terms, sum the Chebyshev series
+    # at u(q) by Clenshaw's recurrence, then the prefactors, all as arrays
+    # over the window
     rec_start = time.perf_counter()
     n_terms = np.bincount(owner, minlength=qs.size)
     starts = np.cumsum(n_terms) - n_terms
     sums = np.add.reduceat(terms * (sign * a), starts, axis=1)
-    R = budget.R
-    x = (budget.centre - qs) / qs
-    inner = np.sum(sums * x ** np.arange(R, dtype=np.float64)[:, None], axis=0)
+    inner = clenshaw(sums, budget.u(qs))
     Z = 2.0 * np.abs(c_prefactor(t, qs)) * (g_prefactor(qs) * inner).real
     theta = theta_phase(t, qs)
     a_total = np.add.reduceat(a, starts)
-    bounds = 2.0 * budget.epsilon1 + 2.0 * budget.epsilon2 + budget.epsilon3 * R * a_total
-    ops = R * (n_terms + 2) + 8
+    R_c = budget.columns
+    bounds = 2.0 * budget.epsilon1 + 2.0 * budget.epsilon2 + budget.epsilon3 * R_c * a_total
+    ops = R_c * (n_terms + 2) + 8
     counter.add("recovery_ops", int(ops.sum()))
     recovery_s = time.perf_counter() - rec_start
     return BatchResult(

@@ -102,6 +102,17 @@ class TestEvalOutput:
         assert doc["counts"]["kernel_evals"] > 0
         assert set(doc) == {"window", "t", "epsilon", "budget", "counts", "timings", "records"}
 
+    def test_json_budget_reports_columns_and_dropped_sum(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        rc = main(["eval", "--q-min", "10000", "--q-width", "5000", "--format", "json",
+                   "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        budget = json.loads(out.read_text())["budget"]
+        assert set(budget) == {"epsilon1", "epsilon2", "epsilon3", "N", "R", "columns", "dropped"}
+        assert (budget["N"], budget["R"], budget["columns"]) == (257, 14, 9)
+        assert 0.0 < budget["dropped"] < budget["epsilon2"] / 2
+
     def test_json_reports_timings(self, tmp_path, capsys):
         out = tmp_path / "z.json"
         rc = main([

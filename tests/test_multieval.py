@@ -40,7 +40,7 @@ from qlbatch.multieval import (
     gauss_table,
 )
 from qlbatch.pipeline import assembly_table
-from qlbatch.taylor import _MAX_N, build_coefficient_table, plan_budget
+from qlbatch.taylor import _MAX_N, build_coefficient_table, plan_budget, plan_sweep
 
 # the two evaluation paths of a node problem, as (problem, grid) -> values
 _ROUTES = {
@@ -492,9 +492,9 @@ class TestGaussTable:
 
 
 def _window_terms(window, t):
-    """(table, a, b) of a window's divisor terms at height t and eps 1e-6."""
-    budget = plan_budget(window.Q, window.Delta, 1e-6, t)
-    table = build_coefficient_table(t, budget.centre, budget.N, budget.R)
+    """(table, a, b) of a window's divisor terms at height t and eps 1e-6,
+    the table the planner economized."""
+    budget, table = plan_sweep(window.Q, window.Delta, 1e-6, t)
     qs = fundamental_conductors(window)
     owner, a, _ = divisor_terms(window, qs, budget.N)
     return table, a, qs[owner] // a
@@ -574,7 +574,7 @@ class TestClosedForm:
 
     def test_traced_peak_bounded_by_output_table_and_chunk(self):
         # every divisor a >= 3 of the wide window through the closed form:
-        # 4.1M pairs in chunks of 2^16, 46,000 terms of R = 14.  The peak
+        # 4.1M pairs in chunks of 2^16, 46,000 terms of 10 columns.  The peak
         # is the (R, J) output, the M = 391 Gauss table and one chunk's
         # workspace; one unchunked pass would hold ~40 bytes per pair more
         window = Window(200_001, 100_000)
@@ -590,7 +590,7 @@ class TestClosedForm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert pairs > 4_000_000 and table.R == 14
+        assert pairs > 4_000_000 and table.R == 10
         assert peak < out_bytes + table_bytes + 200 * _CLOSED_CHUNK
 
 
@@ -914,14 +914,14 @@ class TestSpreadBlocks:
         assert np.max(np.abs(got - direct_eval(p, g))) <= 1e-9 * p.scale
 
     def test_traced_peak_bounded_by_grid_and_block(self):
-        # the a = 1 problem of [120001, 180001): K = 77,618, R = 14,
-        # n = 2^15, 45 taps, on the 15,000 arguments b = 1 (mod 4).  Build
-        # and evaluation peak at 32.7 MiB traced: the padded grid, the
-        # problem and one block's workspace; one (K, R) coefficient array
-        # would add 17 MB and the K*W spreading matrix more again
+        # the a = 1 problem of [120001, 180001): K = 77,618, 10 columns,
+        # n = 2^15, on the 15,000 arguments b = 1 (mod 4).  Build and
+        # evaluation peak at 29.6 MiB traced (32.7 MiB with 14 Taylor
+        # columns): the padded grid, the problem and one block's workspace;
+        # one (K, R) coefficient array would add 12 MB and the K*W
+        # spreading matrix more again
         Q, Delta = 120_001, 60_000
-        budget = plan_budget(Q, Delta, 1e-6, 0.0)
-        table = build_coefficient_table(0.0, budget.centre, budget.N, budget.R)
+        budget, table = plan_sweep(Q, Delta, 1e-6, 0.0)
         tracemalloc.start()
         try:
             p, g = build_node_problem(1, table, Window(Q, Delta))
@@ -929,7 +929,7 @@ class TestSpreadBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert p.K == 77_618 and table.R == 14
+        assert p.K == 77_618 and table.R == 10
         assert peak < 64 * 2 ** 20
 
 

@@ -26,7 +26,7 @@ from qlbatch import pipeline
 from qlbatch.arith import divisor_grid, divisor_terms, fundamental_conductors
 from qlbatch.multieval import build_node_problem, fast_eval
 from qlbatch.special import c_prefactor, g_prefactor, theta_phase
-from qlbatch.taylor import build_coefficient_table, plan_budget
+from qlbatch.taylor import plan_budget, plan_sweep
 
 _WIN = Window(10_000, 32)
 _EPS = 1e-6
@@ -51,27 +51,31 @@ def _source_trees():
 
 
 def _assert_matches_conductor_loop(result, convention):
-    """Reference recovery of a run of _WIN at t = 0.3: the per-conductor loop
-    over divisor terms, each divisor's S-values, weight included, from its
-    own node problem and fast_eval.  Column a m of the divisor's table
-    carries u_m = sqrt(a/m) under sqrt_a and a under plain_a, so the loop
-    adds no weight."""
-    b = result.budget
-    table = build_coefficient_table(0.3, b.centre, b.N, b.R)
+    """Reference recovery of a run at t = 0.3: the per-conductor loop over
+    divisor terms, each divisor's S-values, weight included, from its own
+    node problem and fast_eval on the planner's Chebyshev table, summed
+    against T_k(u) = cos(k arccos u) with u from the window's x interval.
+    Column a m of the divisor's table carries u_m = sqrt(a/m) under sqrt_a
+    and a under plain_a, so the loop adds no weight."""
+    b, win = result.budget, result.request.window
+    table = plan_sweep(win.Q, win.Delta, _EPS, 0.3)[1]
     n = np.arange(1, b.N + 1)
+    L = win.Q + win.Delta - 1
+    hi, lo = (b.centre - win.Q) / win.Q, (b.centre - L) / L
     svals = {}
     for q, z in zip(result.q.tolist(), result.Z.tolist()):
-        acc = np.zeros(b.R, dtype=np.complex128)
+        acc = np.zeros(b.columns, dtype=np.complex128)
         _, a_terms, signs = _conductor_terms(q, b.N)
         for a, sign in zip(a_terms.tolist(), signs.tolist()):
             if a not in svals:
                 u = np.sqrt(a / (n / a)) if convention == "sqrt_a" else a  # m = n/a
-                p, g = build_node_problem(a, dataclasses.replace(table, c=table.c * u), _WIN)
+                p, g = build_node_problem(a, dataclasses.replace(table, c=table.c * u), win)
                 svals[a] = (g, fast_eval(p, g, b.epsilon3))
             g, values = svals[a]
             acc += sign * values[:, (q // a - g.b0) // g.step]
-        x = (b.centre - q) / q
-        F = c_prefactor(0.3, q) * g_prefactor(q) * np.dot(acc, x ** np.arange(b.R))
+        u = np.clip((2 * (b.centre - q) / q - hi - lo) / (hi - lo), -1.0, 1.0)
+        T = np.cos(np.arange(b.columns) * np.arccos(u))
+        F = c_prefactor(0.3, q) * g_prefactor(q) * np.dot(acc, T)
         Z = 2.0 * (np.exp(1j * theta_phase(0.3, q)) * F).real
         assert abs(Z - z) <= 1e-13, q
 
@@ -197,7 +201,7 @@ class TestFastWindow:
         b = result.budget
         for q, bound in zip(result.q.tolist(), result.error_bound.tolist()):
             _, a, _ = _conductor_terms(q, b.N)
-            expect = 2 * b.epsilon1 + 2 * b.epsilon2 + b.epsilon3 * b.R * a.sum()
+            expect = 2 * b.epsilon1 + 2 * b.epsilon2 + b.epsilon3 * b.columns * a.sum()
             assert bound == pytest.approx(expect, rel=1e-12)
 
     def test_array_recovery_matches_per_conductor_loop(self, cmp_run):
@@ -207,12 +211,18 @@ class TestFastWindow:
         result = run_batch(BatchRequest(_WIN, 0.3, _EPS), convention="plain_a")
         _assert_matches_conductor_loop(result, "plain_a")
 
+    def test_economized_recovery_matches_per_conductor_loop(self):
+        # _WIN keeps all R = 4 columns; this window drops one of R = 6
+        result = run_batch(BatchRequest(Window(10_001, 512), 0.3, _EPS))
+        assert (result.budget.R, result.budget.columns) == (6, 5)
+        _assert_matches_conductor_loop(result, "sqrt_a")
+
     def test_recovery_ops_formula(self, cmp_run):
         result, counter = cmp_run
         b = result.budget
         for q, ops in zip(result.q.tolist(), result.recovery_ops.tolist()):
             _, a, _ = _conductor_terms(q, b.N)
-            assert ops == b.R * (a.size + 2) + 8
+            assert ops == b.columns * (a.size + 2) + 8
         assert counter.get("recovery_ops") == result.recovery_ops.sum()
 
     def test_compare_summaries_match_devs(self, cmp_run, comparison):
@@ -320,7 +330,7 @@ class TestConvention:
         for convention, power in (("sqrt_a", -0.5), ("plain_a", 0.0)):
             handed.clear()
             b = run_batch(request, convention=convention).budget
-            plain = build_coefficient_table(0.3, b.centre, b.N, b.R).c
+            plain = plan_sweep(request.window.Q, request.window.Delta, _EPS, 0.3)[1].c
             assert {route for route, _ in handed} == {"build_node_problem", "closed_form_terms"}
             for _, table in handed:
                 assert table.t == 0.3 and table.N == b.N

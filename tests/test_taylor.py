@@ -1,5 +1,6 @@
 """Budget planning, certified bounds, coefficient tables."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,26 @@ from qlbatch import BudgetError, DomainError, OpCounter, Window
 from qlbatch.arith import fundamental_conductors
 from qlbatch.oracle import _character_values
 from qlbatch.special import _g_kernel_arr, c_prefactor, weight_v
-from qlbatch.taylor import build_coefficient_table, plan_budget, tail_bound, taylor_remainder_bound
+from qlbatch.taylor import (build_coefficient_table, chebyshev_matrix, clenshaw, plan_budget,
+                            plan_sweep, tail_bound, taylor_remainder_bound)
+
+
+def _x_interval(b):
+    """Midpoint and half-width of x = (c - q)/q over the budget's window."""
+    L = b.Q + b.Delta - 1
+    hi, lo = (b.centre - b.Q) / b.Q, (b.centre - L) / L
+    return (hi + lo) / 2, (hi - lo) / 2
+
+
+def _economized(b, t):
+    """The Taylor table of budget b and all R of its Chebyshev rows."""
+    taylor = build_coefficient_table(t, b.centre, b.N, b.R)
+    return taylor, chebyshev_matrix(*_x_interval(b), b.R) @ taylor.c
+
+
+def _dropped_rows(b, t):
+    """|C| at q = Q, height max(1, |t|), times sum_n |b_(k,n)| for each k."""
+    return abs(c_prefactor(max(1.0, abs(t)), b.Q)) * np.abs(_economized(b, t)[1]).sum(axis=1)
 
 
 class TestPlanBudget:
@@ -19,12 +39,13 @@ class TestPlanBudget:
         b = plan_budget(10_000, 5_000, 1e-6, 0.0)
         assert b.N == 257
         assert b.R == 14
+        assert b.columns == 9
         assert b.centre == 12_000
         assert b.epsilon1 == pytest.approx(1.25e-7)
         assert b.epsilon2 == pytest.approx(1.25e-7)
-        # epsilon / (4 R N sqrt(Q)); abs=0, as pytest.approx's default 1e-12
+        # epsilon / (4 R_c N sqrt(Q)); abs=0, as pytest.approx's default 1e-12
         # would pass any figure this small
-        assert b.epsilon3 == pytest.approx(1e-6 / (4 * 14 * 257 * 100), rel=1e-9, abs=0)
+        assert b.epsilon3 == pytest.approx(1e-6 / (4 * 9 * 257 * 100), rel=1e-9, abs=0)
         assert (b.Q, b.Delta) == (10_000, 5_000)
 
     def test_narrow_window_needs_fewer_orders(self):
@@ -38,21 +59,30 @@ class TestPlanBudget:
     def test_orders_are_the_smallest_certified(self, Q, t):
         b = plan_budget(Q, Q // 2, 1e-6, t)
         assert tail_bound(b.N - 1, Q, t) >= b.epsilon1 > tail_bound(b.N, Q, t)
-        assert taylor_remainder_bound(b.N, Q, Q // 2, b.R, t) < b.epsilon2
+        remainder = taylor_remainder_bound(b.N, Q, Q // 2, b.R, t)
+        assert remainder < b.epsilon2 / 2
         if b.R > 1:
-            assert taylor_remainder_bound(b.N, Q, Q // 2, b.R - 1, t) >= b.epsilon2
+            assert taylor_remainder_bound(b.N, Q, Q // 2, b.R - 1, t) >= b.epsilon2 / 2
+        # the least column count whose dropped sum the remainder covers
+        assert b.dropped <= remainder
+        if b.columns > 1:
+            rows = _dropped_rows(b, t)
+            assert rows[b.columns - 1:].sum() > remainder
 
     def test_orders_follow_height_only_past_one(self):
-        assert plan_budget(10_000, 5_000, 1e-6, 0.3) == plan_budget(10_000, 5_000, 1e-6, -1.0)
+        # dropped is read off each height's own table, so it alone differs
+        low, one = plan_budget(10_000, 5_000, 1e-6, 0.3), plan_budget(10_000, 5_000, 1e-6, -1.0)
+        assert dataclasses.replace(low, dropped=0.0) == dataclasses.replace(one, dropped=0.0)
         high = plan_budget(10_001, 5_000, 1e-6, 10.0)
-        assert (high.N, high.R) == (316, 19)
+        assert (high.N, high.R, high.columns) == (316, 19, 12)
 
     def test_ceiling_lifted_past_a_million(self):
         # the sqrt((2Q/pi) log(Q/eps1)) rule gave N = 4,569, R = 16 and eps3 =
-        # 3.3e-15, under the 2^-48 floor
+        # 3.3e-15, under the 2^-48 floor; the Taylor table's 14 columns gave
+        # eps3 = 6.1e-15
         b = plan_budget(1_100_001, 550_000, 1e-6, 0.0)
-        assert (b.N, b.R) == (2_789, 14)
-        assert b.epsilon3 == pytest.approx(6.1e-15, rel=0.01)
+        assert (b.N, b.R, b.columns) == (2_789, 15, 10)
+        assert b.epsilon3 == pytest.approx(8.5e-15, rel=0.01)
 
     def test_rejects_epsilon_out_of_range(self):
         for eps in (0.0, 1.0, -0.5, 2.0):
@@ -95,7 +125,7 @@ class TestPlanBudget:
         except BudgetError:
             return
         assert tail_bound(b.N, Q) < b.epsilon1
-        assert taylor_remainder_bound(b.N, Q, Q // 2, b.R) < b.epsilon2
+        assert taylor_remainder_bound(b.N, Q, Q // 2, b.R) + b.dropped < b.epsilon2
         assert b.epsilon3 >= 2.0 ** -48
 
 
@@ -201,6 +231,70 @@ class TestBounds:
             taylor_remainder_bound(400, 1_000, 1_000, 8)
         with pytest.raises(DomainError):
             taylor_remainder_bound(0, 10_000, 100, 8)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_bounds_reject_non_finite_t(self, t):
+        # max(1, |nan|) is 1, so an unchecked nan would read as t = 1
+        with pytest.raises(DomainError):
+            tail_bound(300, 10_000, t)
+        with pytest.raises(DomainError):
+            taylor_remainder_bound(257, 10_000, 5_000, 14, t)
+
+
+# the gated windows, a height-10 window, and the one- and two-conductor
+# windows whose x interval is a point or nearly one
+_ECONOMIZED = [(10_001, 5_000, 0.0), (10_001, 5_000, 0.3), (10_001, 5_000, 1.0),
+               (200_001, 100_000, 0.0), (10_001, 5_000, 10.0), (10_001, 1, 0.0),
+               (10_001, 2, 0.3)]
+
+
+class TestChebyshev:
+    @pytest.mark.parametrize("mid, hw, R", [(0.0, 0.2, 15), (-0.0037, 0.2037, 19),
+                                            (0.01, 0.0, 6), (0.3, 0.5, 12), (0.0, 1.0, 1)])
+    def test_matrix_matches_poly2cheb(self, mid, hw, R):
+        from numpy.polynomial import chebyshev, polynomial
+
+        E = chebyshev_matrix(mid, hw, R)
+        for r in range(R):
+            want = chebyshev.poly2cheb(polynomial.polypow([mid, hw], r))
+            want = np.pad(want, (0, R - want.size))
+            np.testing.assert_allclose(E[:, r], want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("K", [1, 2, 9, 19])
+    def test_clenshaw_matches_direct_sum(self, rng, K):
+        coeffs = rng.standard_normal((K, 200)) + 1j * rng.standard_normal((K, 200))
+        u = np.concatenate(([-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 197)))
+        T = np.cos(np.arange(K)[:, None] * np.arccos(u))
+        direct = np.sum(coeffs * T, axis=0)
+        np.testing.assert_allclose(clenshaw(coeffs, u), direct, rtol=0, atol=1e-13 * K)
+
+    @pytest.mark.parametrize("Q, Delta, t", _ECONOMIZED)
+    def test_dropped_sum_covers_truncation_at_every_conductor(self, Q, Delta, t):
+        # |C(t, q)| sum_n |sum_r c_r(n) x^r - sum_(k < R_c) b_k(n) T_k(u)|,
+        # the error of dropping the columns, character-free, at every
+        # conductor of the window; the tolerance is the two sums' roundoff
+        b, table = plan_sweep(Q, Delta, 1e-6, t)
+        taylor, rows = _economized(b, t)
+        np.testing.assert_array_equal(table.c, rows[:b.columns])
+        assert b.dropped == pytest.approx(_dropped_rows(b, t)[b.columns:].sum(), rel=1e-12, abs=0)
+        qs = fundamental_conductors(Window(Q, Delta))
+        roundoff = 1e-14 * abs(c_prefactor(t, Q)) * np.abs(taylor.c).sum()
+        worst = 0.0
+        for chunk in np.array_split(qs, max(1, qs.size // 1024)):
+            x = (b.centre - chunk) / chunk
+            powers = x[:, None] ** np.arange(b.R)
+            gap = np.abs(powers @ taylor.c - clenshaw(table.c[:, None, :], b.u(chunk)[:, None]))
+            worst = max(worst, float(np.max(np.abs(c_prefactor(t, chunk)) * gap.sum(axis=1))))
+        assert worst <= b.dropped + roundoff
+        if Delta == 1:
+            assert (b.columns, b.dropped, worst) == (1, 0.0, 0.0)
+
+    def test_u_spans_the_window(self):
+        b = plan_budget(10_001, 5_000, 1e-6, 0.0)
+        u = b.u(np.array([10_001, b.centre, 15_000]))
+        assert u[0] == pytest.approx(1.0, abs=1e-12) and u[2] == pytest.approx(-1.0, abs=1e-12)
+        assert -1.0 < u[1] < 1.0
+        assert np.all(plan_budget(10_001, 1, 1e-6, 0.0).u(np.array([10_001])) == 0.0)
 
 
 class TestCoefficientTable:
