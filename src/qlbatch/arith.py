@@ -90,7 +90,7 @@ class Window:
         # power-of-two scaling windows are expressible
         if 2 * self.Delta > self.Q:
             raise DomainError(
-                f"window width {self.Delta} violates 1 <= Delta < Q/2 for Q={self.Q}"
+                f"window width {self.Delta} violates 1 <= Delta <= Q/2 for Q={self.Q}"
             )
 
 
@@ -129,14 +129,20 @@ def _is_fundamental_odd_positive_int(q: int) -> bool:
     return True
 
 
+def _check_conductor(q) -> int:
+    """q as an int; DomainError unless it is an odd positive fundamental conductor."""
+    q = int(q)
+    if not _is_fundamental_odd_positive_int(q):
+        raise DomainError(f"q={q} is not an odd positive fundamental conductor")
+    return q
+
+
 def quad_character(q: int, n: int) -> int:
     """chi_q(n) in {-1, 0, +1} for fundamental odd positive q."""
-    q = int(q)
     n = int(n)
     if n < 1:
         raise DomainError("quad_character requires n >= 1")
-    if not _is_fundamental_odd_positive_int(q):
-        raise DomainError(f"q={q} is not an odd positive fundamental conductor")
+    q = _check_conductor(q)
     return jacobi(n % q, q)
 
 
@@ -187,13 +193,14 @@ def fundamental_conductors(window: Window, counter: OpCounter | None = None) -> 
 
 
 def divisor_terms(window: Window, qs: np.ndarray, N: int) -> tuple[np.ndarray, ...]:
-    """Flat int64 (owner, a, sign): the inclusion-exclusion terms of the
+    """Flat int64 (owner, a, h, sign): the inclusion-exclusion terms of the
     window's fundamental conductors qs, as fundamental_conductors returns them.
 
     A term is a divisor a <= N of q = qs[owner] with sign (-1)^omega(a).
     Every such a is odd with b = q/a = a (mod 4), so the terms are the points
-    b of the grids divisor_grid(window, a), odd a <= N, whose a b is in qs.
-    Sorted by (owner, a), so each conductor starts with (1, +1).
+    b = b0 + 4h of the grids (b0, H) = divisor_grid(window, a), odd a <= N,
+    whose a b is in qs.  They come divisor-major, in grid order: a ascending,
+    then h ascending within each divisor.
     """
     a = np.arange(1, N + 1, 2, dtype=np.int64)
     b0, H = divisor_grid(window, a)
@@ -201,15 +208,14 @@ def divisor_terms(window: Window, qs: np.ndarray, N: int) -> tuple[np.ndarray, .
     h = np.arange(H.sum()) - np.repeat(np.cumsum(H) - H, H)  # the point's index on its grid
     a = np.repeat(a, H)
     q = a * (np.repeat(b0, H) + 4 * h)  # a b at every grid point, all inside the window
-    in_qs = np.zeros(window.Delta, dtype=bool)
-    in_qs[qs - window.Q] = True
-    hit = in_qs[q - window.Q]
-    a, owner = a[hit], np.searchsorted(qs, q[hit])
+    row = np.full(window.Delta, -1, dtype=np.int64)
+    row[qs - window.Q] = np.arange(qs.size)
+    owner = row[q - window.Q]
+    hit = owner >= 0
     omega = np.zeros(N + 1, dtype=np.int64)
     for p in _odd_primes_upto(N).tolist():
         omega[p::p] += 1
-    order = np.lexsort((a, owner))
-    return owner[order], a[order], 1 - 2 * (omega[a[order]] & 1)
+    return owner[hit], a[hit], h[hit], 1 - 2 * (omega[a[hit]] & 1)
 
 
 class CharacterSieve:
@@ -277,7 +283,4 @@ class CharacterSieve:
 
     def values(self, q: int) -> np.ndarray:
         """float64 array v with v[n] = chi_q(n) for 0 <= n <= N."""
-        q = int(q)
-        if not _is_fundamental_odd_positive_int(q):
-            raise DomainError(f"q={q} is not an odd positive fundamental conductor")
-        return self.table([q])[0]
+        return self.table([_check_conductor(q)])[0]

@@ -308,20 +308,20 @@ def _st_multieval_agreement() -> None:
 
 
 def _st_closed_form() -> None:
-    from .arith import divisor_terms, fundamental_conductors
+    from .arith import divisor_grid, divisor_terms, fundamental_conductors
     from .multieval import build_node_problem, closed_form_terms, direct_eval
     from .taylor import plan_sweep
 
     window, t = Window(10_001, 512), 0.3
     budget, table = plan_sweep(window.Q, window.Delta, 1e-6, t)
     qs = fundamental_conductors(window)
-    owner, a, _ = divisor_terms(window, qs, budget.N)
-    b = qs[owner] // a
+    _, a, h, _ = divisor_terms(window, qs, budget.N)
+    b = divisor_grid(window, a)[0] + 4 * h
     closed = closed_form_terms(a, b, table)
     for d in np.unique(a).tolist():
         p, g = build_node_problem(d, table, window)
         cols = np.flatnonzero(a == d)
-        ref = direct_eval(p, g)[:, (b[cols] - g.b0) // g.step]
+        ref = direct_eval(p, g)[:, h[cols]]
         if np.max(np.abs(closed[:, cols] - ref)) > 1e-13 * np.max(np.abs(ref)):
             raise ConsistencyError(f"closed form of a={d} != node problem")
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .arith import _is_fundamental_odd_positive_int
+from .arith import _check_conductor
 from .errors import DomainError
 from .special import g_prefactor
 
@@ -82,10 +82,8 @@ def character_from_gauss(q: int, n: int) -> complex:
     chi_q(n) = g(q) g_q(2n) / sqrt(n); the result should be real within
     roundoff and match quad_character.
     """
-    q = int(q)
+    q = _check_conductor(q)
     n = int(n)
-    if not _is_fundamental_odd_positive_int(q):
-        raise DomainError(f"q={q} is not an odd positive fundamental conductor")
     if n < 1 or math.gcd(n, q) != 1:
         raise DomainError("the Fourier expansion requires gcd(n, q) = 1")
     return complex(g_prefactor(q) * gauss_sum_fast(q, n) / math.sqrt(n))

@@ -79,10 +79,14 @@ _CLOSED_CHUNK = 1 << 16
 # run_batch (median of 3), takes alpha M^2 + beta H + gamma: 1,232 divisors
 # a >= 3 of [200001, 300001) at t = 0, [10001, 15001) at t = 0 and 1,
 # [50001, 75001) at t = 0 and [100003, 104099) at t = 0.25, whose
-# per-window sums it predicts at 0.84-1.23 of the measured.  The closed
+# per-window sums it predicted at 0.84-1.23 of the measured.  The closed
 # form takes kappa per (term, m) pair, lambda per term and rho M^2 for the
 # Gauss rows it needs: 60 passes over the terms of a >= a0 on the same
-# windows, 0.13-203 ms, predicted within 0.7-1.4x with 0.15 ms per pass
+# windows, 0.13-203 ms, predicted within 0.7-1.4x with 0.15 ms per pass.
+# Both over-predict on a later 2-vCPU Xeon VM, whose routes measure
+# 0.40-0.89 of their predictions; only their ratio decides the split, and
+# there the node divisors a = 3..19 of [200001, 300001) still ran 1.8-3.3x
+# faster as node problems
 _NODE_COST = (2.4e-7, 1.56e-6, 4.0e-4)  # alpha, beta, gamma
 _CLOSED_COST = (4.3e-8, 2.0e-7, 1.6e-7)  # kappa, lambda, rho
 # keeps from_fractions' key floor(alpha 2^62) and every exact angle in int64

@@ -34,10 +34,10 @@ import numpy as np
 from .arith import (
     CharacterSieve,
     Window,
+    _check_conductor,
     _check_epsilon,
     _check_precision,
     _check_t,
-    _is_fundamental_odd_positive_int,
     _thread_map,
     fundamental_conductors,
     jacobi,
@@ -77,13 +77,6 @@ def _truncation_order(q, epsilon: float, t: float) -> tuple[np.ndarray, float]:
 def _character_values(q: int, N: int) -> np.ndarray:
     """chi_q(1..N) by direct Jacobi symbols (no shared sieve machinery)."""
     return np.array([jacobi(n % q, q) for n in range(1, N + 1)], dtype=np.float64)
-
-
-def _check_conductor(q) -> int:
-    q = int(q)
-    if not _is_fundamental_odd_positive_int(q):
-        raise DomainError(f"q={q} is not an odd positive fundamental conductor")
-    return q
 
 
 def _smoothed_sum(t: float, chi: np.ndarray, V: np.ndarray) -> complex:

@@ -19,15 +19,16 @@ takes Z = 2 Re[e^{i theta} F] as 2 |C(t, q)| Re[F / C(t, q)] and rotates
 nothing; theta is computed for its column alone.  sqrt(a) S_k(a, b) weighs
 table column n = a m by sqrt(a/m) = a n^(-1/2): the table is scaled by
 n^(-1/2) once, both routes read it unweighted and recovery multiplies each
-term by a.  The conductors and their divisor terms, read off the divisor
-grids, are flat arrays, and both routes write their values at b = q/a into
-the columns of their own terms, so recovery is one segmented sum per
-conductor, one Clenshaw recurrence over the window's arrays and one array
-expression for the prefactors: O(d(q) R_c) work per conductor and no
-per-conductor Python; the result keeps those arrays as its columns.  Every
-window takes this route, whatever its size: the cost argument needs a large
-window, correctness does not.  run_batch only computes; checking a sweep
-against the per-conductor oracle is compare_with_oracle.
+term by a.  The conductors and their divisor terms are flat arrays, the
+terms divisor-major and each divisor's in the order of its grid
+b = b0 + 4h, from the sieve through both routes to recovery: one sparse
+fold of the terms onto their conductors, one Clenshaw recurrence over the
+window's arrays and one array expression for the prefactors, O(d(q) R_c)
+work per conductor and no per-conductor Python; the result keeps those
+arrays as its columns.  Every window takes this route, whatever its size:
+the cost argument needs a large window, correctness does not.  run_batch
+only computes; checking a sweep against the per-conductor oracle is
+compare_with_oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .arith import (Window, _check_precision, _check_t, _thread_map, divisor_grid,
                     divisor_terms, fundamental_conductors)
@@ -163,28 +165,28 @@ def run_batch(
     budget, table = plan_sweep(win.Q, win.Delta, request.epsilon, t, counter)
     qs = fundamental_conductors(win, counter)
     table = assembly_table(table, convention)
-    owner, a, sign = divisor_terms(win, qs, budget.N)
-    # a | q keeps every cofactor b = q/a inside its divisor's grid, and
-    # q = 1 (mod 4) then makes every b odd, as the quarter-length Gauss
-    # identity behind the S-values needs, and = a (mod 4), the grid's class
-    b, rem = np.divmod(qs[owner], a)
-    if rem.any():
-        k = int(np.argmax(rem != 0))
-        raise ConsistencyError(f"divisor a={a[k]} does not divide q={qs[owner[k]]}")
+    owner, a, h, sign = divisor_terms(win, qs, budget.N)
+    # each divisor's terms are one run of a, in its grid's order; an empty
+    # window still prices a = 1, which always takes its node problem, whose
+    # grid may then hold no b
+    edges = np.flatnonzero(np.diff(a, prepend=0, append=0)) if a.size else np.zeros(2, np.int64)
+    divisors, runs = np.append(a, 1)[edges[:-1]], np.diff(edges)
+    b0, H = divisor_grid(win, divisors)
+    # every term is its conductor's q = a b at b = b0 + 4h on its divisor's
+    # grid: then b is odd, as the quarter-length Gauss identity behind the
+    # S-values needs, and h indexes its node problem's values
+    b = np.repeat(b0, runs) + 4 * h
+    bad = qs[owner] != a * b
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ConsistencyError(f"divisor a={a[k]} does not divide q={qs[owner[k]]} into b={b[k]}")
 
     # precompute: each realized divisor takes the cheaper of two routes to
     # its terms.  The closed form reads every term of its divisors off one
     # Gauss table in one batched pass; a node problem is evaluated on its
-    # divisor's grid of arguments b = a (mod 4) and scattered into the
-    # columns of that divisor's terms, so the thread count cannot change the
-    # bits.  An empty window still prices a = 1, which always takes its node
-    # problem, whose grid may then hold no b
-    divisors = np.union1d(a, [1])
-    d = np.searchsorted(divisors, a)
-    by_divisor = np.argsort(d, kind="stable")
-    edges = np.searchsorted(d, np.arange(divisors.size + 1), sorter=by_divisor)
-    closed = closed_form_cheaper(divisors, np.diff(edges), budget.N,
-                                 divisor_grid(win, divisors)[1])
+    # divisor's grid and read at its terms' h into their slice of the
+    # columns, so the thread count cannot change the bits
+    closed = closed_form_cheaper(divisors, runs, budget.N, H)
     counter.add("closed_divisors", int(closed.sum()))
     terms = np.empty((budget.columns, a.size), dtype=np.complex128)
     seconds = np.zeros((2, divisors.size))  # build, eval
@@ -192,42 +194,40 @@ def run_batch(
     def run_one(i: int) -> None:
         t0 = time.perf_counter()
         built = build_node_problem(int(divisors[i]), table, win, counter=counter)
-        cols = by_divisor[edges[i] : edges[i + 1]]
+        e0, e1 = edges[i], edges[i + 1]
         if built is None:
-            if cols.size:
+            if e1 > e0:
                 raise ConsistencyError(f"divisor a={divisors[i]} has no node problem")
             return
         problem, grid = built
-        h, off = np.divmod(b[cols] - grid.b0, grid.step)
-        if np.any(off) or np.any(h < 0) or np.any(h >= grid.H):
-            raise ConsistencyError(f"divisor a={divisors[i]} has a b = q/a off its grid")
+        if (grid.b0, grid.H, grid.step) != (b0[i], H[i], 4):
+            raise ConsistencyError(f"divisor a={divisors[i]} has a node problem off its grid")
         t1 = time.perf_counter()
         values = fast_eval(problem, grid, budget.epsilon3, counter)
         seconds[:, i] = t1 - t0, time.perf_counter() - t1
-        terms[:, cols] = values[:, h]
+        terms[:, e0:e1] = values[:, h[e0:e1]]
 
     _thread_map(run_one, np.flatnonzero(~closed).tolist(), threads)
     # the closed form runs last: its freed megabyte arrays would raise
     # malloc's mmap threshold ahead of the a = 1 problem's peak, which read
     # 5 MB more RSS in a cold eval of [200001, 300001)
     t_closed = time.perf_counter()
-    on_closed = np.flatnonzero(closed[d])
+    on_closed = np.repeat(closed, runs)
     terms[:, on_closed] = closed_form_terms(a[on_closed], b[on_closed], table,
                                             counter=counter)
     closed_s = time.perf_counter() - t_closed
     precompute_s = time.perf_counter() - t_start
 
-    # recovery: sum each conductor's signed terms, sum the Chebyshev series
-    # at u(q) by Clenshaw's recurrence, then the prefactors, all as arrays
-    # over the window
+    # recovery: fold each term, weighted by sign a, onto its conductor, sum
+    # the Chebyshev series at u(q) by Clenshaw's recurrence, then the
+    # prefactors, all as arrays over the window
     rec_start = time.perf_counter()
-    n_terms = np.bincount(owner, minlength=qs.size)
-    starts = np.cumsum(n_terms) - n_terms
-    sums = np.add.reduceat(terms * (sign * a), starts, axis=1)
-    inner = clenshaw(sums, budget.u(qs))
+    fold = sparse.csc_matrix((sign * a, owner, np.arange(a.size + 1)), shape=(qs.size, a.size))
+    inner = clenshaw((fold @ terms.T).T, budget.u(qs))
     Z = 2.0 * np.abs(c_prefactor(t, qs)) * (g_prefactor(qs) * inner).real
     theta = theta_phase(t, qs)
-    a_total = np.add.reduceat(a, starts)
+    n_terms = np.bincount(owner, minlength=qs.size)
+    a_total = np.bincount(owner, weights=a, minlength=qs.size)
     R_c = budget.columns
     bounds = 2.0 * budget.epsilon1 + 2.0 * budget.epsilon2 + budget.epsilon3 * R_c * a_total
     ops = R_c * (n_terms + 2) + 8

@@ -17,6 +17,7 @@ from qlbatch import DomainError, OpCounter, Window
 from qlbatch.arith import (
     CharacterSieve,
     _is_fundamental_odd_positive_int,
+    divisor_grid,
     divisor_terms,
     fundamental_conductors,
     jacobi,
@@ -119,6 +120,12 @@ class TestWindow:
         with pytest.raises(DomainError):
             Window(100, 0)
 
+    def test_half_width_is_the_boundary(self):
+        # Delta = Q/2 is admitted, and the refusal names that bound
+        with pytest.raises(DomainError, match="Delta <= Q/2"):
+            Window(10, 6)
+        assert Window(10, 5).Delta == 5
+
     @given(st.integers(2, 10_000))
     def test_widest_legal_window(self, Q):
         w = Window(Q, Q // 2)
@@ -140,6 +147,16 @@ def _trial_terms(q: int, N: int):
         for c in itertools.combinations(ps, k)
         if math.prod(c) <= N
     )
+
+
+def _assert_grid_order(win, qs, owner, a, h):
+    """The order divisor_terms promises: grouped by a ascending, h ascending
+    within each divisor, and every term q = a (b0 + 4h) with h on its grid."""
+    assert np.all(np.diff(a) >= 0)
+    assert np.all(np.diff(h)[np.diff(a) == 0] > 0)
+    b0, H = divisor_grid(win, a)
+    assert np.all((h >= 0) & (h < H))
+    assert np.array_equal(qs[owner], a * (b0 + 4 * h))
 
 
 class TestSieveFactorWindow:
@@ -173,9 +190,12 @@ class TestSieveFactorWindow:
         # N > Q + Delta: every divisor of every conductor is a term
         win = Window(1_001, 300)
         qs = fundamental_conductors(win)
-        owner, a, sign = divisor_terms(win, qs, 5_000)
-        expect = [(i, a_, s_) for i, q in enumerate(qs.tolist()) for a_, s_ in _trial_terms(q, q)]
-        assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
+        owner, a, h, sign = divisor_terms(win, qs, 5_000)
+        _assert_grid_order(win, qs, owner, a, h)
+        expect = sorted(
+            (a_, i, s_) for i, q in enumerate(qs.tolist()) for a_, s_ in _trial_terms(q, q)
+        )
+        assert list(zip(a.tolist(), owner.tolist(), sign.tolist())) == expect
 
     @given(st.integers(2, 1_000_000), st.integers(1, 600), st.integers(1, 20_000))
     # no q = 1 (mod 4) at all; 2^19 + 16 candidates, checked at both ends
@@ -185,16 +205,20 @@ class TestSieveFactorWindow:
         Delta = min(Delta, Q // 2)
         win = Window(Q, Delta)
         qs = fundamental_conductors(win)
-        owner, a, sign = divisor_terms(win, qs, N)
-        assert np.all(np.diff(qs) > 0) and np.all(np.diff(owner) >= 0)
-        # every conductor of a small window; both ends of a large one
+        owner, a, h, sign = divisor_terms(win, qs, N)
+        assert np.all(np.diff(qs) > 0)
+        _assert_grid_order(win, qs, owner, a, h)
+        # every conductor of a small window; both ends of a large one.  Within
+        # a divisor, grid order is conductor order
         spans = [(Q, Q + Delta)] if Delta <= 1_000 else [(Q, Q + 200), (Q + Delta - 200, Q + Delta)]
         for lo, hi in spans:
             rows = np.flatnonzero((qs >= lo) & (qs < hi))
             assert qs[rows].tolist() == _trial_fundamentals(lo, hi)
             mine = np.isin(owner, rows)
-            expect = [(i, a_, s_) for i in rows.tolist() for a_, s_ in _trial_terms(int(qs[i]), N)]
-            assert list(zip(owner[mine].tolist(), a[mine].tolist(), sign[mine].tolist())) == expect
+            expect = sorted(
+                (a_, i, s_) for i in rows.tolist() for a_, s_ in _trial_terms(int(qs[i]), N)
+            )
+            assert list(zip(a[mine].tolist(), owner[mine].tolist(), sign[mine].tolist())) == expect
 
 
 class TestFundamentality:
@@ -216,7 +240,7 @@ class TestFundamentality:
 def _terms(q, N):
     """(a, sign) of conductor q's divisor terms, from its one-row window."""
     win = Window(q, 1)
-    _, a, sign = divisor_terms(win, fundamental_conductors(win), N)
+    _, a, _, sign = divisor_terms(win, fundamental_conductors(win), N)
     return list(zip(a.tolist(), sign.tolist()))
 
 

@@ -496,7 +496,7 @@ def _window_terms(window, t):
     the table the planner economized."""
     budget, table = plan_sweep(window.Q, window.Delta, 1e-6, t)
     qs = fundamental_conductors(window)
-    owner, a, _ = divisor_terms(window, qs, budget.N)
+    owner, a, _, _ = divisor_terms(window, qs, budget.N)
     return table, a, qs[owner] // a
 
 

@@ -33,7 +33,7 @@ _EPS = 1e-6
 
 
 def _conductor_terms(q, N):
-    """(owner, a, sign) of conductor q alone, from its one-conductor window."""
+    """(owner, a, h, sign) of conductor q alone, from its one-conductor window."""
     win = Window(q, 1)
     return divisor_terms(win, fundamental_conductors(win), N)
 
@@ -65,7 +65,7 @@ def _assert_matches_conductor_loop(result, convention):
     svals = {}
     for q, z in zip(result.q.tolist(), result.Z.tolist()):
         acc = np.zeros(b.columns, dtype=np.complex128)
-        _, a_terms, signs = _conductor_terms(q, b.N)
+        _, a_terms, _, signs = _conductor_terms(q, b.N)
         for a, sign in zip(a_terms.tolist(), signs.tolist()):
             if a not in svals:
                 u = np.sqrt(a / (n / a)) if convention == "sqrt_a" else a  # m = n/a
@@ -135,25 +135,34 @@ class TestBatchRequest:
 
 
 class TestDivisorTermArrays:
-    def test_empty_window_keeps_trivial_divisor(self):
-        owner, a, sign = divisor_terms(Window(2, 1), fundamental_conductors(Window(2, 1)), 400)
-        assert owner.size == a.size == sign.size == 0
-        assert np.union1d(a, [1]).tolist() == [1]
+    def test_empty_window_keeps_trivial_divisor(self, monkeypatch):
+        # no terms, yet run_batch still builds the a = 1 node problem alone
+        win = Window(10_003, 1)
+        terms = divisor_terms(win, fundamental_conductors(win), 400)
+        assert [col.size for col in terms] == [0, 0, 0, 0]
+        built = []
+
+        def recording(a, *args, **kwargs):
+            built.append(a)
+            return build_node_problem(a, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_node_problem", recording)
+        run_batch(BatchRequest(win, 0.0, _EPS))
+        assert built == [1]
 
     def test_flat_arrays_match_per_conductor_terms(self):
+        # the window's terms are each conductor's own, divisor-major; a = 1
+        # heads the order, since every conductor has it
         qs = fundamental_conductors(_WIN)
         N = 400
-        owner, a, sign = divisor_terms(_WIN, qs, N)
-        expect = [
-            (i, a_, s_)
+        owner, a, _, sign = divisor_terms(_WIN, qs, N)
+        expect = sorted(
+            (a_, i, s_)
             for i, q in enumerate(qs.tolist())
-            for _, a_, s_ in zip(*(col.tolist() for col in _conductor_terms(q, N)))
-        ]
-        assert list(zip(owner.tolist(), a.tolist(), sign.tolist())) == expect
-        divisors = np.union1d(a, [1])
-        assert divisors[0] == 1
-        assert all(d <= N for d in divisors)
-        assert set(divisors.tolist()) == {1} | {t[1] for t in expect}
+            for _, a_, _, s_ in zip(*(col.tolist() for col in _conductor_terms(q, N)))
+        )
+        assert list(zip(a.tolist(), owner.tolist(), sign.tolist())) == expect
+        assert a[: qs.size].tolist() == [1] * qs.size and a.max() <= N
 
 
 class TestColumns:
@@ -200,7 +209,7 @@ class TestFastWindow:
         result, _ = cmp_run
         b = result.budget
         for q, bound in zip(result.q.tolist(), result.error_bound.tolist()):
-            _, a, _ = _conductor_terms(q, b.N)
+            _, a, _, _ = _conductor_terms(q, b.N)
             expect = 2 * b.epsilon1 + 2 * b.epsilon2 + b.epsilon3 * b.columns * a.sum()
             assert bound == pytest.approx(expect, rel=1e-12)
 
@@ -221,7 +230,7 @@ class TestFastWindow:
         result, counter = cmp_run
         b = result.budget
         for q, ops in zip(result.q.tolist(), result.recovery_ops.tolist()):
-            _, a, _ = _conductor_terms(q, b.N)
+            _, a, _, _ = _conductor_terms(q, b.N)
             assert ops == b.columns * (a.size + 2) + 8
         assert counter.get("recovery_ops") == result.recovery_ops.sum()
 
@@ -359,15 +368,38 @@ def _subprocess_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
+def _assert_raises_under_python_O(patch):
+    """run_batch on _WIN raises ConsistencyError in a python -O child that
+    first runs patch, with qlbatch.pipeline as pipeline and this module as tp."""
+    # the child's first line fails unless -O strips asserts
+    code = (
+        "assert False, 'not running under -O'\n"
+        "import qlbatch.pipeline as pipeline, test_pipeline as tp\n"
+        "from qlbatch import BatchRequest, ConsistencyError, run_batch\n"
+        f"{patch}\n"
+        "try:\n"
+        "    run_batch(BatchRequest(tp._WIN, 0.0, tp._EPS))\n"
+        "except ConsistencyError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no ConsistencyError')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _with_extra_term(i, a_extra):
-    """pipeline.divisor_terms plus one term: divisor a_extra of conductor i."""
+    """pipeline.divisor_terms plus one term: divisor a_extra of conductor i,
+    at the grid index of floor(q/a_extra), inserted in divisor-major order."""
     real = pipeline.divisor_terms
 
     def patched(window, qs, N):
-        owner, a, sign = real(window, qs, N)
-        owner, a, sign = np.append(owner, i), np.append(a, a_extra), np.append(sign, -1)
-        order = np.lexsort((a, owner))
-        return owner[order], a[order], sign[order]
+        owner, a, h, sign = real(window, qs, N)
+        h_extra = (qs[i] // a_extra - divisor_grid(window, a_extra)[0]) // 4
+        k = np.searchsorted(a, a_extra, side="right")
+        return (np.insert(owner, k, i), np.insert(a, k, a_extra), np.insert(h, k, h_extra),
+                np.insert(sign, k, -1))
 
     return patched
 
@@ -403,37 +435,25 @@ class TestRecoveryChecks:
         with pytest.raises(ConsistencyError, match="off its grid"):
             run_batch(BatchRequest(_WIN, 0.0, _EPS))
 
+    def test_divisor_check_survives_python_O(self):
+        _assert_raises_under_python_O("pipeline.divisor_terms = tp._with_extra_term(4, 7)")
+
     def test_scatter_check_survives_python_O(self):
-        # the child's first line fails unless -O strips asserts
-        code = (
-            "assert False, 'not running under -O'\n"
-            "import qlbatch.pipeline as pipeline, test_pipeline as tp\n"
-            "from qlbatch import BatchRequest, ConsistencyError, run_batch\n"
-            "pipeline.build_node_problem = tp._shifted_builder(2)\n"
-            "try:\n"
-            "    run_batch(BatchRequest(tp._WIN, 0.0, tp._EPS))\n"
-            "except ConsistencyError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit('no ConsistencyError')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=_subprocess_env(), capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        _assert_raises_under_python_O("pipeline.build_node_problem = tp._shifted_builder(2)")
 
     def test_every_cofactor_lies_on_its_divisor_grid(self):
         # every odd fundamental q is 1 (mod 4), so each b = q/a is a (mod 4)
         # and lies on the step-4 grid divisor_grid gives divisor a
         window = Window(200_001, 1_000)
         qs = fundamental_conductors(window)
-        owner, a, _ = divisor_terms(window, qs, plan_budget(window.Q, window.Delta, _EPS, 0.0).N)
+        owner, a, h, _ = divisor_terms(window, qs,
+                                       plan_budget(window.Q, window.Delta, _EPS, 0.0).N)
         q = qs[owner]
         assert a.size > qs.size > 0 and np.all(q % a == 0)
         assert np.all((q // a - a) % 4 == 0)
         b0, H = divisor_grid(window, a)
-        h, off = np.divmod(q // a - b0, 4)
-        assert np.all(off == 0) and np.all(h >= 0) and np.all(h < H)
+        assert np.array_equal(q // a, b0 + 4 * h)
+        assert np.all(h >= 0) and np.all(h < H)
 
     def test_window_routines_run_once_per_batch(self, monkeypatch):
         calls = []
